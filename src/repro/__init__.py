@@ -53,7 +53,7 @@ from repro.machine import (
 from repro.quality import psnr_db, snr_db
 from repro.streamit import StreamGraph, StreamProgram
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CellStats",

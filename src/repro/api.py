@@ -20,10 +20,10 @@ This module is the single front door over that stack::
 Inputs are forgiving: *app* is a registry name or a prebuilt
 :class:`~repro.apps.base.BenchmarkApp`; *protection* is a
 :class:`~repro.machine.protection.ProtectionLevel` or any spelling its
-:meth:`~repro.machine.protection.ProtectionLevel.parse` accepts; *trace*
-is anything :func:`~repro.observability.coerce_tracer` understands
-(``True`` collects events in memory, a path streams JSONL there, a ready
-tracer passes through).
+:meth:`~repro.machine.protection.ProtectionLevel.parse` accepts;
+``options.trace`` is anything :func:`~repro.observability.coerce_tracer`
+understands (``True`` collects events in memory, a path streams JSONL
+there, a ready tracer passes through).
 
 The shared parsing helpers (:func:`resolve_app`, :func:`parse_mtbe`) live
 here too, so the CLI and the examples agree on accepted spellings and
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -43,7 +42,12 @@ from repro.apps.base import BenchmarkApp
 from repro.apps.registry import APP_BUILDERS, build_app
 from repro.core.config import CommGuardConfig
 from repro.experiments.aggregate import CellStats, summarize
-from repro.experiments.cache import record_from_dict, record_to_dict
+from repro.experiments.cache import (
+    record_from_dict,
+    record_to_dict,
+    spec_from_dict,
+    spec_to_dict,
+)
 from repro.experiments.options import EngineOptions
 from repro.experiments.store import RunStore, derive_campaign_id
 from repro.experiments.parallel import (
@@ -63,7 +67,6 @@ from repro.quality.metrics import QUALITY_CAP_DB, clamp_db
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observability.events import TraceEvent
-    from repro.observability.tracer import Tracer
 
 
 def resolve_app(app: str | BenchmarkApp, scale: float = 1.0) -> BenchmarkApp:
@@ -143,18 +146,6 @@ class AppInfo:
         )
 
 
-def _spec_to_dict(spec: RunSpec) -> dict:
-    data = dataclasses.asdict(spec)
-    data["protection"] = spec.protection.value
-    return data
-
-
-def _spec_from_dict(data: dict) -> RunSpec:
-    fields_ = dict(data)
-    fields_["protection"] = ProtectionLevel(fields_["protection"])
-    return RunSpec(**fields_)
-
-
 def _options_to_dict(options: EngineOptions) -> dict:
     """JSON-safe document of :class:`EngineOptions`.
 
@@ -184,7 +175,7 @@ def _options_from_dict(data: dict) -> EngineOptions:
 def _failure_to_dict(failure: FailureRecord) -> dict:
     return {
         "index": failure.index,
-        "spec": _spec_to_dict(failure.spec),
+        "spec": spec_to_dict(failure.spec),
         "failure": failure.failure,
         "message": failure.message,
         "attempts": failure.attempts,
@@ -194,7 +185,7 @@ def _failure_to_dict(failure: FailureRecord) -> dict:
 def _failure_from_dict(data: dict) -> FailureRecord:
     return FailureRecord(
         index=data["index"],
-        spec=_spec_from_dict(data["spec"]),
+        spec=spec_from_dict(data["spec"]),
         failure=data["failure"],
         message=data["message"],
         attempts=data["attempts"],
@@ -250,9 +241,9 @@ class RunReport:
     record: RunRecord
     result: RunResult | None = None
     app: BenchmarkApp | AppInfo = AppInfo(name="?")
-    #: Where the JSONL trace was written, when *trace* was a path.
+    #: Where the JSONL trace was written, when the trace was a path.
     trace_path: Path | None = None
-    #: Collected events, when *trace* was ``True`` (in-memory tracing).
+    #: Collected events, when the trace was ``True`` (in-memory tracing).
     events: "list[TraceEvent] | None" = field(default=None, repr=False)
     #: The :class:`~repro.observability.ProfileSession` the run filled in,
     #: when one was passed as ``profile=``.  In-memory only, like
@@ -293,7 +284,7 @@ class RunReport:
             "schema_version": SCHEMA_VERSION,
             "kind": "run_report",
             "app": {"name": self.app.name, "metric": self.app.metric},
-            "spec": _spec_to_dict(self.spec),
+            "spec": spec_to_dict(self.spec),
             "record": record_to_dict(self.record),
             "trace_path": str(self.trace_path) if self.trace_path else None,
         }
@@ -306,7 +297,7 @@ class RunReport:
         _check_document(data, "run_report")
         trace_path = data.get("trace_path")
         return cls(
-            spec=_spec_from_dict(data["spec"]),
+            spec=spec_from_dict(data["spec"]),
             record=record_from_dict(data["record"]),
             result=None,
             app=AppInfo(**data["app"]),
@@ -331,10 +322,6 @@ def _runner_for(scale: float) -> SimulationRunner:
     return _RUNNERS[scale]
 
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit ``None``.
-_UNSET = object()
-
-
 def run(
     app: str | BenchmarkApp,
     protection: ProtectionLevel | str = ProtectionLevel.COMMGUARD,
@@ -347,8 +334,6 @@ def run(
     fault_model: FaultModelSpec | str | None = None,
     options: EngineOptions | None = None,
     profile: ProfileSession | None = None,
-    trace: "Tracer | str | Path | bool | None" = _UNSET,  # deprecated alias
-    scale: float = _UNSET,  # deprecated alias
 ) -> RunReport:
     """Run one benchmark once and return a :class:`RunReport`.
 
@@ -358,7 +343,7 @@ def run(
     the error process from the registry in :mod:`repro.machine.faults` —
     a name or ``name:param=val,...`` spec string (default ``bit_flip``,
     which is bit-identical to the pre-registry injector).  See the module
-    docstring for the accepted *app*, *protection* and *trace* spellings.
+    docstring for the accepted *app*, *protection* and trace spellings.
 
     Engine knobs come through *options*, the same
     :class:`~repro.experiments.EngineOptions` every entry point shares:
@@ -366,16 +351,16 @@ def run(
     the trace destination (anything
     :func:`~repro.observability.coerce_tracer` understands), and
     ``options.exec_mode`` the execution mode (``"fast"`` quiet-span
-    bulk path vs the bit-identical ``"precise"`` per-word oracle).  The
-    legacy ``scale=`` / ``trace=`` keyword arguments still work but emit
-    a :class:`DeprecationWarning`.
+    bulk path vs the bit-identical ``"precise"`` per-word oracle).
 
     ``options.store`` points the run at a
     :class:`~repro.experiments.store.RunStore`: an untraced run whose
-    point is already in the store (or in the legacy cache it reads
-    through) returns the stored record without simulating — such a
-    report carries ``result=None``, exactly like a deserialized one —
-    and an executed run is persisted to the store with provenance.
+    point is already in the store returns the stored record without
+    simulating — such a report carries ``result=None``, exactly like a
+    deserialized one — and an executed run is persisted to the store
+    with provenance.  Only a named store is used: ``options.cache``
+    does not select the default one here, so a plain ``run()`` always
+    simulates and returns its raw result.
     Runs with an ``error_model`` override never touch the store: the
     override is not part of the spec's content key, so neither a cached
     baseline record nor a store write would be faithful to it.
@@ -389,28 +374,8 @@ def run(
     spec, so storing/caching them stays sound.
     """
     opts = options or EngineOptions()
-    if scale is not _UNSET:
-        warnings.warn(
-            "repro.api.run(scale=...) is deprecated; "
-            "pass options=EngineOptions(scale=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    else:
-        scale = None
-    if trace is not _UNSET:
-        warnings.warn(
-            "repro.api.run(trace=...) is deprecated; "
-            "pass options=EngineOptions(trace=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    else:
-        trace = None
-    scale = scale if scale is not None else (
-        opts.scale if opts.scale is not None else 1.0
-    )
-    trace = trace if trace is not None else opts.trace
+    scale = opts.scale if opts.scale is not None else 1.0
+    trace = opts.trace
     bench = resolve_app(app, scale=scale)
     level = (
         protection
@@ -674,7 +639,7 @@ class SweepReport:
             "options": _options_to_dict(self.options),
             "points": [
                 {
-                    "spec": _spec_to_dict(point.spec),
+                    "spec": spec_to_dict(point.spec),
                     "record": (
                         record_to_dict(point.record)
                         if point.record is not None
@@ -699,7 +664,7 @@ class SweepReport:
         _check_document(data, "sweep_report")
         points = [
             SweepPoint(
-                spec=_spec_from_dict(entry["spec"]),
+                spec=spec_from_dict(entry["spec"]),
                 record=(
                     record_from_dict(entry["record"])
                     if entry.get("record") is not None
@@ -749,7 +714,7 @@ class SweepReport:
         status = store.campaign(campaign)
         points = []
         for position, (spec, key) in enumerate(zip(status.specs, status.keys)):
-            record = store.get(key)
+            record = store.load(key)
             failure = None
             if record is None:
                 failure = store.failure_for(key)
@@ -815,17 +780,6 @@ def sweep(
     profile: ProfileSession | None = None,
     collect_results: bool = False,
     campaign: str | None = None,
-    # Deprecated loose-kwarg aliases over options=EngineOptions(...):
-    scale: float = _UNSET,
-    jobs: int = _UNSET,
-    cache: bool = _UNSET,
-    no_cache: bool = _UNSET,
-    trace_dir: str = _UNSET,
-    retries: int = _UNSET,
-    run_timeout: float = _UNSET,
-    retry_backoff: float = _UNSET,
-    keep_going: bool = _UNSET,
-    store: object = _UNSET,
 ) -> SweepReport:
     """Run one app over a ``protections x mtbes x seeds`` grid.
 
@@ -840,7 +794,7 @@ def sweep(
 
     *options* is the shared :class:`~repro.experiments.EngineOptions` the
     CLI and figure harnesses use: the sweep executes on the parallel
-    engine with its ``jobs``/``cache``/``trace_dir`` behaviour, and
+    engine with its ``jobs``/``trace_dir`` behaviour, and
     ``options.scale`` is the app-build input scale.  The fault-tolerance
     knobs (``retries``, ``run_timeout``, ``retry_backoff``,
     ``keep_going``) flow through too: a strict sweep (default) raises
@@ -855,9 +809,9 @@ def sweep(
     ``collect_results=True`` keeps every point's raw
     :class:`~repro.machine.runstats.RunResult` (needed e.g. to decode
     output signals); those runs execute serially in-process and bypass
-    the on-disk cache, which stores flat records only.  A prebuilt *app*
-    forces the same path: worker processes and the cache only know how to
-    rebuild registry apps by name.
+    the result store, which holds flat records only.  A prebuilt *app*
+    forces the same path: worker processes and the store only know how
+    to rebuild registry apps by name.
 
     ``profile`` takes a :class:`~repro.observability.ProfileSession`;
     the sweep records its engine wall-clock spans (the ``sweep`` root,
@@ -867,49 +821,18 @@ def sweep(
     is a nondeterministic side channel: it never enters cache keys,
     trace bytes, stored records, or report documents.
 
-    ``options.store`` turns the sweep into a resumable **campaign**
-    recorded in a :class:`~repro.experiments.store.RunStore`: the grid is
-    registered under *campaign* (or a deterministic id derived from the
-    specs when ``campaign=None``), completed points become store hits on
-    a rerun, and :meth:`SweepReport.from_store` rebuilds the byte-exact
-    report later.  The in-process path (``collect_results=True`` or a
-    prebuilt app) ignores the store — raw results are not persistable.
-
-    The loose engine kwargs (``scale=``, ``jobs=``, ``cache=``,
-    ``no_cache=``, ``trace_dir=``, ``retries=``, ``run_timeout=``,
-    ``retry_backoff=``, ``keep_going=``, ``store=``) are deprecated
-    aliases: each emits a :class:`DeprecationWarning` and overrides the
-    matching :class:`~repro.experiments.EngineOptions` field
-    (``no_cache=True`` maps to ``cache=False``).
+    Completed points are looked up in and written to the store
+    :meth:`~repro.experiments.EngineOptions.batch_store` picks: the
+    default store unless ``options.cache`` is false, or the one
+    ``options.store`` names.  A named store also turns the sweep into a
+    resumable **campaign**: the grid is registered under *campaign* (or
+    a deterministic id derived from the specs when ``campaign=None``),
+    completed points become store hits on a rerun, and
+    :meth:`SweepReport.from_store` rebuilds the byte-exact report later.
+    The in-process path (``collect_results=True`` or a prebuilt app)
+    ignores the store — raw results are not persistable.
     """
     options = options or EngineOptions()
-    overrides: dict[str, object] = {}
-    aliases = {
-        "scale": scale,
-        "jobs": jobs,
-        "cache": cache,
-        "no_cache": no_cache,
-        "trace_dir": trace_dir,
-        "retries": retries,
-        "run_timeout": run_timeout,
-        "retry_backoff": retry_backoff,
-        "keep_going": keep_going,
-        "store": store,
-    }
-    for name, value in aliases.items():
-        if value is _UNSET:
-            continue
-        target = "cache" if name == "no_cache" else name
-        spelled = "cache=..." if name == "no_cache" else f"{name}=..."
-        warnings.warn(
-            f"repro.api.sweep({name}=...) is deprecated; "
-            f"pass options=EngineOptions({spelled})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        overrides[target] = (not value) if name == "no_cache" else value
-    if overrides:
-        options = replace(options, **overrides)
     scale = options.scale if options.scale is not None else 1.0
     bench = resolve_app(app, scale=scale)
     levels = _parse_protection_axis(protections)
@@ -948,22 +871,11 @@ def sweep(
             )
         return SweepReport(app=bench, points=points, options=options)
 
-    run_store = RunStore.coerce(options.store)
-    if run_store is not None and campaign is None:
-        campaign = derive_campaign_id(specs, scale)
-    runner = ParallelRunner(
-        scale=scale,
-        jobs=options.jobs,
-        cache=options.cache,
-        trace_dir=options.trace_dir,
-        retries=options.retries,
-        run_timeout=options.run_timeout,
-        retry_backoff=options.retry_backoff,
-        strict=not options.keep_going,
-        profiler=engine,
-    )
-    if run_store is not None:
-        run_store.begin_campaign(
+    store = options.batch_store()
+    if store is not None and options.store is not None:  # a named store
+        if campaign is None:
+            campaign = derive_campaign_id(specs, scale)
+        store.begin_campaign(
             campaign,
             specs,
             scale,
@@ -971,7 +883,20 @@ def sweep(
             metric=bench.metric,
             options=_options_to_dict(options),
         )
-        runner.attach_store(run_store, campaign=campaign)
+    else:
+        campaign = None
+    runner = ParallelRunner(
+        scale=scale,
+        jobs=options.jobs,
+        trace_dir=options.trace_dir,
+        retries=options.retries,
+        run_timeout=options.run_timeout,
+        retry_backoff=options.retry_backoff,
+        strict=not options.keep_going,
+        profiler=engine,
+        store=store,
+        campaign=campaign,
+    )
     with engine_span(
         engine, "sweep", app=bench.name, points=len(specs), jobs=options.jobs
     ):

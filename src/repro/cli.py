@@ -11,7 +11,7 @@ Commands:
   fault-tolerance flags — ``--retries N``, ``--run-timeout SECONDS``,
   ``--keep-going`` — retry failed runs with deterministic backoff,
   preempt hung runs, and finish the sweep past exhausted points; Ctrl-C
-  exits cleanly with every completed run already flushed to the cache.
+  exits cleanly with every completed run already flushed to the store.
   ``--metrics-out FILE`` writes the engine's metrics registry in
   Prometheus textfile format after the sweep.
 * ``paper`` — run the whole paper reproduction at a scale tier
@@ -33,11 +33,10 @@ Commands:
 * ``top`` — store-backed campaign health: done/failed/pending,
   executed-vs-hit split, run wall seconds, throughput and an ETA for
   the pending points.
-* ``cache`` — inspect or clear the on-disk result cache.
 * ``store`` — the SQLite result store: ``stats``, ``query`` (filter by
   app/protection/mtbe/seed/fault-model), ``gc`` (prune superseded
-  failures + orphaned files), ``import`` (one-shot legacy-cache
-  migration), ``export`` (JSONL dump).
+  failures + orphaned files), ``import`` (one-shot migration of a repro
+  1.x ``.repro_cache/`` directory), ``export`` (JSONL dump).
 
 ``sweep --store [PATH]`` records the sweep as a resumable *campaign* in
 the store: every completed point is flushed as it finishes, so after a
@@ -52,23 +51,24 @@ contract, so the choice only affects wall-clock time.
 
 ``figure`` and ``sweep`` execute through the parallel sweep engine:
 ``--jobs N`` (or the ``REPRO_JOBS`` environment variable) fans independent
-runs out over N worker processes, and completed points are memoized under
-``.repro_cache/`` (``--no-cache`` disables; ``REPRO_CACHE_DIR`` moves the
-root) so re-running a figure or resuming an interrupted sweep skips
-finished work.
+runs out over N worker processes, and completed points are memoized in
+the default result store ``.repro_store.sqlite`` (``--no-cache``
+disables it; ``REPRO_STORE`` moves it; a ``--store`` named on ``sweep``
+is always used) so re-running a figure or resuming an interrupted sweep
+skips finished work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from repro import api
 from repro.apps.registry import APP_ORDER
-from repro.experiments.cache import ResultCache
 from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import (
     ParallelRunner,
@@ -78,7 +78,12 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.aggregate import summarize
 from repro.experiments.registry import figure_names, figure_specs, resolve_figure
-from repro.experiments.store import RunStore, derive_campaign_id
+from repro.experiments.store import (
+    ENV_LEGACY_CACHE_DIR,
+    LEGACY_CACHE_DIR,
+    RunStore,
+    derive_campaign_id,
+)
 from repro.experiments.report import db_or_errorfree, format_table
 from repro.machine.faults import FAULT_MODELS, FaultModelSpec, fault_model_names
 from repro.machine.protection import ProtectionLevel
@@ -118,11 +123,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
-
-
-def _cache_option(args: argparse.Namespace):
-    """The engine cache option for a parsed command line."""
-    return not getattr(args, "no_cache", False)
 
 
 def _progress_printer(stream=sys.stderr):
@@ -214,7 +214,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         return 0 if args.list else 2
     spec = resolve_figure(args.name)
     options = EngineOptions(
-        scale=args.scale, jobs=args.jobs, cache=_cache_option(args)
+        scale=args.scale, jobs=args.jobs, cache=not args.no_cache
     )
     print(spec.run(options).text)
     return 0
@@ -254,33 +254,25 @@ def _sweep_summary(
     return f"{header}\n{table}"
 
 
-def _sweep_store(args: argparse.Namespace) -> RunStore | None:
-    """The store a ``sweep`` command line selects (``--campaign`` /
-    ``--resume`` without ``--store`` imply the default store)."""
-    choice = args.store
-    if choice is None and (args.campaign is not None or args.resume is not None):
-        choice = True
-    return RunStore.coerce(choice)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    store = _sweep_store(args)
+    options = _sweep_options(args)
     if args.resume is not None:
-        return _sweep_resume(args, store)
+        return _sweep_resume(args, options.batch_store())
     if args.app is None:
         print("repro sweep: an app is required (or --resume CAMPAIGN)",
               file=sys.stderr)
         return 2
+    store = options.batch_store()
     protection = ProtectionLevel.parse(args.protection)
     runner = ParallelRunner(
         scale=args.scale,
         jobs=args.jobs,
-        cache=_cache_option(args),
         progress=_progress_printer() if args.progress else None,
         trace_dir=args.trace_dir,
         retries=args.retries,
         run_timeout=args.run_timeout,
         strict=not args.keep_going,
+        store=store,
     )
     app = runner.app(args.app)
     ladder = [_parse_mtbe(text) for text in args.mtbe]
@@ -297,7 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for seed in range(args.seeds)
     ]
     campaign = None
-    if store is not None:
+    if options.store is not None:
         campaign = args.campaign or derive_campaign_id(specs, args.scale)
         store.begin_campaign(
             campaign,
@@ -305,15 +297,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             args.scale,
             app=args.app,
             metric=app.metric,
-            options=api._options_to_dict(_sweep_options(args)),
+            options=api._options_to_dict(options),
         )
-        runner.attach_store(store, campaign=campaign)
+        runner.campaign = campaign
         print(f"[sweep] campaign {campaign} in {store.path}", file=sys.stderr)
     try:
         records = runner.run_specs(specs)
     except KeyboardInterrupt:
-        # Completed points are already flushed to the result cache/store,
-        # so a re-run resumes from here; report what survived, exit 130.
+        # Completed points are already flushed to the result store, so a
+        # re-run resumes from here; report what survived, exit 130.
         print("\n[sweep] interrupted — completed runs are cached", file=sys.stderr)
         if runner.last_stats is not None:
             print(f"[sweep] {runner.last_stats.summary()}", file=sys.stderr)
@@ -369,7 +361,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     api.SweepPoint(spec=spec, record=record, failure=failures.get(i))
                     for i, (spec, record) in enumerate(zip(specs, records))
                 ],
-                options=_sweep_options(args),
+                options=options,
                 stats=stats,
             )
         try:
@@ -394,14 +386,16 @@ def _write_metrics(runner: ParallelRunner, path: str) -> int:
 
 
 def _sweep_options(args: argparse.Namespace) -> EngineOptions:
-    """The :class:`EngineOptions` a ``sweep`` command line spells."""
+    """The :class:`EngineOptions` a ``sweep`` command line spells
+    (``--campaign`` / ``--resume`` without ``--store`` name the default
+    store)."""
     store = args.store
     if store is None and (args.campaign is not None or args.resume is not None):
         store = True
     return EngineOptions(
         scale=args.scale,
         jobs=args.jobs,
-        cache=_cache_option(args),
+        cache=not args.no_cache,
         trace_dir=args.trace_dir,
         exec_mode=args.exec_mode,
         retries=args.retries,
@@ -423,14 +417,14 @@ def _sweep_resume(args: argparse.Namespace, store: RunStore) -> int:
     runner = ParallelRunner(
         scale=status.scale,
         jobs=args.jobs,
-        cache=_cache_option(args),
         progress=_progress_printer() if args.progress else None,
         trace_dir=args.trace_dir,
         retries=args.retries,
         run_timeout=args.run_timeout,
         strict=not args.keep_going,
+        store=store,
+        campaign=args.resume,
     )
-    runner.attach_store(store, campaign=args.resume)
     try:
         # The full frozen grid goes back through the engine: completed
         # positions are store hits (zero re-execution), pending ones run.
@@ -506,7 +500,6 @@ def cmd_paper(args: argparse.Namespace) -> int:
 
     options = EngineOptions(
         jobs=args.jobs,
-        cache=_cache_option(args),
         retries=args.retries,
         run_timeout=args.run_timeout,
         keep_going=True,
@@ -804,16 +797,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached result(s) from {cache.root}")
-    else:
-        print(f"{len(cache)} cached result(s) under {cache.root}")
-    return 0
-
-
 def cmd_store(args: argparse.Namespace) -> int:
     store = RunStore(args.db)
     if args.action == "stats":
@@ -882,11 +865,9 @@ def cmd_store(args: argparse.Namespace) -> int:
         print(f"[store] {collected.summary()}")
         return 0
     if args.action == "import":
-        imported = store.import_cache(args.cache)
-        source = args.cache or (
-            store.fallback.root if store.fallback is not None else "?"
-        )
-        print(f"imported {imported} run(s) from {source} into {store.path}")
+        root = args.cache or os.environ.get(ENV_LEGACY_CACHE_DIR) or LEGACY_CACHE_DIR
+        imported = store.import_cache(root)
+        print(f"imported {imported} run(s) from {root} into {store.path}")
         return 0
     # export
     if args.output is not None:
@@ -916,17 +897,23 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=_positive_int,
         default=None,
         help="worker processes (default: REPRO_JOBS or CPU count; 1 = serial)",
     )
+
+
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    _add_jobs_option(parser)
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="do not read/write the .repro_cache/ result cache",
+        help="do not read/write the default result store "
+        "(.repro_store.sqlite / REPRO_STORE); a --store named on the "
+        "command line is still used",
     )
 
 
@@ -1161,13 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top_parser.set_defaults(func=cmd_top)
 
-    cache_parser = sub.add_parser("cache", help="inspect/clear the result cache")
-    cache_parser.add_argument("action", choices=["info", "clear"])
-    cache_parser.add_argument(
-        "--dir", default=None, help="cache root (default: .repro_cache/)"
-    )
-    cache_parser.set_defaults(func=cmd_cache)
-
     paper_parser = sub.add_parser(
         "paper",
         help="run the whole paper reproduction and grade it vs the paper",
@@ -1197,7 +1177,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="print progress lines to stderr",
     )
-    _add_engine_options(paper_parser)
+    _add_jobs_option(paper_parser)
     _add_fault_tolerance_options(paper_parser)
     paper_parser.set_defaults(func=cmd_paper)
 
@@ -1236,7 +1216,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_parser.add_argument(
         "--cache", default=None, metavar="DIR",
-        help="import: legacy cache root (default: .repro_cache/)",
+        help="import: repro 1.x cache directory (default: "
+        ".repro_cache/ or REPRO_CACHE_DIR)",
     )
     store_parser.add_argument(
         "--trace-dir", action="append", default=None, metavar="DIR",

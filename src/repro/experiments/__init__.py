@@ -12,7 +12,6 @@ All harnesses accept a ``scale`` parameter shrinking the benchmark inputs
 EXPERIMENTS.md records paper-vs-measured values at the recorded scales.
 """
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import (
     FailureRecord,
@@ -93,7 +92,6 @@ __all__ = [
     "PaperTarget",
     "ParallelRunner",
     "ReproductionReport",
-    "ResultCache",
     "RunRecord",
     "RunSpec",
     "RunStore",

@@ -59,10 +59,10 @@ def error_class_decomposition(
     n_seeds: int = 3,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> list[ClassAblationCell]:
     """Quality per (error class, protection level), unmasked errors only."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     cells_axes = [
         (class_name, level)
         for class_name in CLASS_MODELS
@@ -98,10 +98,10 @@ def masking_sensitivity(
     masking_rates: tuple[float, ...] = (0.0, 0.5, 0.8, 0.95),
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> dict[float, float]:
     """Mean CommGuard quality vs the masked fraction of injected errors."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     specs = [
         RunSpec(
             app=app_name,
@@ -128,10 +128,10 @@ def workset_size_overhead(
     workset_sizes: tuple[int, ...] = (8, 32, 256, 2048),
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> dict[int, float]:
     """ECC suboperations per committed instruction vs working-set size."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     specs = [
         RunSpec(
             app=app_name,
@@ -152,9 +152,9 @@ def main(
     scale: float = 1.0,
     n_seeds: int = 3,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> str:
-    runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = ParallelRunner(scale=scale, jobs=jobs, store=store)
     sections = []
 
     cells = error_class_decomposition(n_seeds=n_seeds, runner=runner)
@@ -185,7 +185,7 @@ def main(
     )
 
     worksets = workset_size_overhead(
-        runner=ParallelRunner(scale=0.5, jobs=jobs, cache=cache)
+        runner=ParallelRunner(scale=0.5, jobs=jobs, store=store)
     )
     sections.append(
         "Ablation: QM ECC suboperation ratio vs working-set size (error-free)\n"

@@ -1,22 +1,15 @@
-"""On-disk result cache for the parallel sweep engine.
+"""Content keys and record serialization for stored sweep results.
 
 Every simulated point is fully determined by its :class:`RunSpec` plus the
 app-build ``scale`` — per-spec seeding makes runs independent and
-bit-reproducible — so completed :class:`RunRecord`s can be memoized on disk
-and reused when a figure is regenerated or an interrupted campaign resumes.
+bit-reproducible — so a completed :class:`RunRecord` can be stored under a
+content key and reused when a figure is regenerated or an interrupted
+campaign resumes.  :class:`~repro.experiments.store.RunStore` is that
+store; this module owns what it is keyed and serialized by.
 
-Layout (one JSON file per run, sharded by key prefix)::
-
-    .repro_cache/
-        ab/abcdef....json     # {"spec": {...}, "scale": ..., "record": {...}}
-        cd/cd1234....json
-
-The cache root defaults to ``.repro_cache/`` in the working directory and
-can be moved with the ``REPRO_CACHE_DIR`` environment variable.  Entries
-are keyed by a SHA-256 content hash over the canonical JSON encoding of
-the spec, the scale, and a format-version tag, so any change to a spec
-field — or to the record schema — invalidates cleanly.  Delete the
-directory (or call :meth:`ResultCache.clear`) to drop all entries.
+Keys are a SHA-256 content hash over the canonical JSON encoding of the
+spec, the scale, and a format-version tag, so any change to a spec field —
+or to the record schema — invalidates cleanly.
 """
 
 from __future__ import annotations
@@ -24,20 +17,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
-from pathlib import Path
 
 from repro.experiments.runner import RunRecord
 from repro.machine.protection import ProtectionLevel
 
 #: Bump when the RunSpec/RunRecord schema (or run semantics) change; old
-#: cache entries then miss instead of resurfacing stale results.
+#: stored entries then miss instead of resurfacing stale results.
 CACHE_VERSION = 1
-
-DEFAULT_CACHE_DIR = ".repro_cache"
-
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 
 def spec_key(spec, scale: float) -> str:
@@ -92,157 +78,3 @@ def spec_from_dict(data: dict):
     fields["protection"] = ProtectionLevel(fields["protection"])
     return RunSpec(**fields)
 
-
-def sweep_orphans(
-    root: str | Path, live_keys: "set[str] | frozenset[str] | None" = None
-) -> tuple[int, int]:
-    """Shared orphan collector for every on-disk result root.
-
-    Removes ``*.tmp`` write stragglers (an interrupted or crashed atomic
-    write) anywhere under *root*, plus — when *live_keys* is given —
-    ``<key>.jsonl`` trace files whose key is no longer live, and any shard
-    directories left empty.  Both :meth:`ResultCache.clear` and ``repro
-    store gc`` funnel through this one code path, so either entry point
-    collects the same debris.  Returns ``(tmp_removed, traces_removed)``.
-    """
-    root = Path(root)
-    tmp_removed = traces_removed = 0
-    if not root.is_dir():
-        return tmp_removed, traces_removed
-    for straggler in root.glob("**/*.tmp"):
-        try:
-            straggler.unlink()
-            tmp_removed += 1
-        except OSError:
-            pass
-    if live_keys is not None:
-        for trace in root.glob("**/*.jsonl"):
-            if trace.stem in live_keys:
-                continue
-            try:
-                trace.unlink()
-                traces_removed += 1
-            except OSError:
-                pass
-    for shard in root.iterdir():
-        if shard.is_dir():
-            try:
-                shard.rmdir()
-            except OSError:
-                pass
-    return tmp_removed, traces_removed
-
-
-class ResultCache:
-    """JSON file cache of completed :class:`RunRecord`s, keyed by spec hash."""
-
-    def __init__(self, root: str | Path | None = None) -> None:
-        if root is None:
-            root = os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
-        self.root = Path(root)
-
-    @classmethod
-    def coerce(
-        cls, cache: "ResultCache | str | Path | bool | None"
-    ) -> "ResultCache | None":
-        """Normalize a user-facing cache option.
-
-        ``None``/``False`` disable caching, ``True`` uses the default
-        location, a path selects a root, a :class:`ResultCache` passes
-        through.
-        """
-        if cache is None or cache is False:
-            return None
-        if cache is True:
-            return cls()
-        if isinstance(cache, cls):
-            return cache
-        return cls(cache)
-
-    def path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def load(self, key: str) -> RunRecord | None:
-        """The cached record for *key*, or ``None`` (corrupt files miss)."""
-        try:
-            with open(self.path(key)) as handle:
-                payload = json.load(handle)
-            return record_from_dict(payload["record"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def store(self, key: str, spec, scale: float, record: RunRecord) -> None:
-        """Persist one completed record (atomic write; best-effort on OSError).
-
-        A failed write (disk full, permissions) never leaves the mkstemp
-        temp file behind: the straggler is unlinked before returning, so
-        repeated failures cannot litter the cache directory.
-        """
-        payload = {
-            "spec": {**dataclasses.asdict(spec), "protection": spec.protection.value},
-            "scale": scale,
-            "record": record_to_dict(record),
-        }
-        path = self.path(key)
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_name, path)
-            tmp_name = None
-        except OSError:
-            return
-        finally:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def entries(self):
-        """Iterate ``(key, payload)`` over every readable cache file.
-
-        *payload* is the stored ``{"spec": ..., "scale": ..., "record": ...}``
-        document; corrupt files are skipped.  ``repro store import`` walks
-        this to migrate a legacy cache into a :class:`RunStore`.
-        """
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.glob("*/*.json")):
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-                payload["record"]  # noqa: B018 — reject entries with no record
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-            yield path.stem, payload
-
-    def clear(self) -> int:
-        """Delete all cached entries; returns how many were removed.
-
-        Also sweeps write stragglers and dangling trace files through the
-        shared :func:`sweep_orphans` path (the same collector ``repro
-        store gc`` uses): ``*.tmp`` leftovers of interrupted writers, and
-        — since every entry is being dropped — any ``<key>.jsonl`` traces
-        shipped next to them.  Orphans are not counted as removed entries.
-        """
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for entry in self.root.glob("*/*.json"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        sweep_orphans(self.root, live_keys=frozenset())
-        return removed

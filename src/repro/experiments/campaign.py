@@ -176,7 +176,7 @@ def run_campaign(
         run_store.begin_campaign(
             campaign_id, specs, runner.scale, app=app_name, metric="snr"
         )
-        runner.attach_store(run_store, campaign=campaign_id)
+        runner.store, runner.campaign = run_store, campaign_id
     records = runner.run_specs(specs, jobs=jobs)
 
     result = CampaignResult(app=app_name, protection=protection, mtbe=mtbe)
@@ -201,7 +201,7 @@ def compare_protections(
     scale: float = 1.0,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
     protections: tuple[ProtectionLevel, ...] = (
         ProtectionLevel.PPU_ONLY,
         ProtectionLevel.PPU_RELIABLE_QUEUE,
@@ -211,19 +211,23 @@ def compare_protections(
 ) -> dict[ProtectionLevel, CampaignResult]:
     """One campaign per protection level, same app and error process.
 
+    *store* is the engine's result cache, as for the figure harnesses.
     *options* is the shared :class:`EngineOptions` spelling of the engine
-    knobs; when given it supersedes the loose ``scale``/``jobs``/``cache``
-    arguments and its ``store`` makes every per-protection campaign
+    knobs; when given it supersedes the loose ``scale``/``jobs``/``store``
+    arguments, and a store it names makes every per-protection campaign
     resumable.
     """
+    campaign_store = None
     if options is not None:
         scale = options.scale if options.scale is not None else scale
-        jobs, cache = options.jobs, options.cache
-    store = options.store if options is not None else None
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+        jobs, store = options.jobs, options.batch_store()
+        if options.store is not None:
+            campaign_store = store
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     return {
         protection: run_campaign(
-            app_name, protection, mtbe, n_runs=n_runs, runner=runner, store=store
+            app_name, protection, mtbe, n_runs=n_runs, runner=runner,
+            store=campaign_store,
         )
         for protection in protections
     }
@@ -235,11 +239,11 @@ def main(
     n_runs: int = 10,
     scale: float = 1.0,
     jobs: int | None = None,
-    cache=None,
+    store=None,
     options: EngineOptions | None = None,
 ) -> str:
     results = compare_protections(
-        app_name, mtbe=mtbe, n_runs=n_runs, scale=scale, jobs=jobs, cache=cache,
+        app_name, mtbe=mtbe, n_runs=n_runs, scale=scale, jobs=jobs, store=store,
         options=options,
     )
     rows = []

@@ -60,9 +60,9 @@ def run(
     dump_dir: str | None = None,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> list[Fig3Row]:
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     if dump_dir is not None:
         return _run_with_dump(mtbe, n_seeds, dump_dir, runner)
     grid = [
@@ -129,10 +129,10 @@ def main(
     n_seeds: int = 3,
     dump_dir: str | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> str:
     rows = run(
-        scale=scale, n_seeds=n_seeds, dump_dir=dump_dir, jobs=jobs, cache=cache
+        scale=scale, n_seeds=n_seeds, dump_dir=dump_dir, jobs=jobs, store=store
     )
     text = "Figure 3: jpeg under protection mechanisms (MTBE = 1M instructions)\n"
     text += format_table(

@@ -28,10 +28,10 @@ def run(
     ladder: tuple[int, ...] = MTBE_LADDER_LOSS,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> dict[str, dict[int, float]]:
     """Returns {app: {mtbe: mean loss ratio}}."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     seeds = seed_list(n_seeds)
     grid = [(app, mtbe) for app in apps for mtbe in ladder]
     records = runner.run_specs(
@@ -50,9 +50,9 @@ def run(
 
 
 def main(
-    scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, cache=None
+    scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, store=None
 ) -> str:
-    results = run(scale=scale, n_seeds=n_seeds, jobs=jobs, cache=cache)
+    results = run(scale=scale, n_seeds=n_seeds, jobs=jobs, store=store)
     ladder = sorted(next(iter(results.values())))
     headers = ["app"] + [f"{m // 1000}k" for m in ladder]
     rows = [

@@ -31,10 +31,10 @@ def run(
     dump_dir: str | None = None,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> dict[int, float]:
     """Returns {mtbe: mean PSNR (dB, capped at the error-free baseline)}."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     baseline = runner.app("jpeg").baseline_quality()
     if dump_dir is not None:
         return _run_with_dump(n_seeds, ladder, dump_dir, runner, baseline)
@@ -78,9 +78,9 @@ def main(
     n_seeds: int = 3,
     dump_dir: str | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> str:
-    runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = ParallelRunner(scale=scale, jobs=jobs, store=store)
     results = run(n_seeds=n_seeds, dump_dir=dump_dir, runner=runner)
     baseline = runner.app("jpeg").baseline_quality()
     rows = [

@@ -53,11 +53,11 @@ def run_app(
     ladder: tuple[int, ...] = MTBE_LADDER_QUALITY,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
     fault_model: str = "bit_flip",
 ) -> list[QualityPoint]:
     """Quality per (frame scale, MTBE), one engine fan-out for the grid."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     seeds = seed_list(n_seeds)
     grid = [
         (frame_scale, mtbe) for frame_scale in frame_scales for mtbe in ladder
@@ -101,9 +101,9 @@ def run(
     mp3_frame_scales: tuple[int, ...] = FRAME_SCALES,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> dict[str, list[QualityPoint]]:
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     return {
         "jpeg": run_app("jpeg", n_seeds=n_seeds, ladder=ladder, runner=runner),
         "mp3": run_app(
@@ -131,9 +131,9 @@ def _series_table(points: list[QualityPoint]) -> str:
 
 
 def main(
-    scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, cache=None
+    scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, store=None
 ) -> str:
-    runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = ParallelRunner(scale=scale, jobs=jobs, store=store)
     results = run(n_seeds=n_seeds, runner=runner)
     jpeg_base = runner.app("jpeg").baseline_quality()
     mp3_base = runner.app("mp3").baseline_quality()

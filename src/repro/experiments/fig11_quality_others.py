@@ -26,9 +26,9 @@ def run(
     fir_frame_scales: tuple[int, ...] = FRAME_SCALES,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> dict[str, list[QualityPoint]]:
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     results = {}
     for app in APPS:
         frame_scales = fir_frame_scales if app == "complex-fir" else (1,)
@@ -43,9 +43,9 @@ def run(
 
 
 def main(
-    scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, cache=None
+    scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, store=None
 ) -> str:
-    results = run(scale=scale, n_seeds=n_seeds, jobs=jobs, cache=cache)
+    results = run(scale=scale, n_seeds=n_seeds, jobs=jobs, store=store)
     sections = []
     for app, points in results.items():
         scales = sorted({p.frame_scale for p in points})

@@ -22,10 +22,10 @@ def run(
     apps: tuple[str, ...] = APP_ORDER,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> dict[str, tuple[float, float]]:
     """Returns {app: (header load ratio, header store ratio)} + "GMean"."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     records = runner.run_specs(
         [
             RunSpec(app=app, protection=ProtectionLevel.COMMGUARD, mtbe=None)
@@ -43,8 +43,8 @@ def run(
     return results
 
 
-def main(scale: float = 1.0, jobs: int | None = None, cache=None) -> str:
-    results = run(scale=scale, jobs=jobs, cache=cache)
+def main(scale: float = 1.0, jobs: int | None = None, store=None) -> str:
+    results = run(scale=scale, jobs=jobs, store=store)
     rows = [
         [app, 100.0 * loads, 100.0 * stores]
         for app, (loads, stores) in results.items()

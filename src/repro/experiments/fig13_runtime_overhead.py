@@ -26,10 +26,10 @@ def run(
     frame_scales: tuple[int, ...] = FRAME_SCALES,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> dict[str, dict[int, float]]:
     """Returns {app: {frame_scale: overhead fraction}} + "GMean"."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     baseline_specs = [
         RunSpec(app=app, protection=ProtectionLevel.ERROR_FREE) for app in apps
     ]
@@ -58,8 +58,8 @@ def run(
     return results
 
 
-def main(scale: float = 1.0, jobs: int | None = None, cache=None) -> str:
-    results = run(scale=scale, jobs=jobs, cache=cache)
+def main(scale: float = 1.0, jobs: int | None = None, store=None) -> str:
+    results = run(scale=scale, jobs=jobs, store=store)
     frame_scales = sorted(next(iter(results.values())))
     headers = ["app"] + [f"{fs}x frames %" for fs in frame_scales]
     rows = [

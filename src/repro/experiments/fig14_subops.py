@@ -24,10 +24,10 @@ def run(
     apps: tuple[str, ...] = APP_ORDER,
     runner: SimulationRunner | None = None,
     jobs: int | None = None,
-    cache=None,
+    store=None,
 ) -> dict[str, dict[str, float]]:
     """Returns {app: {series: ratio}} + "GMean"."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
     records = runner.run_specs(
         [
             RunSpec(app=app, protection=ProtectionLevel.COMMGUARD, mtbe=None)
@@ -44,8 +44,8 @@ def run(
     return results
 
 
-def main(scale: float = 1.0, jobs: int | None = None, cache=None) -> str:
-    results = run(scale=scale, jobs=jobs, cache=cache)
+def main(scale: float = 1.0, jobs: int | None = None, store=None) -> str:
+    results = run(scale=scale, jobs=jobs, store=store)
     headers = ["app"] + [f"{s} %" for s in SERIES]
     rows = [
         [app] + [100.0 * ratios[s] for s in SERIES]

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.store import RunStore
+
 
 @dataclass(frozen=True, slots=True)
 class EngineOptions:
@@ -21,10 +23,10 @@ class EngineOptions:
 
     ``scale`` shrinks app inputs (``None`` keeps each harness's default);
     ``jobs`` is the worker-process count (``None`` defers to ``REPRO_JOBS``
-    or the CPU count, ``1`` forces serial); ``cache`` toggles the on-disk
-    result cache; ``trace_dir`` ships one JSONL trace per executed run,
-    while ``trace`` is the trace destination for a one-run entry point
-    (:func:`repro.api.run`) — anything
+    or the CPU count, ``1`` forces serial); ``cache`` toggles the default
+    result store (see :meth:`batch_store`); ``trace_dir`` ships one JSONL
+    trace per executed run, while ``trace`` is the trace destination for
+    a one-run entry point (:func:`repro.api.run`) — anything
     :func:`~repro.observability.coerce_tracer` understands: a JSONL
     path, ``True`` for in-memory event collection, or a ready tracer.
     Batch entry points ignore ``trace`` in favour of ``trace_dir``.
@@ -44,14 +46,12 @@ class EngineOptions:
     structured :class:`~repro.experiments.parallel.FailureRecord`\\ s
     instead of raising on the first one (strict mode, the default).
 
-    ``store`` selects the :class:`~repro.experiments.store.RunStore` —
-    the SQLite system of record that supersedes the flat file cache: a
-    database path, ``True`` for the default location
-    (``.repro_store.sqlite`` / ``REPRO_STORE``), a ready
+    ``store`` names the :class:`~repro.experiments.store.RunStore` —
+    the SQLite result cache: a database path, ``True`` for the default
+    location (``.repro_store.sqlite`` / ``REPRO_STORE``), a ready
     :class:`~repro.experiments.store.RunStore`, or ``None`` (default) to
-    stay on the flat cache.  With a store, lookups go store-first with
-    the legacy ``.repro_cache/`` as a read-through fallback, and sweeps
-    become resumable campaigns.
+    leave the choice to ``cache``.  A named store is used even with
+    ``cache=False``, and turns sweeps into resumable campaigns.
     """
 
     scale: float | None = None
@@ -65,3 +65,14 @@ class EngineOptions:
     retry_backoff: float = 0.0
     keep_going: bool = False
     store: object | None = None
+
+    def batch_store(self) -> RunStore | None:
+        """The store a batch entry point (sweep, figure, campaign) uses.
+
+        ``store`` when set; otherwise the default store when ``cache`` is
+        true; otherwise none.  Only a named ``store`` records campaigns:
+        the implicit default acts as a plain result cache.
+        """
+        if self.store is not None:
+            return RunStore.coerce(self.store)
+        return RunStore() if self.cache else None

@@ -274,10 +274,11 @@ def run_paper(
 
     *options* carries the engine knobs (``jobs``, ``retries``,
     ``run_timeout``, ``store``, ``exec_mode``); ``options.store=None``
-    selects the default store — the pipeline always records a campaign,
-    that is what makes it resumable.  ``options.scale`` is ignored: the
-    tier owns the scale.  The grid runs keep-going (a failed spec SKIPs
-    its targets instead of aborting the reproduction).
+    selects the default store whatever ``options.cache`` says — the
+    pipeline always records a campaign, that is what makes it
+    resumable.  ``options.scale`` is ignored: the tier owns the scale.
+    The grid runs keep-going (a failed spec SKIPs its targets instead of
+    aborting the reproduction).
     """
     import time
 
@@ -298,14 +299,14 @@ def run_paper(
     runner = ParallelRunner(
         scale=tier.app_scale,
         jobs=opts.jobs,
-        cache=opts.cache,
         retries=opts.retries,
         run_timeout=opts.run_timeout,
         retry_backoff=opts.retry_backoff,
         strict=False,
         progress=progress,
+        store=store,
+        campaign=campaign,
     )
-    runner.attach_store(store, campaign=campaign)
     start = time.time()
     records = runner.run_specs(specs)
     wall = time.time() - start

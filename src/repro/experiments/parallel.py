@@ -16,13 +16,10 @@ points out:
   graph construction across every spec the worker receives).  ``jobs=1``
   falls back to the exact in-process serial path, so results are
   bit-identical at any worker count.
-* An optional on-disk :class:`~repro.experiments.cache.ResultCache` under
-  ``.repro_cache/``: re-running a figure, or resuming an interrupted
-  campaign, skips every already-completed point.
 * An optional :class:`~repro.experiments.store.RunStore` — the SQLite
-  system of record superseding the flat cache: store-first lookups with
-  legacy read-through, provenance-stamped rows, structured failure
-  records, and resumable campaign bookkeeping.
+  result cache: re-running a figure, or resuming an interrupted
+  campaign, skips every already-completed point; executed runs land as
+  provenance-stamped rows and exhausted failures as structured records.
 
 Worker count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``.
@@ -49,7 +46,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core.config import CommGuardConfig
-from repro.experiments.cache import ResultCache, spec_key
+from repro.experiments.cache import spec_key
 from repro.experiments.store import RunStore
 from repro.experiments.runner import (
     RunRecord,
@@ -373,10 +370,6 @@ class ParallelRunner(SimulationRunner):
         Default worker count for :meth:`run_specs` (``None`` resolves via
         ``REPRO_JOBS`` / ``os.cpu_count()`` at call time).  ``1`` runs the
         exact in-process serial path.
-    ``cache``
-        ``None``/``False`` (default) disables result caching; ``True``
-        caches under ``.repro_cache/`` (or ``REPRO_CACHE_DIR``); a path or
-        :class:`ResultCache` selects a root explicitly.
     ``progress``
         Optional ``callable(stats: SweepStats)`` invoked after every
         completed run (cache hits included) — the CLI uses it for
@@ -384,7 +377,7 @@ class ParallelRunner(SimulationRunner):
     ``trace_dir``
         Optional directory: every spec without an explicit ``trace`` path
         gets one at ``<trace_dir>/<content_key>.jsonl``, shipping a JSONL
-        trace next to the cache entry of each executed run.
+        trace named by the stored key of each executed run.
     ``tracer``
         Optional sweep-level event sink; receives one
         :class:`~repro.observability.events.SweepProgress` per completed
@@ -420,17 +413,15 @@ class ParallelRunner(SimulationRunner):
         kill its process to exercise the fault-tolerance layer.
     ``store``
         Optional :class:`~repro.experiments.store.RunStore` (or path /
-        ``True`` for the default location): the SQLite system of record
-        that supersedes the flat cache.  Lookups go store-first with the
-        legacy cache as a read-through fallback, completed records are
-        written to the store with provenance, and exhausted failures are
-        filed as structured rows.  When both *store* and *cache* are
-        given, the cache becomes the store's read-through fallback.
+        ``True`` for the default location), the result cache:
+        completed points found there are not re-run, executed records
+        are written to it with provenance, and exhausted failures are
+        filed as structured rows.  ``None`` (default) caches nothing.
     ``campaign``
-        Optional campaign id: :meth:`run_specs` registers its grid under
-        this id in the store (idempotently), making the sweep a resumable
-        job — an interrupted campaign re-run with the same id restarts
-        exactly where it stopped, at any ``jobs`` value.
+        Optional campaign id stamped on the stored rows and failures.
+        The caller registers the campaign's grid first
+        (:meth:`RunStore.begin_campaign`); re-running the grid then
+        resumes it exactly where it stopped, at any ``jobs`` value.
     ``profiler``
         Optional :class:`~repro.observability.profile.EngineProfiler`:
         the sweep records wall-clock spans (sweep → cache scan → run,
@@ -443,7 +434,6 @@ class ParallelRunner(SimulationRunner):
         self,
         scale: float = 1.0,
         jobs: int | None = None,
-        cache: ResultCache | str | bool | None = None,
         progress: Callable[[SweepStats], None] | None = None,
         trace_dir: str | os.PathLike | None = None,
         tracer=None,
@@ -463,7 +453,6 @@ class ParallelRunner(SimulationRunner):
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError(f"run_timeout must be positive, got {run_timeout}")
         self.jobs = jobs
-        self.cache = ResultCache.coerce(cache)
         self.progress = progress
         self.trace_dir = trace_dir
         self.tracer = tracer
@@ -475,35 +464,8 @@ class ParallelRunner(SimulationRunner):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profiler = profiler
         self.last_stats: SweepStats | None = None
-        self.store: RunStore | None = None
+        self.store = RunStore.coerce(store)
         self.campaign = campaign
-        if store is not None and store is not False:
-            self.attach_store(RunStore.coerce(store), campaign=campaign)
-
-    def attach_store(self, store: RunStore, campaign: str | None = None) -> None:
-        """Make *store* this runner's system of record.
-
-        The store replaces the flat cache as the lookup/persist backend;
-        a previously configured :class:`ResultCache` (if any) becomes the
-        store's legacy read-through fallback instead.  With the runner's
-        cache disabled (``cache=None``/``False``, e.g. ``sweep
-        --no-cache --store``) the store's *defaulted* fallback is
-        cleared too — the legacy cache the user turned off must not leak
-        back in through the store's default read-through.  A fallback
-        the caller configured explicitly on the store is kept.
-        """
-        if isinstance(self.cache, RunStore):
-            pass  # re-attach: keep the new store's configured fallback
-        elif self.cache is not None:
-            store.fallback = self.cache
-            store.fallback_defaulted = False
-        elif store.fallback_defaulted:
-            store.fallback = None
-            store.fallback_defaulted = False
-        self.store = store
-        self.cache = store
-        if campaign is not None:
-            self.campaign = campaign
 
     # -- sweep execution -------------------------------------------------------
 
@@ -512,7 +474,7 @@ class ParallelRunner(SimulationRunner):
     ) -> list[RunRecord]:
         """Run every spec, in order, returning one record per spec.
 
-        Completed points found in the cache are not re-run.  The remainder
+        Completed points found in the store are not re-run.  The remainder
         execute in-process (``jobs == 1``) or on a process pool whose
         workers build apps once via the pool initializer.  Results are
         bit-identical across worker counts because every run is seeded by
@@ -525,7 +487,7 @@ class ParallelRunner(SimulationRunner):
         the returned list is ``None`` and a :class:`FailureRecord` is
         appended to ``last_stats.failures`` while every other point still
         completes.  ``KeyboardInterrupt`` cancels the pending work,
-        leaves every already-completed record flushed to the cache, sets
+        leaves every already-completed record flushed to the store, sets
         partial ``last_stats`` (``interrupted=True``) and re-raises.
         """
         specs = list(specs)
@@ -536,20 +498,18 @@ class ParallelRunner(SimulationRunner):
 
         if self.store is not None:
             self.store.set_context(jobs=jobs, campaign=self.campaign)
-            if self.campaign is not None and specs:
-                self.store.begin_campaign(self.campaign, specs, self.scale)
 
         pending: list[tuple[int, RunSpec, str | None]] = []
         with engine_span(self.profiler, "cache-scan", total=len(specs)):
             for index, spec in enumerate(specs):
-                key = spec.content_key(self.scale) if self.cache is not None else None
+                key = spec.content_key(self.scale) if self.store is not None else None
                 if self.trace_dir is not None and spec.trace is None:
                     trace_key = key if key is not None else spec.content_key(self.scale)
                     spec = replace(
                         spec,
                         trace=str(Path(self.trace_dir) / f"{trace_key}.jsonl"),
                     )
-                cached = self.cache.load(key) if key is not None else None
+                cached = self.store.load(key) if key is not None else None
                 if cached is not None and self._trace_satisfied(spec):
                     records[index] = cached
                     stats.cache_hits += 1
@@ -834,14 +794,12 @@ class ParallelRunner(SimulationRunner):
             self.store.store(
                 key, spec, self.scale, record, provenance=provenance,
             )
-        elif self.cache is not None and key is not None:
-            self.cache.store(key, spec, self.scale, record)
         self._tick(stats, wall_before)
 
     @staticmethod
     def _trace_satisfied(spec: RunSpec) -> bool:
-        """A cached record may stand in for a traced spec only when its
-        trace file already exists (a cache hit would otherwise silently
+        """A stored record may stand in for a traced spec only when its
+        trace file already exists (a store hit would otherwise silently
         skip producing the requested side output)."""
         return spec.trace is None or Path(spec.trace).exists()
 

@@ -10,7 +10,7 @@ there is no hand-maintained dispatch table to drift out of sync.
 (``fig3`` <-> ``fig03``), so both forms resolve.
 
 Running a spec funnels the shared :class:`EngineOptions` into whatever
-subset of ``(scale, jobs, cache)`` the harness's ``main()`` supports and
+subset of ``(scale, jobs, store)`` the harness's ``main()`` supports and
 wraps the output in a :class:`FigureArtifact`.
 """
 
@@ -54,8 +54,9 @@ class FigureSpec:
 
         A harness whose ``main()`` accepts ``options`` receives the whole
         :class:`EngineOptions` (the preferred convention — store-backed
-        resume included); legacy harnesses get whatever subset of
-        ``(scale, jobs, cache)`` they support.
+        resume included); other harnesses get whatever subset of
+        ``(scale, jobs, store)`` they support, ``store`` being
+        :meth:`EngineOptions.batch_store`.
         """
         options = options or EngineOptions()
         module = importlib.import_module(self.module)
@@ -68,8 +69,8 @@ class FigureSpec:
                 kwargs["scale"] = options.scale
             if "jobs" in supported:
                 kwargs["jobs"] = options.jobs
-            if "cache" in supported:
-                kwargs["cache"] = options.cache
+            if "store" in supported:
+                kwargs["store"] = options.batch_store()
         return FigureArtifact(name=self.name, text=module.main(**kwargs), options=options)
 
 

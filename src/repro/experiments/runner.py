@@ -7,16 +7,13 @@ parts) and packages each run's measurements into a flat
 The runner executes frozen :class:`~repro.experiments.parallel.RunSpec`
 descriptions (:meth:`run_spec` / :meth:`execute_spec` / :meth:`run_specs`),
 the unit of work of the parallel sweep engine, which overrides
-:meth:`run_specs` to fan specs out over worker processes and an on-disk
-result cache.  The old ad-hoc argument path (:meth:`execute` /
-:meth:`record`) is a deprecated shim over :func:`repro.api.run`'s
-machinery; new code should call :func:`repro.api.run` directly.
+:meth:`run_specs` to fan specs out over worker processes and a result
+store.  One-off runs go through :func:`repro.api.run`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -71,61 +68,6 @@ class SimulationRunner:
         """Register a prebuilt app in the cache (its build scale must match
         this runner's, or worker processes would rebuild it differently)."""
         return self._apps.setdefault(app.name, app)
-
-    def execute(
-        self,
-        app_name: str,
-        protection: ProtectionLevel = ProtectionLevel.COMMGUARD,
-        mtbe: float | None = None,
-        seed: int = 0,
-        frame_scale: int = 1,
-        commguard_config: CommGuardConfig | None = None,
-        error_model: ErrorModel | None = None,
-    ) -> tuple[RunRecord, RunResult]:
-        """Deprecated: use :func:`repro.api.run` (or :meth:`run_spec`)."""
-        warnings.warn(
-            "SimulationRunner.execute() is deprecated and will be removed in "
-            "repro 2.0; use repro.api.run() or SimulationRunner.run_spec()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_via_api(
-            app_name,
-            protection,
-            mtbe=mtbe,
-            seed=seed,
-            frame_scale=frame_scale,
-            commguard_config=commguard_config,
-            error_model=error_model,
-        )
-
-    def _run_via_api(
-        self,
-        app_name: str,
-        protection: ProtectionLevel = ProtectionLevel.COMMGUARD,
-        mtbe: float | None = None,
-        seed: int = 0,
-        frame_scale: int = 1,
-        commguard_config: CommGuardConfig | None = None,
-        error_model: ErrorModel | None = None,
-    ) -> tuple[RunRecord, RunResult]:
-        """The shim body: translate the legacy argument spelling into one
-        :func:`repro.api.run` call (passing this runner's built app so the
-        api-level runner cache and ours agree on the instance)."""
-        from repro import api
-        from repro.experiments.options import EngineOptions
-
-        report = api.run(
-            self.app(app_name),
-            protection,
-            mtbe=mtbe,
-            seed=seed,
-            config=commguard_config,
-            frame_scale=frame_scale if commguard_config is None else 1,
-            options=EngineOptions(scale=self.scale),
-            error_model=error_model,
-        )
-        return report.record, report.result
 
     def _execute(
         self,
@@ -185,16 +127,6 @@ class SimulationRunner:
         )
         return record, result
 
-    def record(self, *args, **kwargs) -> RunRecord:
-        """Deprecated: use :func:`repro.api.run` (or :meth:`execute_spec`)."""
-        warnings.warn(
-            "SimulationRunner.record() is deprecated and will be removed in "
-            "repro 2.0; use repro.api.run() or SimulationRunner.execute_spec()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_via_api(*args, **kwargs)[0]
-
     def run_spec(self, spec, tracer=None, profiler=None) -> tuple[RunRecord, RunResult]:
         """Run one frozen :class:`~repro.experiments.parallel.RunSpec`.
 
@@ -235,7 +167,7 @@ class SimulationRunner:
         """Run specs in order, serially and in-process.
 
         :class:`~repro.experiments.parallel.ParallelRunner` overrides this
-        with process fan-out and result caching; the base implementation is
+        with process fan-out and a result store; the base implementation is
         the exact single-process path (``jobs`` is accepted and ignored so
         harnesses can thread it through uniformly).
         """

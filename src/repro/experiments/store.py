@@ -1,17 +1,14 @@
-"""RunStore: the SQLite-backed system of record for sweep results.
+"""RunStore: the SQLite-backed result cache and system of record.
 
-The flat ``.repro_cache/`` file cache memoizes completed runs, but it has
-no cross-process coordination, no query surface, and no notion of a
-*campaign* — a grid of specs that should survive crashes and resume where
-it stopped.  This module supersedes it with a single WAL-mode SQLite
-database holding:
+Every completed sweep point lives in one WAL-mode SQLite database — the
+only place results are looked up and persisted — holding:
 
 ``runs``
-    One row per completed point, keyed by the *existing*
-    :func:`~repro.experiments.cache.spec_key` content hash (cache keys and
-    the bit-identity contracts are unchanged), storing the serialized
-    :class:`~repro.experiments.runner.RunRecord` plus provenance — engine
-    options, fault model, ``git describe``, wall time, writer pid.
+    One row per completed point, keyed by the
+    :func:`~repro.experiments.cache.spec_key` content hash, storing the
+    serialized :class:`~repro.experiments.runner.RunRecord` plus
+    provenance — engine options, fault model, ``git describe``, wall
+    time, writer pid.
 ``failures``
     Structured :class:`~repro.experiments.parallel.FailureRecord` rows
     from fault-tolerant sweeps (a later successful run supersedes them;
@@ -25,14 +22,11 @@ database holding:
 Concurrency: the database is opened in WAL mode with a generous busy
 timeout, connections are per-thread, and every write is a single
 transaction — many writer processes (or threads) can share one store
-without ``database is locked`` failures.  Reads fall back to a legacy
-:class:`~repro.experiments.cache.ResultCache` read-through (adopting hits
-into the store), and :meth:`RunStore.import_cache` migrates a whole
-pre-existing cache in one shot.
+without ``database is locked`` failures.
 
-The store is deliberately duck-compatible with :class:`ResultCache`
-(``load``/``store``/``__len__``/``clear``), so the parallel engine treats
-it as a drop-in — richer — cache backend.
+Results written by repro 1.x into the flat ``.repro_cache/`` directory are
+never read on lookup; :meth:`RunStore.import_cache` (``repro store
+import``) migrates such a directory in one shot.
 """
 
 from __future__ import annotations
@@ -49,13 +43,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.experiments.cache import (
-    ResultCache,
     record_from_dict,
     record_to_dict,
     spec_from_dict,
     spec_key,
     spec_to_dict,
-    sweep_orphans,
 )
 from repro.experiments.runner import RunRecord
 
@@ -69,6 +61,13 @@ STORE_SCHEMA_VERSION = 1
 DEFAULT_STORE_PATH = ".repro_store.sqlite"
 
 ENV_STORE_PATH = "REPRO_STORE"
+
+#: Where repro 1.x kept its flat result cache (``<key[:2]>/<key>.json``
+#: files), and the variable that moved it: the default source of ``repro
+#: store import``.
+LEGACY_CACHE_DIR = ".repro_cache"
+
+ENV_LEGACY_CACHE_DIR = "REPRO_CACHE_DIR"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -141,6 +140,55 @@ def _git_describe() -> str | None:
         except (OSError, subprocess.SubprocessError):
             _GIT_DESCRIBE = None
     return _GIT_DESCRIBE
+
+
+def _enable_wal(conn: sqlite3.Connection, timeout: float = 60.0) -> None:
+    """Switch *conn*'s database to WAL mode (the mode persists in the file).
+
+    Connections that switch a fresh file at the same moment each hold a
+    shared lock and want an exclusive one; SQLite breaks that deadlock by
+    failing one at once with "database is locked" instead of waiting in
+    the busy handler.  The loser retries until the winner's switch lands.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
+
+
+def _sweep_trace_dir(root: Path, live: frozenset[str]) -> tuple[int, int]:
+    """Remove ``*.tmp`` write stragglers anywhere under *root*,
+    ``<key>.jsonl`` traces whose key is not in *live*, and subdirectories
+    left empty.  Returns ``(tmp_removed, traces_removed)``."""
+    tmp_removed = traces_removed = 0
+    if not root.is_dir():
+        return tmp_removed, traces_removed
+    for straggler in root.glob("**/*.tmp"):
+        try:
+            straggler.unlink()
+            tmp_removed += 1
+        except OSError:
+            pass
+    for trace in root.glob("**/*.jsonl"):
+        if trace.stem in live:
+            continue
+        try:
+            trace.unlink()
+            traces_removed += 1
+        except OSError:
+            pass
+    for shard in root.iterdir():
+        if shard.is_dir():
+            try:
+                shard.rmdir()
+            except OSError:
+                pass
+    return tmp_removed, traces_removed
 
 
 def derive_campaign_id(specs: Sequence["RunSpec"], scale: float) -> str:
@@ -235,31 +283,16 @@ class RunStore:
         Database file (default ``.repro_store.sqlite``, or the
         ``REPRO_STORE`` environment variable).  Parent directories are
         created on demand.
-    ``fallback``
-        Legacy :class:`ResultCache` consulted read-through when a key has
-        no row (default: the default ``.repro_cache/`` location).  Hits
-        are adopted into the store, so the legacy cache migrates itself
-        as it is read; ``False`` disables the fallback.
 
     One instance may be shared across threads (connections are
     per-thread); across processes, point every writer at the same path —
     WAL mode plus a busy timeout serializes their transactions.
     """
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        fallback: ResultCache | str | Path | bool | None = True,
-    ) -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         if path is None:
             path = os.environ.get(ENV_STORE_PATH) or DEFAULT_STORE_PATH
         self.path = Path(path)
-        self.fallback = ResultCache.coerce(fallback)
-        #: True when the fallback is the implicit default rather than a
-        #: caller choice — the engine may clear a defaulted fallback when
-        #: its own cache is explicitly disabled (see
-        #: :meth:`ParallelRunner.attach_store`).
-        self.fallback_defaulted = fallback is True
         #: Extra provenance merged into every stored row (engine options,
         #: campaign id, ...); set by the engine via :meth:`set_context`.
         self._context: dict = {}
@@ -270,10 +303,9 @@ class RunStore:
     def coerce(
         cls, store: "RunStore | str | Path | bool | None"
     ) -> "RunStore | None":
-        """Normalize a user-facing store option (mirrors
-        :meth:`ResultCache.coerce`): ``None``/``False`` means no store,
-        ``True`` the default path, a path selects a file, a ready
-        :class:`RunStore` passes through."""
+        """Normalize a user-facing store option: ``None``/``False`` means
+        no store, ``True`` the default path, a path selects a file, a
+        ready :class:`RunStore` passes through."""
         if store is None or store is False:
             return None
         if store is True:
@@ -289,7 +321,7 @@ class RunStore:
         if conn is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path, timeout=60.0)
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=60000")
             self._local.conn = conn
@@ -328,37 +360,19 @@ class RunStore:
         every subsequently stored row."""
         self._context.update(context)
 
-    # -- the ResultCache-compatible surface ------------------------------------
+    # -- runs ------------------------------------------------------------------
 
     def load(self, key: str) -> RunRecord | None:
-        """The stored record for *key* — store row first, then the legacy
-        read-through fallback (adopting the hit into the store)."""
+        """The stored record for *key*, or ``None`` (a corrupt row misses)."""
         row = self._conn().execute(
             "SELECT record FROM runs WHERE key=?", (key,)
         ).fetchone()
-        if row is not None:
-            try:
-                return record_from_dict(json.loads(row[0]))
-            except (ValueError, KeyError, TypeError):
-                return None
-        return self._load_legacy(key)
-
-    def _load_legacy(self, key: str) -> RunRecord | None:
-        if self.fallback is None:
+        if row is None:
             return None
-        path = self.fallback.path(key)
         try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            record = record_from_dict(payload["record"])
-            spec = spec_from_dict(payload["spec"])
-            scale = float(payload["scale"])
-        except (OSError, ValueError, KeyError, TypeError):
+            return record_from_dict(json.loads(row[0]))
+        except (ValueError, KeyError, TypeError):
             return None
-        self.store(
-            key, spec, scale, record, provenance={"imported_from": str(path)}
-        )
-        return record
 
     def store(
         self,
@@ -415,25 +429,6 @@ class RunStore:
             row[0] for row in self._conn().execute("SELECT key FROM runs")
         )
 
-    def get(self, key: str) -> RunRecord | None:
-        """Store-only lookup (no legacy fallback, no adoption)."""
-        row = self._conn().execute(
-            "SELECT record FROM runs WHERE key=?", (key,)
-        ).fetchone()
-        if row is None:
-            return None
-        return record_from_dict(json.loads(row[0]))
-
-    def clear(self) -> int:
-        """Drop every run row (failures and campaigns stay); returns the
-        number removed.  The ResultCache-compatible spelling of "start
-        fresh" — ``repro store gc`` is the incremental collector."""
-        conn = self._conn()
-        with conn:
-            removed = conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-            conn.execute("DELETE FROM runs")
-        return removed
-
     # -- failures --------------------------------------------------------------
 
     def record_failure(
@@ -489,7 +484,7 @@ class RunStore:
         app: str | None = None,
         metric: str = "snr",
         options: dict | None = None,
-    ) -> CampaignStatus:
+    ) -> None:
         """Register a campaign's frozen grid (idempotent).
 
         A new campaign writes one ``campaigns`` row plus its ordered
@@ -499,7 +494,8 @@ class RunStore:
         ``ValueError`` on a mismatch rather than silently mixing grids.
         Two processes beginning the same new campaign concurrently
         serialize on the database write lock; the loser sees the
-        winner's row and resumes idempotently.
+        winner's row and resumes idempotently.  :meth:`campaign` reads
+        the derived status back.
         """
         specs = list(specs)
         keys = [spec.content_key(scale) for spec in specs]
@@ -562,7 +558,6 @@ class RunStore:
             conn.rollback()
             raise
         conn.commit()
-        return self.campaign(campaign)
 
     def campaign(self, campaign: str) -> CampaignStatus:
         """Load one campaign's grid and derived done/failed/pending state.
@@ -723,43 +718,39 @@ class RunStore:
             pass
         return stats
 
-    def import_cache(self, cache: ResultCache | str | Path | None = None) -> int:
-        """One-shot migration: adopt every readable legacy cache entry.
+    def import_cache(self, root: str | Path) -> int:
+        """One-shot migration of a repro 1.x flat result cache.
 
-        Entries already in the store are left untouched (their provenance
-        is preserved); returns how many rows were imported.
+        Walks the ``<key[:2]>/<key>.json`` files under *root*, each
+        holding ``{"spec", "scale", "record"}``, and stores every
+        readable entry.  Unreadable files are skipped and entries already
+        in the store are left untouched (their provenance is preserved);
+        returns how many rows were imported.
         """
-        cache = (
-            self.fallback
-            if cache is None
-            else (cache if isinstance(cache, ResultCache) else ResultCache(cache))
-        )
-        if cache is None:
-            return 0
         imported = 0
-        for key, payload in cache.entries():
+        for path in sorted(Path(root).glob("*/*.json")):
+            key = path.stem
             if key in self:
                 continue
             try:
+                with open(path) as handle:
+                    payload = json.load(handle)
                 spec = spec_from_dict(payload["spec"])
                 record = record_from_dict(payload["record"])
                 scale = float(payload["scale"])
-            except (ValueError, KeyError, TypeError):
+            except (OSError, ValueError, KeyError, TypeError):
                 continue
             self.store(
-                key,
-                spec,
-                scale,
-                record,
-                provenance={"imported_from": str(cache.path(key))},
+                key, spec, scale, record,
+                provenance={"imported_from": str(path)},
             )
             imported += 1
         return imported
 
     def export(self, stream) -> int:
         """Dump every run row as one JSON object per line; returns the
-        row count.  The inverse direction is ``repro store import`` (from
-        a legacy cache) — exports are for external tooling."""
+        row count.  Exports are for external tooling (``repro store
+        import`` reads only the repro 1.x flat cache layout)."""
         count = 0
         for row in self.query():
             stream.write(
@@ -780,11 +771,9 @@ class RunStore:
 
     def gc(self, trace_dirs: Iterable[str | Path] = ()) -> GcStats:
         """Collect debris: failure rows superseded by a later successful
-        run, ``*.tmp`` write stragglers in the legacy cache root, and —
-        in the given trace directories — ``<key>.jsonl`` traces whose key
-        the store no longer knows.  File sweeping goes through the same
-        :func:`~repro.experiments.cache.sweep_orphans` path as
-        :meth:`ResultCache.clear`, then the database is vacuumed.
+        run and — in the given trace directories — ``*.tmp`` write
+        stragglers plus ``<key>.jsonl`` traces whose key the store no
+        longer knows.  Then the database is vacuumed.
         """
         conn = self._conn()
         with conn:
@@ -792,12 +781,9 @@ class RunStore:
                 "DELETE FROM failures WHERE key IN (SELECT key FROM runs)"
             ).rowcount
         tmp = traces = 0
-        if self.fallback is not None:
-            swept_tmp, _ = sweep_orphans(self.fallback.root)
-            tmp += swept_tmp
         live = self.keys()
         for directory in trace_dirs:
-            swept_tmp, swept_traces = sweep_orphans(directory, live_keys=live)
+            swept_tmp, swept_traces = _sweep_trace_dir(Path(directory), live)
             tmp += swept_tmp
             traces += swept_traces
         conn.execute("VACUUM")
@@ -811,8 +797,10 @@ class RunStore:
 __all__ = [
     "CampaignStatus",
     "DEFAULT_STORE_PATH",
+    "ENV_LEGACY_CACHE_DIR",
     "ENV_STORE_PATH",
     "GcStats",
+    "LEGACY_CACHE_DIR",
     "RunStore",
     "STORE_SCHEMA_VERSION",
     "StoreStats",

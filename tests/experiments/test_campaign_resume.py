@@ -8,6 +8,7 @@ a report byte-identical to an uninterrupted run of the same grid.
 """
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -42,7 +43,7 @@ class InterruptAfter:
 
 
 def written_at_by_key(path) -> dict:
-    store = RunStore(path, fallback=False)
+    store = RunStore(path)
     return {row.key: row.provenance["written_at"] for row in store.query()}
 
 
@@ -56,27 +57,29 @@ class TestInProcessResume:
 
         # Uninterrupted reference run in its own store.
         ref_path = tmp_path / "ref.sqlite"
+        RunStore(ref_path).begin_campaign(campaign, specs, SCALE)
         ParallelRunner(
             scale=SCALE, jobs=1,
-            store=RunStore(ref_path, fallback=False), campaign=campaign,
+            store=RunStore(ref_path), campaign=campaign,
         ).run_specs(specs)
         reference = SweepReport.from_store(
-            RunStore(ref_path, fallback=False), campaign
+            RunStore(ref_path), campaign
         )
         assert all(point.ok for point in reference)
 
         # Interrupted run: 3 points complete, then KeyboardInterrupt.
         path = tmp_path / "store.sqlite"
+        RunStore(path).begin_campaign(campaign, specs, SCALE)
         interrupted = ParallelRunner(
             scale=SCALE, jobs=1,
-            store=RunStore(path, fallback=False), campaign=campaign,
+            store=RunStore(path), campaign=campaign,
             fault_hook=InterruptAfter(3),
         )
         with pytest.raises(KeyboardInterrupt):
             interrupted.run_specs(specs)
         assert interrupted.last_stats.interrupted
 
-        status = RunStore(path, fallback=False).campaign(campaign)
+        status = RunStore(path).campaign(campaign)
         assert len(status.done) == 3
         assert len(status.pending) == 5
         before = written_at_by_key(path)
@@ -85,7 +88,7 @@ class TestInProcessResume:
         # positions are store hits, only the pending five execute.
         resumed = ParallelRunner(
             scale=SCALE, jobs=resume_jobs,
-            store=RunStore(path, fallback=False), campaign=campaign,
+            store=RunStore(path), campaign=campaign,
         )
         resumed.run_specs(specs)
         assert resumed.last_stats.cache_hits == 3
@@ -94,17 +97,18 @@ class TestInProcessResume:
         after = written_at_by_key(path)
         assert all(after[key] == stamp for key, stamp in before.items())
 
-        report = SweepReport.from_store(RunStore(path, fallback=False), campaign)
+        report = SweepReport.from_store(RunStore(path), campaign)
         assert report.to_json() == reference.to_json()
 
     def test_resume_is_idempotent(self, tmp_path):
         specs = make_grid(4)
         campaign = derive_campaign_id(specs, SCALE)
         path = tmp_path / "store.sqlite"
+        RunStore(path).begin_campaign(campaign, specs, SCALE)
         for _ in range(2):
             engine = ParallelRunner(
                 scale=SCALE, jobs=1,
-                store=RunStore(path, fallback=False), campaign=campaign,
+                store=RunStore(path), campaign=campaign,
             )
             engine.run_specs(specs)
         assert engine.last_stats.cache_hits == 4
@@ -124,7 +128,9 @@ class TestSigkillResume:
         pythonpath = os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
         )
-        return {**os.environ, "PYTHONPATH": pythonpath}
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        env.pop("REPRO_CACHE_DIR", None)  # `store import` reads ./.repro_cache
+        return env
 
     def _repro(self, cwd, *argv, check=True):
         result = subprocess.run(
@@ -158,14 +164,14 @@ class TestSigkillResume:
         while time.time() < deadline:
             if process.poll() is not None:
                 break
-            if db.exists() and len(RunStore(db, fallback=False)) >= 2:
+            if db.exists() and len(RunStore(db)) >= 2:
                 process.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.01)
         process.wait(timeout=60)
         assert process.returncode == -signal.SIGKILL
 
-        store = RunStore(db, fallback=False)
+        store = RunStore(db)
         campaign = store.campaign_ids()[0]
         status = store.campaign(campaign)
         assert len(status.done) >= 2
@@ -180,23 +186,21 @@ class TestSigkillResume:
 
         after = written_at_by_key(db)
         assert all(after[key] == stamp for key, stamp in before.items())
-        assert RunStore(db, fallback=False).campaign(campaign).pending == ()
+        assert RunStore(db).campaign(campaign).pending == ()
         assert (
             (kill_dir / "report.json").read_bytes()
             == (ref_dir / "report.json").read_bytes()
         )
 
-    def test_store_import_makes_legacy_cache_visible(self, tmp_path):
-        # A pre-existing flat cache from a store-less sweep...
-        self._repro(tmp_path, "sweep", "fft", "--mtbe", "64k", "--seeds",
-                    "3", "--scale", str(SCALE))
-        assert (tmp_path / ".repro_cache").is_dir()
+    def test_store_import_makes_legacy_cache_visible(self, tmp_path, legacy_cache):
+        # A pre-existing repro 1.x flat cache in the working directory...
+        shutil.copytree(legacy_cache, tmp_path / ".repro_cache")
         # ...is migrated wholesale by `repro store import`...
         result = self._repro(tmp_path, "store", "import", "--db", "db.sqlite")
-        assert "imported 3 run(s)" in result.stdout
+        assert "imported 4 run(s)" in result.stdout
         # ...after which the store-backed rerun is all hits, zero executes.
         rerun = self._repro(
-            tmp_path, "sweep", "fft", "--mtbe", "64k", "--seeds", "3",
+            tmp_path, "sweep", "fft", "--mtbe", "64k", "--seeds", "4",
             "--scale", str(SCALE), "--store", "db.sqlite",
         )
-        assert "(3 cached)" in rerun.stdout
+        assert "(4 cached)" in rerun.stdout

@@ -421,7 +421,7 @@ class TestPaperPipeline:
         options = EngineOptions(
             jobs=1,
             cache=False,
-            store=RunStore(tmp_path / "store.sqlite", fallback=False),
+            store=RunStore(tmp_path / "store.sqlite"),
         )
         first = run_paper("smoke", options=options)
         assert first.stats is not None and first.stats.executed > 0

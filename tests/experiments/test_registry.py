@@ -94,18 +94,32 @@ class TestRun:
         artifact = spec.run(EngineOptions(scale=0.5, jobs=3, cache=False))
         assert artifact.text == "ok"
         assert artifact.name == "fake"
-        assert seen == {"scale": 0.5, "jobs": 3}  # cache unsupported: not passed
+        assert seen == {"scale": 0.5, "jobs": 3}  # store unsupported: not passed
 
     def test_run_keeps_harness_default_scale_when_unset(self, monkeypatch):
         seen = {}
 
-        def main(scale=0.7, cache=True):
-            seen.update(scale=scale, cache=cache)
+        def main(scale=0.7, store=True):
+            seen.update(scale=scale, store=store)
             return "ok"
 
         spec = self._fake_module(monkeypatch, main)
         spec.run(EngineOptions(cache=False))  # scale=None: harness default
-        assert seen == {"scale": 0.7, "cache": False}
+        assert seen == {"scale": 0.7, "store": None}
+
+    def test_run_hands_harnesses_the_batch_store(self, monkeypatch, tmp_path):
+        seen = {}
+
+        def main(store=None):
+            seen["store"] = store
+            return "ok"
+
+        spec = self._fake_module(monkeypatch, main)
+        spec.run(EngineOptions())  # cache on: the default store
+        assert seen["store"].path == tmp_path / "default-store.sqlite"
+        named = tmp_path / "named.sqlite"
+        spec.run(EngineOptions(cache=False, store=str(named)))
+        assert seen["store"].path == named
 
 
 class TestCliIntegration:

@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import FailureRecord, ParallelRunner, RunSpec
 from repro.experiments.runner import SimulationRunner
 from repro.experiments.store import RunStore, derive_campaign_id
@@ -21,7 +20,7 @@ def runner():
 
 @pytest.fixture
 def store(tmp_path):
-    return RunStore(tmp_path / "store.sqlite", fallback=False)
+    return RunStore(tmp_path / "store.sqlite")
 
 
 def make_spec(seed: int = 0, mtbe: float = 100_000.0) -> RunSpec:
@@ -38,10 +37,9 @@ class TestStoreBasics:
     def test_roundtrip(self, store, executed):
         spec, record = executed
         key = spec.content_key(SCALE)
-        assert store.get(key) is None
+        assert store.load(key) is None
         assert key not in store
         store.store(key, spec, SCALE, record)
-        assert store.get(key) == record
         assert store.load(key) == record
         assert key in store
         assert len(store) == 1
@@ -49,6 +47,17 @@ class TestStoreBasics:
 
     def test_load_miss_without_fallback(self, store):
         assert store.load("no-such-key") is None
+
+    def test_load_never_reads_a_legacy_cache(
+        self, tmp_path, monkeypatch, legacy_cache
+    ):
+        """A flat cache in the default location is invisible to lookups:
+        only ``repro store import`` reads that layout."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(legacy_cache))
+        store = RunStore(tmp_path / "store.sqlite")
+        for entry in legacy_cache.glob("*/*.json"):
+            assert store.load(entry.stem) is None
+        assert len(store) == 0
 
     def test_provenance_is_stamped(self, store, executed):
         spec, record = executed
@@ -62,19 +71,6 @@ class TestStoreBasics:
         assert "written_at" in row.provenance
         assert "worker" in row.provenance
 
-    def test_clear_drops_runs_only(self, store, executed):
-        spec, record = executed
-        key = spec.content_key(SCALE)
-        store.store(key, spec, SCALE, record)
-        failure = FailureRecord(
-            index=0, spec=make_spec(9), failure="exception",
-            message="boom", attempts=1,
-        )
-        store.record_failure(failure, scale=SCALE)
-        assert store.clear() == 1
-        assert len(store) == 0
-        assert store.failure_for(make_spec(9).content_key(SCALE)) is not None
-
     def test_coerce(self, store, tmp_path):
         assert RunStore.coerce(None) is None
         assert RunStore.coerce(False) is None
@@ -84,39 +80,32 @@ class TestStoreBasics:
 
     def test_future_schema_rejected(self, tmp_path):
         path = tmp_path / "future.sqlite"
-        RunStore(path, fallback=False).close()
+        RunStore(path).close()
         conn = sqlite3.connect(path)
         with conn:
             conn.execute("UPDATE meta SET value='99' WHERE key='schema_version'")
         conn.close()
         with pytest.raises(ValueError, match="schema version 99"):
-            RunStore(path, fallback=False)
+            RunStore(path)
 
 
 class TestLegacyFallback:
-    def test_read_through_adopts_legacy_entry(self, tmp_path, executed):
-        spec, record = executed
-        key = spec.content_key(SCALE)
-        cache = ResultCache(tmp_path / "cache")
-        cache.store(key, spec, SCALE, record)
-        store = RunStore(tmp_path / "store.sqlite", fallback=cache)
-        assert store.get(key) is None  # store-only: not there yet
-        assert store.load(key) == record  # read-through hit...
-        assert store.get(key) == record  # ...adopted into the store
-        row = store.query()[0]
-        assert "imported_from" in row.provenance
+    def test_import_cache_migrates_once(self, store, runner, legacy_cache):
+        assert store.import_cache(legacy_cache) == 4
+        assert len(store) == 4
+        assert store.import_cache(legacy_cache) == 0  # existing rows are skipped
+        for row in store.query():
+            assert row.key == row.spec.content_key(SCALE)
+            assert row.provenance["imported_from"].endswith(f"{row.key}.json")
+            # The imported record is exactly what the run computes today.
+            assert row.record == runner.execute_spec(row.spec)
 
-    def test_import_cache_migrates_once(self, tmp_path, runner):
-        cache = ResultCache(tmp_path / "cache")
-        for seed in range(3):
-            spec = make_spec(seed)
-            cache.store(
-                spec.content_key(SCALE), spec, SCALE, runner.execute_spec(spec)
-            )
-        store = RunStore(tmp_path / "store.sqlite", fallback=cache)
-        assert store.import_cache() == 3
-        assert len(store) == 3
-        assert store.import_cache() == 0  # existing rows are skipped
+    def test_import_skips_unreadable_entries(self, tmp_path, store):
+        shard = tmp_path / "cache" / "ab"
+        shard.mkdir(parents=True)
+        (shard / ("ab" * 32 + ".json")).write_text("{not json")
+        assert store.import_cache(tmp_path / "cache") == 0
+        assert store.import_cache(tmp_path / "missing") == 0
 
     def test_export_jsonl(self, tmp_path, store, executed):
         import io
@@ -162,16 +151,13 @@ class TestFailures:
         assert collected.superseded_failures == 1
         assert store.failure_for(key) is None
 
-    def test_gc_sweeps_orphans_in_fallback_and_traces(self, tmp_path, executed):
+    def test_gc_sweeps_orphans_in_trace_dirs(self, store, tmp_path, executed):
         spec, record = executed
-        cache = ResultCache(tmp_path / "cache")
-        store = RunStore(tmp_path / "store.sqlite", fallback=cache)
         store.store(spec.content_key(SCALE), spec, SCALE, record)
-        straggler = tmp_path / "cache" / "ab"
-        straggler.mkdir(parents=True)
-        (straggler / "deadbeef.json.tmp").write_text("{}")
         traces = tmp_path / "traces"
-        traces.mkdir()
+        straggler = traces / "ab"
+        straggler.mkdir(parents=True)
+        (straggler / "deadbeef.jsonl.tmp").write_text("{}")
         (traces / f"{spec.content_key(SCALE)}.jsonl").write_text("{}\n")
         (traces / ("f" * 64 + ".jsonl")).write_text("{}\n")
         collected = store.gc(trace_dirs=[traces])
@@ -183,14 +169,16 @@ class TestFailures:
 class TestCampaigns:
     def test_begin_is_idempotent_and_derives_status(self, store, runner):
         specs = [make_spec(seed) for seed in range(4)]
-        status = store.begin_campaign("c-1", specs, SCALE, app="fft")
+        store.begin_campaign("c-1", specs, SCALE, app="fft")
+        status = store.campaign("c-1")
         assert status.total == 4
         assert status.pending == (0, 1, 2, 3)
         store.store(
             specs[1].content_key(SCALE), specs[1], SCALE,
             runner.execute_spec(specs[1]),
         )
-        again = store.begin_campaign("c-1", specs, SCALE)
+        store.begin_campaign("c-1", specs, SCALE)
+        again = store.campaign("c-1")
         assert again.done == frozenset({1})
         assert again.pending == (0, 2, 3)
         assert "1/4 done" in again.summary()
@@ -214,7 +202,7 @@ class TestCampaigns:
 
         def begin():
             try:
-                local = RunStore(path, fallback=False)
+                local = RunStore(path)
                 barrier.wait()
                 local.begin_campaign("c-race", specs, SCALE, app="fft")
             except Exception as exc:  # pragma: no cover - failure reporting
@@ -226,9 +214,37 @@ class TestCampaigns:
         for thread in threads:
             thread.join()
         assert errors == []
-        status = RunStore(path, fallback=False).campaign("c-race")
+        status = RunStore(path).campaign("c-race")
         assert status.total == 3
         assert status.pending == (0, 1, 2)
+
+    def test_concurrent_openers_of_a_fresh_store(self, tmp_path):
+        """Openers racing to create one database all succeed: SQLite fails
+        the loser of the switch to WAL at once ("database is locked")
+        rather than waiting, and the store retries it."""
+        specs = [make_spec(seed) for seed in range(3)]
+        for round_ in range(40):
+            path = tmp_path / f"fresh{round_}.sqlite"
+            barrier = threading.Barrier(4)
+            errors: list = []
+
+            def open_and_begin():
+                try:
+                    barrier.wait(timeout=60)
+                    local = RunStore(path)
+                    local.begin_campaign("c-open", specs, SCALE)
+                    local.close()
+                except Exception as exc:  # pragma: no cover - failure reporting
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_and_begin) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert RunStore(path).campaign("c-open").total == 3
 
     def test_unknown_campaign_names_known_ids(self, store):
         store.begin_campaign("c-known", [make_spec(0)], SCALE)
@@ -289,52 +305,22 @@ class TestEngineIntegration:
     def test_runner_writes_and_rereads_store(self, tmp_path):
         specs = [make_spec(seed) for seed in range(3)]
         path = tmp_path / "store.sqlite"
-        first = ParallelRunner(scale=SCALE, jobs=1, store=RunStore(path, fallback=False))
+        first = ParallelRunner(scale=SCALE, jobs=1, store=RunStore(path))
         records = first.run_specs(specs)
         assert first.last_stats.executed == 3
-        second = ParallelRunner(scale=SCALE, jobs=1, store=RunStore(path, fallback=False))
+        second = ParallelRunner(scale=SCALE, jobs=1, store=RunStore(path))
         again = second.run_specs(specs)
         assert second.last_stats.cache_hits == 3
         assert again == records
-
-    def test_attach_store_keeps_cache_as_fallback(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        engine = ParallelRunner(scale=SCALE, jobs=1, cache=cache)
-        store = RunStore(tmp_path / "store.sqlite", fallback=False)
-        engine.attach_store(store)
-        assert engine.cache is store
-        assert store.fallback is cache
-
-    def test_attach_without_cache_clears_defaulted_fallback(
-        self, tmp_path, monkeypatch
-    ):
-        """``--no-cache --store``: the store's implicit ``.repro_cache/``
-        read-through must not resurrect the cache the user disabled."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "legacy"))
-        store = RunStore(tmp_path / "store.sqlite")  # defaulted fallback
-        assert store.fallback is not None
-        ParallelRunner(scale=SCALE, jobs=1, cache=None, store=store)
-        assert store.fallback is None
-
-    def test_attach_without_cache_keeps_explicit_fallback(self, tmp_path):
-        cache = ResultCache(tmp_path / "chosen")
-        store = RunStore(tmp_path / "store.sqlite", fallback=cache)
-        ParallelRunner(scale=SCALE, jobs=1, cache=None, store=store)
-        assert store.fallback is cache
 
     def test_wall_seconds_provenance_is_per_run(self, tmp_path):
         """Each row's wall_seconds is that run's own elapsed time, not
         the sweep's cumulative clock — so for a serial sweep the per-row
         times sum to at most the sweep total."""
         path = tmp_path / "store.sqlite"
-        engine = ParallelRunner(
-            scale=SCALE, jobs=1, store=RunStore(path, fallback=False)
-        )
+        engine = ParallelRunner(scale=SCALE, jobs=1, store=RunStore(path))
         engine.run_specs([make_spec(seed) for seed in range(4)])
-        walls = [
-            row.provenance["wall_seconds"]
-            for row in RunStore(path, fallback=False).query()
-        ]
+        walls = [row.provenance["wall_seconds"] for row in RunStore(path).query()]
         assert len(walls) == 4
         assert all(wall >= 0 for wall in walls)
         assert sum(walls) <= engine.last_stats.wall_seconds + 0.005
@@ -343,11 +329,11 @@ class TestEngineIntegration:
         from repro.api import EngineOptions, run
         from repro.machine.errors import ErrorModel
 
-        store = RunStore(tmp_path / "store.sqlite", fallback=False)
+        store = RunStore(tmp_path / "store.sqlite")
         options = EngineOptions(scale=SCALE, store=store)
         baseline = run("fft", mtbe=100_000.0, seed=0, options=options)
         key = baseline.spec.content_key(SCALE)
-        assert store.get(key) == baseline.record
+        assert store.load(key) == baseline.record
         assert len(store) == 1
         overridden = run(
             "fft", mtbe=100_000.0, seed=0,
@@ -358,7 +344,95 @@ class TestEngineIntegration:
         # and the baseline row was not overwritten or duplicated.
         assert overridden.result is not None
         assert len(store) == 1
-        assert store.get(key) == baseline.record
+        assert store.load(key) == baseline.record
+
+    def test_run_with_named_store_ignores_legacy_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """A doctored record in the old flat layout under REPRO_CACHE_DIR
+        must neither be returned by ``api.run`` nor copied into its store."""
+        from repro.api import EngineOptions, run
+        from repro.experiments.cache import record_to_dict, spec_to_dict
+
+        fresh = run("fft", mtbe=100_000, options=EngineOptions(scale=SCALE))
+        key = fresh.spec.content_key(SCALE)
+        legacy = tmp_path / "legacy"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(legacy))
+        entry = legacy / key[:2] / f"{key}.json"
+        entry.parent.mkdir(parents=True)
+        doctored = {**record_to_dict(fresh.record), "quality_db": -123.0}
+        entry.write_text(json.dumps(
+            {"spec": spec_to_dict(fresh.spec), "scale": SCALE, "record": doctored}
+        ))
+
+        store = RunStore(tmp_path / "store.sqlite")
+        report = run(
+            "fft", mtbe=100_000,
+            options=EngineOptions(scale=SCALE, cache=False, store=store),
+        )
+        assert report.result is not None  # executed, not a store hit
+        assert report.record == fresh.record
+        (row,) = store.query()
+        assert row.record == fresh.record
+        assert "imported_from" not in row.provenance
+
+
+class TestCampaignRegistration:
+    """Each batch entry point registers its campaign exactly once and
+    never reloads the campaign status it just wrote."""
+
+    SWEEP = ["sweep", "fft", "--mtbe", "100k", "--seeds", "2",
+             "--scale", str(SCALE), "--jobs", "1"]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"begin": 0, "load": 0}
+        begin, load = RunStore.begin_campaign, RunStore.campaign
+
+        def counted_begin(self, *args, **kwargs):
+            calls["begin"] += 1
+            return begin(self, *args, **kwargs)
+
+        def counted_load(self, *args, **kwargs):
+            calls["load"] += 1
+            return load(self, *args, **kwargs)
+
+        monkeypatch.setattr(RunStore, "begin_campaign", counted_begin)
+        monkeypatch.setattr(RunStore, "campaign", counted_load)
+        return calls
+
+    def test_api_sweep(self, tmp_path, calls):
+        from repro.api import EngineOptions, sweep
+
+        options = EngineOptions(scale=SCALE, jobs=1, store=tmp_path / "s.sqlite")
+        for expected_hits in (0, 2):  # a fresh campaign, then its resume
+            report = sweep("fft", mtbes=100_000, seeds=2, options=options)
+            assert report.stats.cache_hits == expected_hits
+        assert calls == {"begin": 2, "load": 0}
+
+    def test_api_sweep_default_store_records_no_campaign(self, tmp_path, calls):
+        from repro.api import EngineOptions, sweep
+
+        sweep("fft", mtbes=100_000, seeds=2,
+              options=EngineOptions(scale=SCALE, jobs=1))
+        assert calls == {"begin": 0, "load": 0}
+        store = RunStore(tmp_path / "default-store.sqlite")
+        assert len(store) == 2
+        assert store.campaign_ids() == ()
+
+    def test_cli_sweep_store(self, tmp_path, calls, capsys):
+        from repro.cli import main
+
+        assert main([*self.SWEEP, "--store", str(tmp_path / "s.sqlite")]) == 0
+        assert calls == {"begin": 1, "load": 0}
+
+    @pytest.mark.slow
+    def test_reproduce(self, tmp_path, calls):
+        from repro.api import EngineOptions, reproduce
+
+        reproduce("smoke", store=str(tmp_path / "s.sqlite"),
+                  options=EngineOptions(jobs=1))
+        assert calls["begin"] == 1
 
 
 class TestConcurrentWriters:
@@ -368,14 +442,14 @@ class TestConcurrentWriters:
     def _run_grid(self, path, specs, errors):
         try:
             engine = ParallelRunner(
-                scale=SCALE, jobs=1, store=RunStore(path, fallback=False)
+                scale=SCALE, jobs=1, store=RunStore(path)
             )
             engine.run_specs(specs)
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
     def _rows(self, path):
-        store = RunStore(path, fallback=False)
+        store = RunStore(path)
         return {
             row.key: (row.spec, row.record) for row in store.query()
         }
@@ -402,7 +476,7 @@ class TestConcurrentWriters:
 
         serial_path = tmp_path / "serial.sqlite"
         serial = ParallelRunner(
-            scale=SCALE, jobs=1, store=RunStore(serial_path, fallback=False)
+            scale=SCALE, jobs=1, store=RunStore(serial_path)
         )
         serial.run_specs(all_specs)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import FIGURES, _parse_mtbe, build_parser, main
+from repro.experiments.store import RunStore
 
 
 class TestMtbeParsing:
@@ -131,24 +132,35 @@ class TestCommands:
         assert "100k" in out
         assert "[sweep]" in out  # engine stats line
 
-    def test_sweep_populates_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_sweep_populates_cache(self, capsys, tmp_path):
         argv = ["sweep", "fft", "--mtbe", "100k", "--seeds", "1",
                 "--scale", "0.05", "--jobs", "1"]
         assert main(argv) == 0
-        first = capsys.readouterr().out
+        first = capsys.readouterr()
         assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "(1 cached)" in second
+        second = capsys.readouterr()
+        assert "(1 cached)" in second.out
         # cached rerun prints the identical table
-        assert first.splitlines()[:3] == second.splitlines()[:3]
+        assert first.out.splitlines()[:3] == second.out.splitlines()[:3]
+        # The default store is a plain cache: no campaign is recorded.
+        assert "campaign" not in first.err
+        store = RunStore(tmp_path / "default-store.sqlite")
+        assert len(store) == 1
+        assert store.campaign_ids() == ()
 
-    def test_cache_info_and_clear(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["cache", "info", "--dir", cache_dir]) == 0
-        assert "0 cached" in capsys.readouterr().out
-        assert main(["cache", "clear", "--dir", cache_dir]) == 0
-        assert "removed 0" in capsys.readouterr().out
+    def test_no_cache_skips_the_default_store(self, capsys, tmp_path):
+        argv = ["sweep", "fft", "--mtbe", "100k", "--seeds", "1",
+                "--scale", "0.05", "--jobs", "1", "--no-cache"]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert "(0 cached)" in capsys.readouterr().out
+        assert not (tmp_path / "default-store.sqlite").exists()
+
+    def test_cache_subcommand_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cache", "info"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["paper", "--no-cache"])
 
     def test_figure_accepts_engine_options(self):
         args = build_parser().parse_args(["figure", "fig10", "--jobs", "4"])
@@ -313,21 +325,22 @@ class TestStoreCommand:
         assert all(line["spec"]["app"] == "fft" for line in lines)
 
     def test_import_migrates_legacy_cache(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, monkeypatch, legacy_cache
     ):
-        cache_dir = str(tmp_path / "cache")
-        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
-        argv = ["sweep", "fft", "--mtbe", "100k", "--seeds", "2",
-                "--scale", "0.05", "--jobs", "1"]
-        assert main(argv) == 0
-        capsys.readouterr()
+        argv = ["sweep", "fft", "--mtbe", "64k", "--seeds", "4",
+                "--scale", "0.05", "--jobs", "1", "--no-cache"]
         db = str(tmp_path / "db.sqlite")
         assert main(
-            ["store", "import", "--db", db, "--cache", cache_dir]
+            ["store", "import", "--db", db, "--cache", str(legacy_cache)]
         ) == 0
-        assert "imported 2 run(s)" in capsys.readouterr().out
-        assert main([*argv, "--no-cache", "--store", db]) == 0
-        assert "(2 cached)" in capsys.readouterr().out
+        assert "imported 4 run(s)" in capsys.readouterr().out
+        assert main([*argv, "--store", db]) == 0
+        assert "(4 cached)" in capsys.readouterr().out
+        # REPRO_CACHE_DIR still names the default import source.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(legacy_cache))
+        other = str(tmp_path / "other.sqlite")
+        assert main(["store", "import", "--db", other]) == 0
+        assert "imported 4 run(s)" in capsys.readouterr().out
 
     def test_resume_unknown_campaign_is_clean_error(
         self, capsys, populated_db
@@ -344,9 +357,7 @@ class TestStoreCommand:
     def test_resume_completes_campaign_from_cli(
         self, capsys, populated_db
     ):
-        from repro.experiments.store import RunStore
-
-        campaign = RunStore(populated_db, fallback=False).campaign_ids()[0]
+        campaign = RunStore(populated_db).campaign_ids()[0]
         assert main(
             ["sweep", "--store", populated_db, "--resume", campaign,
              "--jobs", "1"]

@@ -51,6 +51,41 @@ class TestPublicApi:
             assert callable(module.main), module_name
 
 
+class TestRemovedIn2:
+    """The spellings deprecated in 1.x are gone, not silently accepted."""
+
+    def test_simulation_runner_shims(self):
+        from repro.experiments.runner import SimulationRunner
+
+        runner = SimulationRunner(scale=0.05)
+        with pytest.raises(AttributeError):
+            runner.execute("fft", mtbe=100_000)
+        with pytest.raises(AttributeError):
+            runner.record("fft", mtbe=100_000)
+
+    def test_run_engine_kwargs(self):
+        from repro import api
+
+        with pytest.raises(TypeError):
+            api.run("fft", mtbe=100_000, scale=0.05)
+        with pytest.raises(TypeError):
+            api.run("fft", mtbe=100_000, trace=True)
+
+    def test_sweep_engine_kwargs(self):
+        from repro import api
+
+        for name, value in (("jobs", 1), ("no_cache", True), ("store", None)):
+            with pytest.raises(TypeError):
+                api.sweep("fft", mtbes=100_000, **{name: value})
+
+    def test_result_cache_class(self):
+        import repro.experiments as experiments
+        from repro.experiments import cache
+
+        assert not hasattr(cache, "ResultCache")
+        assert "ResultCache" not in experiments.__all__
+
+
 class TestExampleScripts:
     """The fastest example scripts must run end to end."""
 
