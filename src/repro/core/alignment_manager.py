@@ -19,6 +19,7 @@ from repro.core.fsm import AlignmentEvent, AlignmentState, transition
 from repro.core.header import (
     END_OF_COMPUTATION,
     header_frame_id,
+    header_unit,
     is_header_unit,
     unit_word,
 )
@@ -74,7 +75,7 @@ class AlignmentManager:
         """Run one FSM transition, tracing state changes."""
         previous = self.state
         self.state = transition(previous, event)
-        if self.state is not previous:
+        if self.observer is not None and self.state is not previous:
             self._notify(
                 TraceKind.TRANSITION,
                 active_fc,
@@ -162,38 +163,76 @@ class AlignmentManager:
             if served is not None:
                 return served
 
-    def pop_block(self, limit: int) -> list[int]:
+    def pop_block(self, limit: int, active_fc: int) -> list[int]:
         """Bulk fast path: serve up to *limit* pops in one call.
 
-        Only the aligned steady state qualifies (``Rcv/Cmp``, producer still
-        running): there every plain item is simply checked and handed over,
-        so a run of non-header units can be charged and returned in bulk.
-        Any other state — padding, draining, a header at the queue front —
-        returns ``[]`` and the per-word :meth:`pop` handles it with the full
-        FSM semantics.  Observably identical to the equivalent pops.
+        Two states qualify, with the producer still running:
+
+        * the aligned steady state ``Rcv/Cmp``, where every plain item is
+          simply checked and handed over, so a run of non-header units is
+          charged and returned in bulk;
+        * an aligned frame boundary: ``ExpHdr`` with the clean header of
+          *active_fc* at the queue front and at least one plain unit
+          behind it.  The header is consumed with exactly the charges and
+          the ``Rcv/Cmp`` transition the per-word :meth:`pop` makes, then
+          the plain units follow in bulk.
+
+        Any other case — padding, draining, a past, future, end-of-
+        computation or ECC-corrected header — returns ``[]`` having
+        consumed nothing, and the per-word :meth:`pop` handles it with the
+        full FSM semantics.  Observably identical to the equivalent pops.
         """
-        if self.state is not AlignmentState.RCV_CMP or self.producer_finished:
+        if self.producer_finished:
+            return []
+        if self.state is AlignmentState.EXP_HDR:
+            if self._queue.profiler is not None or not self._aligned_boundary(
+                active_fc, 1
+            ):
+                return []
+            stats = self._stats
+            self._queue.pop_unit(stats)
+            stats.is_header_checks += 1
+            stats.ecc_ops += 1
+            self._apply(AlignmentEvent.RECEIVED_CORRECT_HEADER, active_fc)
+            stats.fsm_ops += 1
+        elif self.state is not AlignmentState.RCV_CMP:
             return []
         units = self._queue.pop_plain_items(limit, self._stats)
-        if not units:
-            return []
         self._stats.is_header_checks += len(units)
         # Plain item units are bare masked words (the header flag is the
         # only metadata bit, and pop_plain_items never returns headers), so
         # the units pass through without a per-word unit_word() transform.
         return units
 
-    def can_pop_block(self, count: int) -> bool:
+    def can_pop_block(self, count: int, active_fc: int) -> bool:
         """True when :meth:`pop_block` would serve *count* words right now.
 
-        The quiet-span fast path's pop-eligibility check: the FSM must be
-        in its aligned steady state, the producer still running, and at
-        least *count* plain units published ahead of any header.  O(1).
+        The quiet-span fast path's pop-eligibility check: the producer must
+        still be running and *count* plain units must be published ahead
+        of any further header — at the queue front in ``Rcv/Cmp``, or
+        behind the clean header of *active_fc* in ``ExpHdr``.  O(1).
         """
+        if self.producer_finished:
+            return False
+        if self.state is AlignmentState.RCV_CMP:
+            return self._queue.plain_visible_units() >= count
+        return self.state is AlignmentState.EXP_HDR and self._aligned_boundary(
+            active_fc, count
+        )
+
+    def _aligned_boundary(self, active_fc: int, count: int) -> bool:
+        """The queue front is the clean (uncorrected) header of frame
+        *active_fc* with at least *count* plain units published behind it.
+
+        Comparing whole units is the ECC check of the per-word path: a
+        codeword equal to ``ecc_encode(active_fc)`` decodes to *active_fc*
+        with no correction, and any other codeword does not.
+        """
+        queue = self._queue
         return (
-            self.state is AlignmentState.RCV_CMP
-            and not self.producer_finished
-            and self._queue.plain_visible_units() >= count
+            active_fc != END_OF_COMPUTATION
+            and queue.front_header() == header_unit(active_fc)
+            and queue.plain_units_behind_front_header() >= count
         )
 
     def _on_header(self, frame_id: int, active_fc: int) -> int | None:

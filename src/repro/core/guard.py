@@ -156,12 +156,13 @@ class CommGuard:
 
     def pop_many(self, qid: int, limit: int) -> list[int]:
         """Bulk fast path: pop up to *limit* aligned plain items."""
-        return self._ams[qid].pop_block(limit)
+        return self._ams[qid].pop_block(limit, self._domains[qid].active_fc)
 
     def can_pop_quiet(self, qid: int, count: int) -> bool:
         """True when *count* pops on *qid* would complete without blocking,
-        padding, discarding or any FSM transition (quiet-span eligibility)."""
-        return self._ams[qid].can_pop_block(count)
+        padding, discarding or any FSM transition other than an aligned
+        frame boundary's header match (quiet-span eligibility)."""
+        return self._ams[qid].can_pop_block(count, self._domains[qid].active_fc)
 
     def can_push_quiet(self, qid: int, count: int) -> bool:
         """True when *count* pushes on *qid* would complete without

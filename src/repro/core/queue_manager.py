@@ -279,6 +279,24 @@ class GuardedQueue:
             return min(visible, self._header_offsets[0] - self._popped_total)
         return visible
 
+    def front_header(self) -> DataUnit | None:
+        """The header unit at the consumer's front, or ``None`` when the
+        front is a plain unit or nothing is published.  O(1)."""
+        offsets = self._header_offsets
+        if offsets and offsets[0] == self._popped_total:
+            return self._published[self._read]
+        return None
+
+    def plain_units_behind_front_header(self) -> int:
+        """Consecutive plain units published right behind the front header
+        (which :meth:`front_header` must have found).  O(1), like
+        :meth:`plain_visible_units` one unit further on."""
+        visible = len(self._published) - self._read - 1
+        offsets = self._header_offsets
+        if len(offsets) > 1:
+            return min(visible, offsets[1] - self._popped_total - 1)
+        return visible
+
     def unpublished_units(self) -> int:
         """Units sitting in the producer's local working set."""
         return len(self._producer_local)

@@ -198,7 +198,6 @@ class _FiringPlan:
     garbage_loads: int = 0
     pop_deltas: dict[int, int] = field(default_factory=dict)
     push_deltas: dict[int, int] = field(default_factory=dict)
-    pointer_corruptions: int = 0
 
 
 class NodeThread:
@@ -463,8 +462,6 @@ class NodeThread:
             if state:
                 idx = rng.randrange(len(state))
                 node.write_state_word(idx, flip_bit(state[idx], rng.randrange(32)))
-        for _ in range(plan.pointer_corruptions):
-            self.comm.corrupt_management_state(rng)
 
         # 3. Compute.
         outputs = node.work(inputs)
@@ -565,9 +562,8 @@ class NodeThread:
                 target[port] = self.ppu.clamp_count_delta(
                     target.get(port, 0) + delta, rate
                 )
-            else:  # ADDRESS
-                if self.comm.corrupt_management_state(rng):
-                    plan.pointer_corruptions += 0  # applied immediately
-                else:
-                    plan.garbage_loads += 1
+            elif not self.comm.corrupt_management_state(rng):  # ADDRESS
+                # Pointer corruptions apply immediately; without corruptible
+                # management state the error becomes a garbage load.
+                plan.garbage_loads += 1
         return plan

@@ -154,22 +154,31 @@ class TestSigkillResume:
         self._repro(ref_dir, *sweep, "--output", "report.json")
 
         # Launch the same sweep, SIGKILL it once the store shows progress.
+        # Its own session makes the sweep and its pool workers one process
+        # group, so the workers it orphans can be reaped afterwards.
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", *sweep],
             cwd=kill_dir, env=self._env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         db = kill_dir / "db.sqlite"
-        deadline = time.time() + 120
-        while time.time() < deadline:
-            if process.poll() is not None:
-                break
-            if db.exists() and len(RunStore(db)) >= 2:
-                process.send_signal(signal.SIGKILL)
-                break
-            time.sleep(0.01)
-        process.wait(timeout=60)
-        assert process.returncode == -signal.SIGKILL
+        try:
+            deadline = time.time() + 120
+            while time.time() < deadline:
+                if process.poll() is not None:
+                    break
+                if db.exists() and len(RunStore(db)) >= 2:
+                    process.send_signal(signal.SIGKILL)
+                    break
+                time.sleep(0.01)
+            process.wait(timeout=60)
+            assert process.returncode == -signal.SIGKILL
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the whole group is already gone
 
         store = RunStore(db)
         campaign = store.campaign_ids()[0]

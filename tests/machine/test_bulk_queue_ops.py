@@ -1,14 +1,26 @@
 """Bulk queue operations must be observably identical to per-word loops.
 
-These are the fast paths behind ``SystemConfig.batch_ops``; each test runs
-the same word sequence through the per-word reference API and the bulk API
-and compares every observable: returned words, queue state, stats charges,
-peaks, and the tracer fallback contract.
+These are the fast paths behind ``SystemConfig.batch_ops`` and the
+quiet-span fast path; each test runs the same word sequence through the
+per-word reference API and the bulk API and compares every observable:
+returned words, queue state, stats charges, peaks, FSM state, and the
+tracer fallback contract.
 """
 
+import dataclasses
 import random
 
-from repro.core.header import header_unit, item_unit
+import pytest
+
+from repro.core.alignment_manager import AlignmentManager
+from repro.core.ecc import ecc_encode, flip_codeword_bit
+from repro.core.fsm import AlignmentState
+from repro.core.header import (
+    END_OF_COMPUTATION,
+    HEADER_FLAG,
+    header_unit,
+    item_unit,
+)
 from repro.core.queue_manager import GuardedQueue, QueueGeometry
 from repro.core.stats import CommGuardStats
 from repro.machine.queues import ReliableQueue, SoftwareQueue
@@ -127,6 +139,103 @@ class TestGuardedQueueBulk:
     def test_pop_plain_items_empty_queue(self):
         queue = make_guarded()
         assert queue.pop_plain_items(5, CommGuardStats()) == []
+
+    def test_front_header_and_plain_units_behind_it(self):
+        queue = make_guarded(workset=2)
+        stats = CommGuardStats()
+        for unit in (item_unit(1), header_unit(1), item_unit(2), item_unit(3),
+                     header_unit(2), item_unit(4)):
+            queue.push_unit(unit, stats)
+        queue.flush(stats)
+        assert queue.front_header() is None  # a plain unit is in front
+        queue.pop_unit(stats)
+        assert queue.front_header() == header_unit(1)
+        assert queue.plain_units_behind_front_header() == 2
+        for _ in range(3):
+            queue.pop_unit(stats)
+        assert queue.front_header() == header_unit(2)
+        assert queue.plain_units_behind_front_header() == 1  # up to the end
+
+
+def guarded_am(units):
+    """An AM over a queue holding *units* (all published)."""
+    queue = make_guarded(workset=4, capacity=256)
+    feeder = CommGuardStats()
+    for unit in units:
+        assert queue.push_unit(unit, feeder)
+    queue.flush(feeder)
+    am = AlignmentManager(queue, CommGuardStats())
+    observed = []
+    am.observer = lambda kind, fc, detail: observed.append((kind, fc, detail))
+    return am, observed
+
+
+def frame_units(frame_id, words):
+    return [header_unit(frame_id)] + [item_unit(w) for w in words]
+
+
+class TestAlignmentManagerBoundaryBlock:
+    """``pop_block`` at an aligned frame boundary (``ExpHdr`` with the
+    clean header of ``active_fc`` in front) equals the same number of
+    per-word ``pop`` calls on a twin AM; anything else declines untouched."""
+
+    STREAM = (
+        frame_units(0, [10, 11]) + frame_units(1, [20, 21, 22]) + frame_units(2, [30])
+    )
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 8])
+    def test_boundary_block_equals_per_word_pops(self, limit):
+        bulk, bulk_seen = guarded_am(self.STREAM)
+        word, word_seen = guarded_am(self.STREAM)
+        for am in (bulk, word):
+            am.on_new_frame_computation(0)
+            assert am.pop(0) == 10 and am.pop(0) == 11
+            am.on_new_frame_computation(1)
+            assert am.state is AlignmentState.EXP_HDR
+        assert bulk.can_pop_block(min(limit, 3), 1)
+        assert not bulk.can_pop_block(4, 1)  # only 3 plain units follow
+        served = bulk.pop_block(limit, 1)
+        assert served == [word.pop(1) for _ in served]
+        assert served == [20, 21, 22][:limit]
+        assert bulk._stats == word._stats  # every CommGuardStats field
+        assert bulk.state is word.state is AlignmentState.RCV_CMP
+        assert bulk_seen == word_seen  # the header match's transition
+        assert bulk._queue.visible_units() == word._queue.visible_units()
+
+    @pytest.mark.parametrize(
+        "front",
+        [
+            pytest.param(frame_units(0, [1, 2]), id="past"),
+            pytest.param(frame_units(2, [1, 2]), id="future"),
+            pytest.param([header_unit(END_OF_COMPUTATION), item_unit(1)], id="eoc"),
+            pytest.param(
+                [HEADER_FLAG | flip_codeword_bit(ecc_encode(1), 5), item_unit(1)],
+                id="corrected",
+            ),
+            pytest.param(frame_units(1, []) + frame_units(2, [1]), id="header-next"),
+            pytest.param(frame_units(1, []), id="nothing-behind"),
+            pytest.param([item_unit(9)] + frame_units(1, [1]), id="item-first"),
+        ],
+    )
+    def test_declines_consuming_nothing(self, front):
+        am, seen = guarded_am(front)
+        am.on_new_frame_computation(1)
+        stats = dataclasses.replace(am._stats)
+        visible = am._queue.visible_units()
+        assert not am.can_pop_block(1, 1)
+        assert am.pop_block(4, 1) == []
+        assert am._stats == stats
+        assert am._queue.visible_units() == visible
+        assert am.state is AlignmentState.EXP_HDR
+        assert len(seen) == 1  # only the RcvCmp -> ExpHdr rollover
+
+    def test_declines_in_discarding_and_padding_states(self):
+        for state in (AlignmentState.DISC, AlignmentState.DISC_FR, AlignmentState.PDG):
+            am, _ = guarded_am(frame_units(1, [1]))
+            am.state = state
+            assert not am.can_pop_block(1, 1)
+            assert am.pop_block(1, 1) == []
+            assert am._queue.visible_units() == 2
 
 
 class TestWakeHooks:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import build_app
+from repro.core.config import CommGuardConfig
 from repro.experiments.cache import spec_key
 from repro.experiments.parallel import RunSpec
 from repro.machine.errors import ErrorInjector, ErrorModel
@@ -57,9 +58,17 @@ def run_snapshot(config, app_name, protection, mtbe, seed, scale=0.25, **kw):
     return result_snapshot(result)
 
 
+#: Guarded DSP apps in which nearly every firing starts a frame, so their
+#: quiet spans run across aligned frame boundaries.  Small scale keeps
+#: each run near a tenth of a second.
+DSP_APPS = ("complex-fir", "channelvocoder")
+DSP_SCALE = 0.05
+
+
 def grid_points():
     """Every protection level, a dense-error and a quiet-span-heavy MTBE,
-    two seeds, over apps covering the guarded and raw queue paths."""
+    two seeds, over apps covering the guarded and raw queue paths, plus
+    CommGuard runs of the DSP apps."""
     points = []
     for app_name in ("jpeg", "mp3", "fft"):
         for protection in ProtectionLevel:
@@ -71,6 +80,10 @@ def grid_points():
             for mtbe in mtbes:
                 for seed in (0, 1):
                     points.append((app_name, protection, mtbe, seed))
+    for app_name in DSP_APPS:
+        for mtbe in (10_000.0, 1_024_000.0):
+            for seed in (0, 1):
+                points.append((app_name, ProtectionLevel.COMMGUARD, mtbe, seed))
     return points
 
 
@@ -81,11 +94,22 @@ class TestBitIdenticalResults:
         ids=lambda value: getattr(value, "name", str(value)),
     )
     def test_grid_point(self, app_name, protection, mtbe, seed):
-        reference = run_snapshot(PRECISE, app_name, protection, mtbe, seed)
+        scale = DSP_SCALE if app_name in DSP_APPS else 0.25
+        reference = run_snapshot(PRECISE, app_name, protection, mtbe, seed, scale)
         for config in VARIANTS:
             assert (
-                run_snapshot(config, app_name, protection, mtbe, seed) == reference
+                run_snapshot(config, app_name, protection, mtbe, seed, scale)
+                == reference
             ), f"exec_mode={config.exec_mode} scheduler={config.scheduler}"
+
+    def test_scaled_frames_match(self):
+        # Frame boundaries every fourth invocation: the fast path absorbs
+        # headers only where a frame domain actually rolls over.
+        kw = dict(scale=DSP_SCALE, commguard_config=CommGuardConfig(frame_scale=4))
+        point = ("channelvocoder", ProtectionLevel.COMMGUARD, 1_024_000.0, 0)
+        reference = run_snapshot(PRECISE, *point, **kw)
+        for config in VARIANTS:
+            assert run_snapshot(config, *point, **kw) == reference
 
     def test_timeout_heavy_run_matches(self):
         # mp3 under PPU_ONLY at 64k is the stuck-sweep regime: the fast
