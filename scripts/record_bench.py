@@ -1,29 +1,23 @@
 #!/usr/bin/env python3
-"""Record the simulator scheduler benchmark into ``BENCH_simulator.json``.
+"""Record the simulator fast-path benchmark into ``BENCH_simulator.json``.
 
-Times identical runs under the legacy round-robin scheduler (per-word
-queue ops) and the event-driven ready-set scheduler with batched firing —
-the ``SystemConfig`` default — and writes one machine-readable report at
-the repo root.  The matrix is jpeg, mp3 and the fft DSP kernel at two
-MTBEs under all four protection levels, plus the reduced Figure 10
-quality campaign (the sweep the speedup target is defined on).
-
-It also times the quiet-span fast path against the per-word precise
-oracle (``SystemConfig(exec_mode=...)``) on the high-MTBE rungs of the
-same campaign — the sparse-error regime the fast path is built for.
+Times the quiet-span fast path (``exec_mode="fast"``, the default) against
+the per-word precise oracle (``exec_mode="precise"``) on the high-MTBE
+rungs of the reduced Figure 10 quality campaign — jpeg plus mp3 at two
+frame sizes, CommGuard, one seed — the sparse-error regime the fast path
+is built for.  Writes one machine-readable report at the repo root.
 
 Usage::
 
     PYTHONPATH=src python scripts/record_bench.py [--scale 0.25]
         [--repeats 2] [--out BENCH_simulator.json] [--check]
 
-``--check`` exits non-zero when the event scheduler is slower than the
-legacy one on the campaign, or when the fast path falls under 1.2x over
-precise on the high-MTBE campaign — CI runs with it so a scheduling or
-fast-path regression fails the build.  Timings are best-of-``--repeats``
-wall clock; all configurations produce bit-identical results (enforced
-by ``tests/machine/test_scheduler_equivalence.py`` and
-``tests/machine/test_exec_mode_equivalence.py``), so only time differs.
+``--check`` exits non-zero when the fast path falls under 1.2x over
+precise — CI runs with it so a fast-path regression fails the build.
+Timings are best-of-``--repeats`` wall clock; both modes produce
+bit-identical results (enforced by ``tests/machine/test_golden_runs.py``
+and ``tests/machine/test_exec_mode_equivalence.py``), so only time
+differs.
 """
 
 from __future__ import annotations
@@ -45,18 +39,10 @@ from repro.experiments.sweeps import MTBE_LADDER_QUALITY  # noqa: E402
 from repro.machine.protection import ProtectionLevel  # noqa: E402
 from repro.machine.system import SystemConfig, run_program  # noqa: E402
 
-CONFIGS = {
-    "legacy": SystemConfig(scheduler="legacy", batch_ops=False),
-    "event": SystemConfig(scheduler="event", batch_ops=True),
-}
-
 EXEC_CONFIGS = {
     "precise": SystemConfig(exec_mode="precise"),
     "fast": SystemConfig(),  # exec_mode="fast" is the default
 }
-
-BENCH_APPS = ("jpeg", "mp3", "fft")
-BENCH_MTBES = (64_000, 512_000)
 
 #: The fast-path target is defined on the sparse-error rungs: at MTBE >=
 #: 1024k nearly every firing sits inside an error-quiet span.
@@ -66,30 +52,16 @@ HIGH_MTBE_FLOOR = 1_024_000
 FAST_PATH_CHECK_FLOOR = 1.2
 
 
-def grid_cells() -> list[tuple[str, ProtectionLevel, int | None]]:
-    """(app, protection, mtbe) matrix; ERROR_FREE ignores the MTBE axis."""
-    cells: list[tuple[str, ProtectionLevel, int | None]] = []
-    for app_name in BENCH_APPS:
-        cells.append((app_name, ProtectionLevel.ERROR_FREE, None))
-        for level in (
-            ProtectionLevel.PPU_ONLY,
-            ProtectionLevel.PPU_RELIABLE_QUEUE,
-            ProtectionLevel.COMMGUARD,
-        ):
-            for mtbe in BENCH_MTBES:
-                cells.append((app_name, level, mtbe))
-    return cells
-
-
 def campaign_points() -> list[tuple[str, int, int]]:
-    """The reduced Figure 10 grid: jpeg plus mp3 frame sizes, 1 seed."""
+    """The high-MTBE rungs of the reduced Figure 10 grid: jpeg plus mp3
+    frame sizes, 1 seed."""
     points = [("jpeg", 1, mtbe) for mtbe in MTBE_LADDER_QUALITY]
     points += [
         ("mp3", frame_scale, mtbe)
         for frame_scale in (1, 2)
         for mtbe in MTBE_LADDER_QUALITY
     ]
-    return points
+    return [point for point in points if point[2] >= HIGH_MTBE_FLOOR]
 
 
 def time_call(fn, repeats: int) -> float:
@@ -111,44 +83,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 if the event scheduler is slower than legacy",
+        help=f"exit 1 if the fast path is under {FAST_PATH_CHECK_FLOOR}x "
+        "over precise",
     )
     args = parser.parse_args(argv)
 
     runner = SimulationRunner(scale=args.scale)
-    for app_name in BENCH_APPS:
+    points = campaign_points()
+    for app_name, _, _ in points:
         runner.app(app_name)  # build once, outside the timed region
 
-    grid = []
-    for app_name, level, mtbe in grid_cells():
-        app = runner.app(app_name)
-        timings = {}
-        for config_name, config in CONFIGS.items():
-            timings[config_name] = time_call(
-                lambda: run_program(
-                    app.program, level, mtbe=mtbe, seed=0, system_config=config
-                ),
-                args.repeats,
-            )
-        speedup = timings["legacy"] / timings["event"]
-        rate = "error-free" if mtbe is None else f"{mtbe // 1000}k"
-        print(
-            f"{app_name:5s} {level.value:22s} {rate:>10s}  "
-            f"legacy {timings['legacy']:7.3f}s  event {timings['event']:7.3f}s  "
-            f"{speedup:5.2f}x"
-        )
-        grid.append(
-            {
-                "app": app_name,
-                "protection": level.value,
-                "mtbe": mtbe,
-                "legacy_s": round(timings["legacy"], 4),
-                "event_s": round(timings["event"], 4),
-                "speedup": round(speedup, 3),
-            }
-        )
-
-    def campaign(config: SystemConfig, points) -> None:
+    def campaign(config: SystemConfig) -> None:
         for app_name, frame_scale, mtbe in points:
             run_program(
                 runner.app(app_name).program,
@@ -159,89 +104,46 @@ def main(argv: list[str] | None = None) -> int:
                 system_config=config,
             )
 
-    campaign_s = {
-        name: time_call(lambda: campaign(config, campaign_points()), args.repeats)
-        for name, config in CONFIGS.items()
-    }
-    campaign_speedup = campaign_s["legacy"] / campaign_s["event"]
-    print(
-        f"\nfig10 reduced campaign ({len(campaign_points())} runs): "
-        f"legacy {campaign_s['legacy']:.3f}s  event {campaign_s['event']:.3f}s  "
-        f"{campaign_speedup:.2f}x"
-    )
-
-    high_points = [p for p in campaign_points() if p[2] >= HIGH_MTBE_FLOOR]
-    fast_path_s = {
-        name: time_call(lambda: campaign(config, high_points), args.repeats)
+    seconds = {
+        name: time_call(lambda: campaign(config), args.repeats)
         for name, config in EXEC_CONFIGS.items()
     }
-    fast_path_speedup = fast_path_s["precise"] / fast_path_s["fast"]
+    speedup = seconds["precise"] / seconds["fast"]
     print(
-        f"fast path, high-MTBE campaign ({len(high_points)} runs, "
+        f"fast path, high-MTBE campaign ({len(points)} runs, "
         f"MTBE >= {HIGH_MTBE_FLOOR // 1000}k): "
-        f"precise {fast_path_s['precise']:.3f}s  "
-        f"fast {fast_path_s['fast']:.3f}s  {fast_path_speedup:.2f}x"
+        f"precise {seconds['precise']:.3f}s  "
+        f"fast {seconds['fast']:.3f}s  {speedup:.2f}x"
     )
 
-    speedups = [cell["speedup"] for cell in grid]
     report = {
-        "benchmark": "simulator-scheduler",
+        "benchmark": "simulator-fast-path",
+        "campaign": "fig10-reduced-high-mtbe",
         "configs": {
-            "legacy": "round-robin sweep loop, per-word queue ops",
-            "event": "event-driven ready set, batched firing (default)",
+            "precise": "per-word oracle (exec_mode='precise')",
+            "fast": "quiet-span bulk firing (exec_mode='fast', default)",
         },
         "scale": args.scale,
         "repeats": args.repeats,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "grid": grid,
-        "campaign": {
-            "name": "fig10-reduced",
-            "runs": len(campaign_points()),
-            "legacy_s": round(campaign_s["legacy"], 4),
-            "event_s": round(campaign_s["event"], 4),
-            "speedup": round(campaign_speedup, 3),
-        },
-        "fast_path": {
-            "name": "fig10-reduced-high-mtbe",
-            "configs": {
-                "precise": "per-word oracle (exec_mode='precise')",
-                "fast": "quiet-span bulk firing (exec_mode='fast', default)",
-            },
-            "mtbe_floor": HIGH_MTBE_FLOOR,
-            "runs": len(high_points),
-            "precise_s": round(fast_path_s["precise"], 4),
-            "fast_s": round(fast_path_s["fast"], 4),
-            "speedup": round(fast_path_speedup, 3),
-        },
-        "summary": {
-            "geomean_speedup": round(
-                math.exp(sum(math.log(s) for s in speedups) / len(speedups)), 3
-            ),
-            "min_speedup": round(min(speedups), 3),
-            "max_speedup": round(max(speedups), 3),
-            "campaign_speedup": round(campaign_speedup, 3),
-            "fast_path_speedup": round(fast_path_speedup, 3),
-        },
+        "mtbe_floor": HIGH_MTBE_FLOOR,
+        "runs": len(points),
+        "precise_s": round(seconds["precise"], 4),
+        "fast_s": round(seconds["fast"], 4),
+        "speedup": round(speedup, 3),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    failed = False
-    if args.check and campaign_speedup < 1.0:
-        print(
-            "FAIL: event scheduler slower than legacy on the fig10 campaign",
-            file=sys.stderr,
-        )
-        failed = True
-    if args.check and fast_path_speedup < FAST_PATH_CHECK_FLOOR:
+    if args.check and speedup < FAST_PATH_CHECK_FLOOR:
         print(
             f"FAIL: fast path under {FAST_PATH_CHECK_FLOOR}x over precise "
             "on the high-MTBE campaign",
             file=sys.stderr,
         )
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ Commands:
   with the simulated-time timeline recorder and engine span profiler
   attached and exports a Chrome trace-event JSON for Perfetto /
   ``chrome://tracing`` (``--timeline-out`` additionally writes the
-  canonical timeline bytes, byte-identical across schedulers);
+  canonical timeline bytes, byte-identical across exec modes);
   ``profile trace`` renders an existing JSONL trace the same way.
 * ``top`` — store-backed campaign health: done/failed/pending,
   executed-vs-hit split, run wall seconds, throughput and an ETA for
@@ -651,15 +651,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     protection = ProtectionLevel.parse(args.protection)
     session = ProfileSession()
     bench = api.resolve_app(args.app, scale=args.scale)
-    # The direct machine path (not api.run): profiling wants explicit
-    # scheduler choice, which is a SystemConfig knob the engine
-    # deliberately keeps out of run specs and cache keys.
     with session.engine.span(
-        "run",
-        app=args.app,
-        protection=protection.value,
-        seed=args.seed,
-        scheduler=args.scheduler,
+        "run", app=args.app, protection=protection.value, seed=args.seed
     ):
         result = run_program(
             bench.program,
@@ -667,9 +660,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             mtbe=args.mtbe,
             seed=args.seed,
             commguard_config=CommGuardConfig(frame_scale=args.frame_scale),
-            system_config=SystemConfig(
-                exec_mode=args.exec_mode, scheduler=args.scheduler
-            ),
+            system_config=SystemConfig(exec_mode=args.exec_mode),
             fault_model=args.fault_model,
             profiler=session.sim,
         )
@@ -683,9 +674,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     segments = sum(len(segs) for segs in session.sim.threads.values())
     samples = sum(len(series) for series in session.sim.queues.values())
     print(
-        f"profiled {args.app} ({protection.value}, seed {args.seed}, "
-        f"{args.scheduler} scheduler): {result.errors_injected} error(s) "
-        f"injected over {result.execution_time():,} cycles"
+        f"profiled {args.app} ({protection.value}, seed {args.seed}): "
+        f"{result.errors_injected} error(s) injected over "
+        f"{result.execution_time():,} cycles"
     )
     print(
         f"  {len(session.sim.threads)} thread track(s), {segments} segment(s), "
@@ -1107,11 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_run.add_argument("--seed", type=int, default=0)
     profile_run.add_argument("--scale", type=float, default=1.0)
     profile_run.add_argument("--frame-scale", type=int, default=1)
-    profile_run.add_argument(
-        "--scheduler", choices=["event", "legacy"], default="event",
-        help="run loop to profile (the recorded timeline is byte-identical "
-        "either way — that invariance is CI-checked)",
-    )
     profile_run.add_argument(
         "--out", default="profile.json", metavar="FILE",
         help="Chrome trace-event JSON output (default: profile.json)",

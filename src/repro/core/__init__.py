@@ -23,7 +23,6 @@ from repro.core.header_inserter import HeaderInserter
 from repro.core.qit import QueueInfoTable
 from repro.core.queue_manager import QueueManager
 from repro.core.stats import CommGuardStats
-from repro.core.trace import TraceKind, TraceRecorder, attach_tracer
 
 __all__ = [
     "AlignmentEvent",
@@ -38,9 +37,6 @@ __all__ = [
     "HeaderInserter",
     "QueueInfoTable",
     "QueueManager",
-    "TraceKind",
-    "TraceRecorder",
-    "attach_tracer",
     "ecc_decode",
     "ecc_encode",
     "header_unit",

@@ -25,7 +25,6 @@ from repro.core.header import (
 )
 from repro.core.queue_manager import GuardedQueue
 from repro.core.stats import CommGuardStats
-from repro.core.trace import TraceKind
 from repro.observability.events import AlignmentAction
 
 
@@ -46,19 +45,19 @@ class AlignmentManager:
         self.pending_header: int | None = None
         #: True once the producer's end-of-computation header was seen.
         self.producer_finished = False
-        #: Optional trace hook: (TraceKind, active_fc, detail) -> None.
-        self.observer = None
         #: Optional structured-event sink (set by the system builder) plus
         #: the (thread, qid) identity stamped on every emitted event.
         self.tracer = None
         self.thread = ""
         self.qid = queue.qid
 
-    # -- tracing -----------------------------------------------------------------
+    def _apply(self, event: AlignmentEvent) -> AlignmentState:
+        """Run one FSM transition; return the state it left."""
+        previous = self.state
+        self.state = transition(previous, event)
+        return previous
 
-    def _notify(self, kind: TraceKind, active_fc: int, detail: str = "") -> None:
-        if self.observer is not None:
-            self.observer(kind, active_fc, detail)
+    # -- tracing -----------------------------------------------------------------
 
     def _emit_action(self, action: str, active_fc: int, reason: str) -> None:
         self.tracer.emit(
@@ -71,18 +70,6 @@ class AlignmentManager:
             )
         )
 
-    def _apply(self, event: AlignmentEvent, active_fc: int) -> "AlignmentState":
-        """Run one FSM transition, tracing state changes."""
-        previous = self.state
-        self.state = transition(previous, event)
-        if self.observer is not None and self.state is not previous:
-            self._notify(
-                TraceKind.TRANSITION,
-                active_fc,
-                f"{previous.value} -> {self.state.value} on {event.value}",
-            )
-        return previous
-
     # -- event: new frame computation ---------------------------------------
 
     def on_new_frame_computation(self, active_fc: int) -> None:
@@ -91,10 +78,10 @@ class AlignmentManager:
         self._stats.fsm_ops += 1
         if self.state is AlignmentState.PDG:
             if self.pending_header is not None and active_fc >= self.pending_header:
-                self._apply(AlignmentEvent.FC_MATCHED_HEADER, active_fc)
+                self._apply(AlignmentEvent.FC_MATCHED_HEADER)
                 self.pending_header = None
         else:
-            self._apply(AlignmentEvent.NEW_FRAME_COMPUTATION, active_fc)
+            self._apply(AlignmentEvent.NEW_FRAME_COMPUTATION)
 
     # -- event: pop instruction ----------------------------------------------
 
@@ -112,7 +99,6 @@ class AlignmentManager:
         """
         if self.state is AlignmentState.PDG:
             self._stats.pads += 1
-            self._notify(TraceKind.PAD, active_fc, "padding until matched frame")
             if self.tracer is not None:
                 self._emit_action("pad", active_fc, "padding until matched frame")
             return self._pad_word
@@ -122,7 +108,6 @@ class AlignmentManager:
                 if self.producer_finished:
                     # Producer done and drained: every further pop pads.
                     self._stats.pads += 1
-                    self._notify(TraceKind.PAD, active_fc, "producer finished")
                     if self.tracer is not None:
                         self._emit_action("pad", active_fc, "producer finished")
                     return self._pad_word
@@ -132,11 +117,10 @@ class AlignmentManager:
                 if self.state is AlignmentState.RCV_CMP:
                     return unit_word(unit)
                 if self.state is AlignmentState.EXP_HDR:
-                    self._apply(AlignmentEvent.RECEIVED_ITEM, active_fc)
+                    self._apply(AlignmentEvent.RECEIVED_ITEM)
                     self._stats.fsm_ops += 1
                     self._stats.discard_events += 1
                 self._stats.discarded_items += 1
-                self._notify(TraceKind.DISCARD_ITEM, active_fc, "extra item drained")
                 if self.tracer is not None:
                     self._emit_action(
                         "discard-item", active_fc, "extra item drained"
@@ -151,9 +135,6 @@ class AlignmentManager:
                 # the next boundary.
                 self._stats.ecc_uncorrectable += 1
                 self._stats.discarded_headers += 1
-                self._notify(
-                    TraceKind.DISCARD_HEADER, active_fc, "uncorrectable ECC"
-                )
                 if self.tracer is not None:
                     self._emit_action(
                         "discard-header", active_fc, "uncorrectable ECC"
@@ -193,7 +174,7 @@ class AlignmentManager:
             self._queue.pop_unit(stats)
             stats.is_header_checks += 1
             stats.ecc_ops += 1
-            self._apply(AlignmentEvent.RECEIVED_CORRECT_HEADER, active_fc)
+            self._apply(AlignmentEvent.RECEIVED_CORRECT_HEADER)
             stats.fsm_ops += 1
         elif self.state is not AlignmentState.RCV_CMP:
             return []
@@ -245,7 +226,6 @@ class AlignmentManager:
             self.state = AlignmentState.RCV_CMP
             self._stats.fsm_ops += 1
             self._stats.pads += 1
-            self._notify(TraceKind.EOC, active_fc, "producer end-of-computation")
             if self.tracer is not None:
                 self._emit_action("pad", active_fc, "producer end-of-computation")
             return self._pad_word
@@ -255,16 +235,13 @@ class AlignmentManager:
             event = AlignmentEvent.RECEIVED_PAST_HEADER
         else:
             event = AlignmentEvent.RECEIVED_FUTURE_HEADER
-        previous = self._apply(event, active_fc)
+        previous = self._apply(event)
         self._stats.fsm_ops += 1
         if event is AlignmentEvent.RECEIVED_FUTURE_HEADER:
             self.pending_header = frame_id
             if previous is not AlignmentState.PDG:
                 self._stats.pad_events += 1
             self._stats.pads += 1
-            self._notify(
-                TraceKind.PAD, active_fc, f"future header {frame_id} (data lost)"
-            )
             if self.tracer is not None:
                 self._emit_action(
                     "pad", active_fc, f"future header {frame_id} (data lost)"
@@ -274,9 +251,6 @@ class AlignmentManager:
             if previous is AlignmentState.RCV_CMP:
                 self._stats.discard_events += 1
             self._stats.discarded_headers += 1
-            self._notify(
-                TraceKind.DISCARD_HEADER, active_fc, f"stale header {frame_id}"
-            )
             if self.tracer is not None:
                 self._emit_action(
                     "discard-header", active_fc, f"stale header {frame_id}"

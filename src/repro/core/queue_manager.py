@@ -110,7 +110,7 @@ class GuardedQueue:
         #: Optional :class:`repro.observability.profile.SimProfiler` (set
         #: by the system builder).  Occupancy — total buffered units,
         #: local and published — is sampled after every successful
-        #: push/pop, the scheduler-invariant mutation points.
+        #: push/pop (never on a blocked retry).
         self.profiler = None
         self._watermarks = [
             (mark, int(mark * geometry.capacity_units))

@@ -40,8 +40,8 @@ class RawQueue:
     #: Optional :class:`repro.observability.profile.SimProfiler`, set by
     #: the system builder.  Occupancy is sampled only after *successful*
     #: mutations (push/pop/corrupt) — the same points that notify the
-    #: wake hub — because successful mutations happen in the same order
-    #: under every scheduler, while blocked retries do not.
+    #: wake hub — because those are simulated events, while the number of
+    #: blocked retries depends on how often the run loop re-steps a thread.
     profiler = None
 
     def push(self, word: int) -> bool:

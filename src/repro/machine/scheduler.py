@@ -1,36 +1,33 @@
-"""Run-loop schedulers: the legacy round-robin sweep and the event-driven
-ready-set scheduler that replaces it.
+"""The run loop: virtual round-robin sweeps, stepping only ready threads.
 
-Both schedulers execute the same cooperative model — each
-:class:`~repro.machine.thread.NodeThread` runs until it blocks on a queue
-operation — and both are required to produce **bit-identical** runs: the
-same :class:`~repro.machine.runstats.RunResult` (including the ``sweeps``
-and ``forced_unblocks`` counters) and the same trace bytes.
+Each :class:`~repro.machine.thread.NodeThread` runs cooperatively until it
+blocks on a queue operation.  Simulated progress is counted in *sweeps*:
+one sweep is a round-robin pass over the live threads in ascending global
+order (core by core, threads in build order), stepping each until it
+blocks or finishes.  A sweep in which no thread's progress token moved is
+*stuck*: every live thread spins (burning ``spin_instructions`` and
+exposing queue state to spin-time errors), and ``timeout_sweeps``
+consecutive stuck sweeps arm the QM timeout (Section 5.1), which
+force-unblocks every live thread so runs always terminate.  ``sweeps``,
+``forced_unblocks`` and the ``ForcedUnblock(thread, sweep)`` trace events
+are results of a run, pinned by the golden run digests
+(``tests/fixtures/golden_runs.json``).
 
-:class:`LegacyScheduler` is the original loop preserved verbatim: every
-sweep steps every live thread, a sweep in which no thread's progress token
-moved counts as *stuck*, and ``timeout_sweeps`` consecutive stuck sweeps
-arm the QM timeout (Section 5.1) so runs always terminate.
-
-:class:`EventScheduler` keeps the exact same *virtual sweep* accounting but
-only steps threads that can possibly progress.  A thread that blocked on a
-queue registers (implicitly, via the edge endpoint maps) as a waiter; queue
-mutations notify the :class:`WakeHub`, which marks exactly the endpoint
-threads they could unblock as ready.  The compatibility shim that makes
-this bit-identical to the legacy loop is the wake *routing*: legacy sweeps
-visit threads in ascending global order, so a state change made while
-thread ``i`` is stepping is visible to thread ``j`` within the same sweep
-iff ``j > i``.  The hub therefore routes wakes to the current sweep's
-ready set when the target sits after the stepping position and to the next
-sweep's otherwise.  Skipped threads are provably no-ops in the legacy loop
-(a blocked retry has no side effects until the queue state changes in its
-favour), so productivity, spin ordering, the stuck-sweep counter and the
-``ForcedUnblock(sweep=N)`` trace events all come out identical — the
-QM-timeout path is simply the case "ready set empty (or unproductive) but
-threads alive".
+:class:`EventScheduler` performs each sweep while stepping only the threads
+that can progress.  A blocked retry has no side effects until the queue
+state changes in the thread's favour, so stepping a thread no queue
+mutation has touched since it blocked is a no-op and is skipped.  Queue
+mutations notify the :class:`WakeHub`, which maps each edge to its producer
+and consumer threads and marks exactly the endpoints a mutation could
+unblock as ready.  Because a sweep visits threads in ascending order, a
+change made while thread ``i`` is stepping reaches thread ``j`` within the
+same sweep iff ``j > i``: the hub routes a wake to the current sweep's
+ready set when the target sits after the stepping position, and to the
+next sweep's otherwise.  The QM timeout is the case "ready set empty (or
+unproductive) but threads alive".
 
 Wake sources (installed on the queue backends as the ``wake_hub``
-attribute, ``None`` when the legacy scheduler runs):
+attribute for the duration of a run):
 
 * a raw-queue ``push`` or a guarded-queue working-set publish makes data
   visible — wake the consumer;
@@ -52,8 +49,8 @@ class WakeHub:
     """Ready-set bookkeeping shared by the scheduler and the queues.
 
     ``position`` is the index of the thread currently stepping (``-1``
-    outside the step loop, ``len(threads)`` during the spin phase so every
-    wake lands in the next sweep).
+    outside the step loop; the spin/timeout phase runs after the ready sets
+    are swapped, so its wakes land in the next sweep).
     """
 
     __slots__ = ("producer_of", "consumer_of", "ready_now", "ready_next", "position")
@@ -62,7 +59,7 @@ class WakeHub:
         #: qid -> global index of the thread pushing into / popping from it.
         self.producer_of: dict[int, int] = {}
         self.consumer_of: dict[int, int] = {}
-        # Sweep 1 visits everyone, exactly like the legacy loop.
+        # Sweep 1 visits every thread.
         self.ready_now = [True] * n_threads
         self.ready_next = [False] * n_threads
         self.position = -1
@@ -89,64 +86,8 @@ class WakeHub:
         self._wake(self.producer_of.get(qid, -1))
 
 
-class LegacyScheduler:
-    """The original round-robin sweep loop, kept verbatim as the reference
-    implementation for the equivalence suite (and for bisecting any future
-    divergence)."""
-
-    name = "legacy"
-
-    def run(self, system, threads, result) -> None:
-        config = system.config
-        tracer = system.tracer
-        profiler = system.profiler
-        sweeps = 0
-        stuck_sweeps = 0
-        while not all(t.done for t in threads):
-            sweeps += 1
-            if sweeps > config.max_sweeps:
-                result.hung = True
-                break
-            progressed = False
-            for thread in threads:
-                if thread.done:
-                    continue
-                before = thread.progress_token()
-                thread.step()
-                if thread.progress_token() != before:
-                    progressed = True
-            if progressed:
-                stuck_sweeps = 0
-                continue
-            # Nothing moved: blocked threads spin (exposing queue state to
-            # spin-time errors) and, after timeout_sweeps, the QM timeout arms.
-            stuck_sweeps += 1
-            for thread in threads:
-                if not thread.done:
-                    thread.spin(config.spin_instructions)
-            if stuck_sweeps >= config.timeout_sweeps:
-                for thread in threads:
-                    if not thread.done:
-                        thread.force_unblock = True
-                        result.forced_unblocks += 1
-                        if tracer is not None:
-                            tracer.emit(
-                                ForcedUnblock(thread=thread.node.name, sweep=sweeps)
-                            )
-                        if profiler is not None:
-                            # Timeline mark at the thread's own simulated
-                            # clock — scheduler-invariant, unlike sweeps.
-                            profiler.mark(
-                                thread.node.name, "forced-unblock", thread.sim_now
-                            )
-                stuck_sweeps = 0
-        result.sweeps = sweeps
-
-
 class EventScheduler:
     """Event-driven ready-set scheduler (see module docstring)."""
-
-    name = "event"
 
     def run(self, system, threads, result) -> None:
         config = system.config
@@ -193,9 +134,8 @@ class EventScheduler:
                     progressed = True
             # Swap the ready sets: wakes routed "next" become current.  The
             # spin/timeout phase below belongs to the *current* sweep but its
-            # wakes are only visible next sweep (legacy re-steps everyone on
-            # the following iteration), so position resets to -1 and further
-            # wakes land in the freshly-swapped-in ready set.
+            # wakes are only visible next sweep, so position resets to -1 and
+            # further wakes land in the freshly-swapped-in ready set.
             hub.ready_now, hub.ready_next = hub.ready_next, hub.ready_now
             hub.position = -1
             if progressed:
@@ -219,24 +159,11 @@ class EventScheduler:
                                 ForcedUnblock(thread=thread.node.name, sweep=sweeps)
                             )
                         if profiler is not None:
-                            # Same mark, same per-thread clock, as legacy.
+                            # Timeline mark at the thread's own simulated
+                            # clock, which does not depend on sweeps.
                             profiler.mark(
                                 thread.node.name, "forced-unblock", thread.sim_now
                             )
                 stuck_sweeps = 0
         result.sweeps = sweeps
 
-
-_SCHEDULERS = {
-    LegacyScheduler.name: LegacyScheduler,
-    EventScheduler.name: EventScheduler,
-}
-
-
-def resolve_scheduler(name: str):
-    """Instantiate the scheduler selected by ``SystemConfig.scheduler``."""
-    try:
-        return _SCHEDULERS[name]()
-    except KeyError:
-        known = ", ".join(sorted(_SCHEDULERS))
-        raise ValueError(f"unknown scheduler {name!r} (known: {known})") from None

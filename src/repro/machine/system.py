@@ -8,9 +8,8 @@ queues), wires the CommGuard modules when enabled, and creates one
 :class:`~repro.machine.thread.NodeThread` per node.
 
 The run loop (see :mod:`repro.machine.scheduler`) lets each thread run
-until it blocks; by default an event-driven ready-set scheduler steps only
-threads a queue operation could have unblocked, with sweep accounting kept
-bit-identical to the legacy round-robin loop.  A sweep in which nothing
+until it blocks, in virtual round-robin sweeps that step only the threads
+a queue operation could have unblocked.  A sweep in which nothing
 progressed means the system is stuck on queue state (e.g. a corrupted
 software queue that looks simultaneously full and empty); after a few such
 sweeps the QM timeout fires and blocked operations complete with pad/drop
@@ -32,7 +31,7 @@ from repro.machine.ppu import PPUModel
 from repro.machine.protection import ProtectionLevel
 from repro.machine.queues import RawQueue, ReliableQueue, SoftwareQueue
 from repro.machine.runstats import RunResult
-from repro.machine.scheduler import resolve_scheduler
+from repro.machine.scheduler import EventScheduler
 from repro.machine.thread import CommPath, GuardedCommPath, NodeThread, RawCommPath
 from repro.streamit.filters import IntSink
 from repro.streamit.partition import partition_graph
@@ -52,26 +51,17 @@ class SystemConfig:
     fruitless sweep.  ``timeout_sweeps`` is how many consecutive no-progress
     sweeps arm the QM timeout.  ``max_sweeps`` is a hard safety stop.
 
-    ``scheduler`` selects the run loop: ``"event"`` (the ready-set
-    scheduler) or ``"legacy"`` (the original round-robin sweep).  Both are
-    bit-identical — see :mod:`repro.machine.scheduler`.  ``batch_ops``
-    enables the credit-based batched-firing fast path in
-    :class:`~repro.machine.thread.NodeThread` (bulk queue operations for
-    the words of a firing that cannot block); it changes wall-clock time
-    only, never results or trace bytes.
-
     ``exec_mode`` selects the simulation execution mode: ``"fast"`` (the
     default) lets each thread execute whole steady-state firings in bulk
     whenever the error injector certifies the firing's instruction window
     as quiet (no arrival before the *error horizon*) and the queues/guard
     certify it cannot block or transition any alignment FSM, dropping to
-    the precise per-word machinery around every injected error;
-    ``"precise"`` runs the original per-word path unconditionally (the
-    oracle; it also forces per-word transfers, overriding ``batch_ops`` —
-    batched transfers are part of the fast machinery).  Both are
-    bit-identical — same :class:`RunResult`, same cache keys,
-    byte-identical traces — see the equivalence suite in
-    ``tests/machine/test_exec_mode_equivalence.py``.
+    the precise per-word machinery around every injected error; the words
+    of a per-word firing that cannot block also move through bulk queue
+    operations.  ``"precise"`` runs the per-word path unconditionally (the
+    oracle).  Both are bit-identical — same :class:`RunResult`, same cache
+    keys, byte-identical traces — and both reproduce the golden run digests
+    in ``tests/fixtures/golden_runs.json``.
 
     ``fault_model`` selects the error process from the registry in
     :mod:`repro.machine.faults`, in ``name[:param=val,...]`` spec syntax.
@@ -86,8 +76,6 @@ class SystemConfig:
     spin_instructions: int = 50
     timeout_sweeps: int = 3
     max_sweeps: int = 50_000_000
-    scheduler: str = "event"
-    batch_ops: bool = True
     fault_model: str = "bit_flip"
     exec_mode: str = "fast"
 
@@ -149,8 +137,9 @@ class MulticoreSystem:
         ``profiler`` is an optional
         :class:`~repro.observability.profile.SimProfiler`; when given,
         threads record simulated-time segments and queues sample their
-        occupancy into it (and, like tracing, the quiet-span and bulk
-        fast paths decline).  ``None`` keeps the hot paths untouched.
+        occupancy into it (and the quiet-span and bulk queue fast paths
+        decline, so every firing and queue operation is recorded).
+        ``None`` keeps the hot paths untouched.
         """
         config = system_config or SystemConfig()
         cg_config = commguard_config or CommGuardConfig()
@@ -243,7 +232,6 @@ class MulticoreSystem:
                 ppu=ppu,
                 frame_stall_cycles=config.frame_stall_cycles if guarded else 0,
                 tracer=tracer,
-                batch_ops=config.batch_ops,
                 exec_mode=config.exec_mode,
                 profiler=profiler,
             )
@@ -260,16 +248,14 @@ class MulticoreSystem:
     def run(self) -> RunResult:
         """Execute to completion; always terminates (timeouts guarantee it).
 
-        The loop itself lives in :mod:`repro.machine.scheduler`; which
-        implementation runs is selected by ``SystemConfig.scheduler`` and
-        both produce bit-identical results.
+        The loop itself lives in :mod:`repro.machine.scheduler`.
         """
         threads = [t for core in self.cores for t in core.threads]
         result = RunResult(
             frame_stall_cycles=self.config.frame_stall_cycles,
             header_transfer_cycles=self.config.header_transfer_cycles,
         )
-        resolve_scheduler(self.config.scheduler).run(self, threads, result)
+        EventScheduler().run(self, threads, result)
         self._collect(result)
         return result
 

@@ -213,7 +213,6 @@ class NodeThread:
         ppu: PPUModel,
         frame_stall_cycles: int = 0,
         tracer=None,
-        batch_ops: bool = True,
         exec_mode: str = "fast",
         profiler=None,
     ) -> None:
@@ -242,17 +241,18 @@ class NodeThread:
         #: Credit-based batched firing: queue words that cannot block move
         #: in bulk (wall-clock only; results and trace bytes are invariant).
         #: Part of the fast machinery — ``exec_mode="precise"`` is the pure
-        #: per-word oracle, so it forces the per-word transfer path too.
-        #: Declines under a profiler so per-operation occupancy samples
-        #: are preserved (the same discipline as tracing).
-        self.batch_ops = batch_ops and exec_mode == "fast" and profiler is None
+        #: per-word oracle.  Off under a profiler, which samples occupancy
+        #: per queue operation.  A tracer leaves it on: the queues' bulk
+        #: pushes decline by themselves under a tracer (high-water events
+        #: carry per-crossing occupancy), while bulk pops emit no events.
+        self._bulk_transfers = exec_mode == "fast" and profiler is None
         self.exec_mode = exec_mode
         #: Precompiled steady-state firing shape (see repro.machine.plan).
         self.plan: FiringPlan = compile_plan(node)
         # Quiet-span fast path: whole firings outside the error horizon run
         # in bulk.  Disabled under a tracer so the per-word path reproduces
         # event bytes exactly, and under a profiler so every firing is
-        # individually classified (the same discipline as batch_ops).
+        # individually classified.
         self._fast = exec_mode == "fast" and tracer is None and profiler is None
         self.counters = ThreadCounters()
         if isinstance(comm, GuardedCommPath):
@@ -415,7 +415,7 @@ class NodeThread:
         rng = self.injector.rng
 
         # 1. Pop inputs (with control-error count perturbations).
-        batch = self.batch_ops
+        batch = self._bulk_transfers
         inputs: list[list[int]] = []
         for port, rate in enumerate(node.input_rates):
             delta = plan.pop_deltas.get(port, 0)

@@ -18,7 +18,7 @@ The Chrome trace-event format is the JSON the Perfetto UI
 Deterministic by construction for the simulated side: events are listed
 in track order then segment order, and the serializer sorts keys — the
 simulated-side document for a seeded spec is byte-stable across
-``--jobs`` and schedulers (CI byte-compares the underlying timeline via
+``--jobs`` and exec modes (CI byte-compares the underlying timeline via
 :meth:`SimProfiler.to_json_bytes`; the combined profile additionally
 contains nondeterministic engine wall spans).
 

@@ -11,11 +11,11 @@ Two recorders with very different contracts live here:
   ``stall`` segments.  Queues report an occupancy sample after every
   *successful* push/pop/corrupt.  Because per-thread clocks never
   observe cross-thread interleaving, and successful queue mutations
-  happen in the same order under every scheduler and worker count, the
-  recorded timeline — and its canonical byte serialization,
+  happen in the same order under both exec modes and every worker count,
+  the recorded timeline — and its canonical byte serialization,
   :meth:`SimProfiler.to_json_bytes` — is **deterministic**: byte-identical
-  across ``--jobs``, across the legacy and event schedulers, and across
-  repeat runs of the same seeded spec.
+  across ``--jobs``, across exec modes, and across repeat runs of the
+  same seeded spec.
 
   Like tracing, profiling is strictly opt-in: every emission site is
   guarded by ``if profiler is not None``, and the quiet-span /
@@ -164,10 +164,10 @@ class SimProfiler:
         """Record a queue's occupancy after one *successful* mutation.
 
         The x-axis is the queue's own operation counter — successful
-        mutations happen in the same order under every scheduler, so the
-        series is scheduler- and jobs-invariant.  Callers must sample
+        mutations happen in the same order in both exec modes, so the
+        series is exec-mode- and jobs-invariant.  Callers must sample
         only on success (never on a blocked push/pop retry, whose count
-        differs between schedulers)."""
+        depends on how often the run loop re-steps a blocked thread)."""
         seq = self._queue_seq.get(qid, 0)
         self._queue_seq[qid] = seq + 1
         series = self.queues.setdefault(qid, [])
@@ -203,8 +203,8 @@ class SimProfiler:
 
     def to_json_bytes(self) -> bytes:
         """Canonical serialization: sorted keys, compact separators,
-        trailing newline.  Byte-identical across ``--jobs`` and
-        schedulers for the same seeded spec — CI ``cmp``'s this."""
+        trailing newline.  Byte-identical across ``--jobs`` and exec
+        modes for the same seeded spec — CI ``cmp``'s this."""
         import json
 
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -22,6 +22,8 @@ from repro.core.header import (
 )
 from repro.core.queue_manager import GuardedQueue, QueueGeometry
 from repro.core.stats import CommGuardStats
+from repro.observability import InMemoryTracer
+from repro.observability.events import AlignmentAction
 
 PAD = 0
 
@@ -172,6 +174,48 @@ class TestCorruptHeaders:
         am.on_new_frame_computation(0)
         assert am.pop(0) == 10
         assert stats.ecc_uncorrectable == 0
+
+
+class TestAlignmentActionEvents:
+    """Each realignment the AM performs is one ``AlignmentAction`` on the
+    trace bus, stamped with the consumer's active frame."""
+
+    def traced_am(self, units):
+        am, queue, _ = make_am()
+        am.tracer = InMemoryTracer()
+        am.thread = "consumer"
+        feed(queue, units)
+        return am
+
+    def action(self, action, active_fc, reason):
+        return AlignmentAction("consumer", 0, action, active_fc, reason)
+
+    def test_aligned_frame_emits_nothing(self):
+        am = self.traced_am(frame(0, [1, 2]))
+        am.on_new_frame_computation(0)
+        assert [am.pop(0), am.pop(0)] == [1, 2]
+        assert am.tracer.events == []
+
+    def test_future_header_pads(self):
+        am = self.traced_am(frame(0, [1]) + frame(1, [2, 3]))
+        am.on_new_frame_computation(0)
+        am.pop(0)
+        assert am.pop(0) == PAD  # meets header 1
+        assert am.tracer.events == [self.action("pad", 0, "future header 1 (data lost)")]
+
+    def test_extra_item_is_discarded(self):
+        am = self.traced_am(frame(0, [1, 99]) + frame(1, [2]))
+        am.on_new_frame_computation(0)
+        am.pop(0)
+        am.on_new_frame_computation(1)
+        assert am.pop(1) == 2
+        assert am.tracer.events == [self.action("discard-item", 1, "extra item drained")]
+
+    def test_end_of_computation_pads(self):
+        am = self.traced_am([header_unit(END_OF_COMPUTATION)])
+        am.on_new_frame_computation(0)
+        assert am.pop(0) == PAD
+        assert am.tracer.events == [self.action("pad", 0, "producer end-of-computation")]
 
 
 @st.composite

@@ -1,7 +1,7 @@
 """System-level property tests (hypothesis over error processes).
 
 The paper's operational requirements (Section 2.1.1), checked end-to-end on
-a guarded pipeline for arbitrary error-model mixes and seeds:
+a guarded pipeline for arbitrary error-model mixes, fault models and seeds:
 
 1. progress — the run terminates, never hangs;
 2. ephemeral errors — output length is always exactly the expected length
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine.errors import ErrorModel
+from repro.machine.faults import FAULT_MODELS
 from repro.machine.protection import ProtectionLevel
 from repro.machine.system import run_program
 from repro.streamit.builders import pipeline, split_join
@@ -85,10 +86,19 @@ class TestGuardedPipelineProperties:
         assert 0.0 <= result.data_loss_ratio() < 0.5
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 500), mtbe=st.sampled_from([1_500, 15_000]))
-    def test_splitjoin_progress(self, seed, mtbe):
+    @given(
+        seed=st.integers(0, 500),
+        mtbe=st.sampled_from([1_500, 15_000]),
+        fault_model=st.sampled_from(sorted(FAULT_MODELS)),
+    )
+    def test_splitjoin_progress(self, seed, mtbe, fault_model):
+        """No guarded run hangs under any registered fault model."""
         result = run_program(
-            SPLITJOIN, ProtectionLevel.COMMGUARD, mtbe=mtbe, seed=seed
+            SPLITJOIN,
+            ProtectionLevel.COMMGUARD,
+            mtbe=mtbe,
+            seed=seed,
+            fault_model=fault_model,
         )
         assert not result.hung
         assert len(result.outputs["snk"]) == 96 * 3

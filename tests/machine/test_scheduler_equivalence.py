@@ -1,167 +1,34 @@
-"""Scheduler-equivalence suite: the event-driven ready-set scheduler (and
-the batched-firing fast path) must be bit-identical to the legacy
-round-robin loop — same ``RunResult``, same trace bytes — across the
-app × protection × MTBE × seed grid.
+"""Scheduler tests: the WakeHub's wake routing and the stuck-sweep regime.
 
-Also covers the wake-ordering compatibility shim directly (``WakeHub``
-position routing) and a Hypothesis property test for the ForcedUnblock
-path, whose sweep numbering and thread ordering is the subtlest part of
-the virtual-sweep accounting.
+A wake made while thread ``i`` is stepping reaches a thread after ``i``
+within the current sweep and any other thread in the next one (see
+:mod:`repro.machine.scheduler`).  The run loop's results — ``sweeps``,
+``forced_unblocks`` and the ``ForcedUnblock(thread, sweep)`` trace events —
+are pinned by the golden run digests in ``test_golden_runs.py``.
 """
 
-import dataclasses
-import io
+import json
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.apps import build_app
 from repro.machine.protection import ProtectionLevel
-from repro.machine.scheduler import (
-    EventScheduler,
-    LegacyScheduler,
-    WakeHub,
-    resolve_scheduler,
+from repro.machine.scheduler import WakeHub
+from tests.machine.test_golden_runs import (
+    EXEC_MODES,
+    GOLDEN_PATH,
+    GoldenPoint,
+    run_point,
 )
-from repro.machine.system import SystemConfig, run_program
-from repro.observability import InMemoryTracer, JsonlTracer
-from repro.observability.events import ForcedUnblock
-
-LEGACY = SystemConfig(scheduler="legacy", batch_ops=False)
-LEGACY_BATCH = SystemConfig(scheduler="legacy", batch_ops=True)
-EVENT_NOBATCH = SystemConfig(scheduler="event", batch_ops=False)
-EVENT = SystemConfig(scheduler="event", batch_ops=True)
-VARIANTS = (LEGACY_BATCH, EVENT_NOBATCH, EVENT)
-
-
-def result_snapshot(result):
-    """Every observable field of a RunResult, in comparable form."""
-    return (
-        result.outputs,
-        {
-            name: dataclasses.asdict(counters)
-            for name, counters in result.thread_counters.items()
-        },
-        result.errors_by_kind,
-        result.errors_injected,
-        result.sweeps,
-        result.hung,
-        result.forced_unblocks,
-        result.queue_peaks,
-    )
-
-
-def run_snapshot(config, app_name, protection, mtbe, seed, scale=0.25):
-    app = build_app(app_name, scale=scale)
-    result = run_program(
-        app.program, protection, mtbe=mtbe, seed=seed, system_config=config
-    )
-    return result_snapshot(result)
-
-
-def grid_points():
-    """The equivalence grid: every protection level, two MTBEs, two seeds,
-    over apps that exercise both the guarded and the raw queue paths."""
-    points = []
-    for app_name in ("jpeg", "mp3", "fft"):
-        for protection in ProtectionLevel:
-            mtbes = (
-                (None,)
-                if protection is ProtectionLevel.ERROR_FREE
-                else (10_000.0, 64_000.0)
-            )
-            for mtbe in mtbes:
-                for seed in (0, 1):
-                    points.append((app_name, protection, mtbe, seed))
-    return points
 
 
 class TestBitIdenticalResults:
-    @pytest.mark.parametrize(
-        "app_name,protection,mtbe,seed",
-        grid_points(),
-        ids=lambda value: getattr(value, "name", str(value)),
-    )
-    def test_grid_point(self, app_name, protection, mtbe, seed):
-        reference = run_snapshot(LEGACY, app_name, protection, mtbe, seed)
-        for config in VARIANTS:
-            assert (
-                run_snapshot(config, app_name, protection, mtbe, seed) == reference
-            ), f"scheduler={config.scheduler} batch_ops={config.batch_ops}"
-
     def test_timeout_heavy_run_matches(self):
-        # mp3 under PPU_ONLY at high MTBE is the stuck-sweep regime: long
-        # stretches of unproductive sweeps, spins and hundreds of forced
-        # unblocks — the exact path the ready-set re-expression changes.
-        reference = run_snapshot(LEGACY, "mp3", ProtectionLevel.PPU_ONLY, 64_000.0, 0)
-        assert reference[6] > 0, "expected forced unblocks in this regime"
-        for config in VARIANTS:
-            assert (
-                run_snapshot(config, "mp3", ProtectionLevel.PPU_ONLY, 64_000.0, 0)
-                == reference
-            )
-
-
-class TestByteIdenticalTraces:
-    @pytest.mark.parametrize("app_name", ["jpeg", "mp3"])
-    @pytest.mark.parametrize(
-        "protection", list(ProtectionLevel), ids=lambda level: level.name
-    )
-    def test_trace_bytes_scheduler_invariant(self, app_name, protection):
-        mtbe = None if protection is ProtectionLevel.ERROR_FREE else 10_000.0
-
-        def trace_bytes(config):
-            buffer = io.StringIO()
-            app = build_app(app_name, scale=0.25)
-            run_program(
-                app.program,
-                protection,
-                mtbe=mtbe,
-                seed=1,
-                system_config=config,
-                tracer=JsonlTracer(buffer),
-            )
-            return buffer.getvalue()
-
-        reference = trace_bytes(LEGACY)
-        for config in VARIANTS:
-            assert trace_bytes(config) == reference
-
-
-class TestWakeOrderingProperty:
-    """ForcedUnblock events carry (thread, sweep); the event scheduler must
-    reproduce the legacy sequence exactly — same threads, same order, same
-    sweep numbers — for arbitrary error-rate/seed combinations."""
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        mtbe=st.sampled_from([8_000.0, 16_000.0, 64_000.0, 128_000.0]),
-        seed=st.integers(min_value=0, max_value=50),
-        protection=st.sampled_from(
-            [ProtectionLevel.PPU_ONLY, ProtectionLevel.PPU_RELIABLE_QUEUE]
-        ),
-    )
-    def test_forced_unblock_sequence_identical(self, mtbe, seed, protection):
-        def forced_unblocks(config):
-            tracer = InMemoryTracer()
-            app = build_app("mp3", scale=0.2)
-            result = run_program(
-                app.program,
-                protection,
-                mtbe=mtbe,
-                seed=seed,
-                system_config=config,
-                tracer=tracer,
-            )
-            events = [
-                (event.thread, event.sweep)
-                for event in tracer.events
-                if isinstance(event, ForcedUnblock)
-            ]
-            return events, result.sweeps, result.forced_unblocks
-
-        assert forced_unblocks(EVENT) == forced_unblocks(LEGACY)
+        # mp3 under PPU_ONLY at 64k MTBE is the stuck-sweep regime: long
+        # stretches of unproductive sweeps, spins and QM timeouts ending in
+        # forced unblocks.  Both exec modes must reproduce the recorded entry.
+        point = GoldenPoint("mp3", 0.25, ProtectionLevel.PPU_ONLY, 64_000.0, 0)
+        expected = json.loads(GOLDEN_PATH.read_text())["points"][point.id]
+        assert expected["forced_unblocks"] > 0, "expected forced unblocks here"
+        for mode, config in EXEC_MODES.items():
+            assert run_point(point, config) == expected, f"exec_mode={mode}"
 
 
 class TestWakeHub:
@@ -201,17 +68,3 @@ class TestWakeHub:
         hub.on_pop(99)
         hub.on_corrupt(99)
         assert hub.ready_next == [False, False]
-
-
-class TestResolveScheduler:
-    def test_resolves_both_names(self):
-        assert isinstance(resolve_scheduler("legacy"), LegacyScheduler)
-        assert isinstance(resolve_scheduler("event"), EventScheduler)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler("round-robin")
-
-    def test_event_is_the_default(self):
-        assert SystemConfig().scheduler == "event"
-        assert SystemConfig().batch_ops is True

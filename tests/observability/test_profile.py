@@ -5,7 +5,7 @@ buffers, canonical serialization) and :class:`EngineProfiler` (span
 nesting, retro-recorded leaves), plus the two machine-level contracts:
 a profiled run's measurements are bit-identical to an unprofiled run,
 and the recorded simulated-time timeline is byte-identical across
-schedulers and execution modes.
+execution modes.
 """
 
 import json
@@ -189,13 +189,13 @@ def fft_app():
     return build_app("fft", scale=APP_SCALE)
 
 
-def profiled_run(app, scheduler="event", exec_mode="fast", profiler=None):
+def profiled_run(app, exec_mode="fast", profiler=None):
     return run_program(
         app.program,
         ProtectionLevel.COMMGUARD,
         mtbe=MTBE,
         seed=SEED,
-        system_config=SystemConfig(exec_mode=exec_mode, scheduler=scheduler),
+        system_config=SystemConfig(exec_mode=exec_mode),
         profiler=profiler,
     )
 
@@ -211,14 +211,6 @@ class TestDeterminism:
         assert profiled.outputs == plain.outputs
         assert profiled.sweeps == plain.sweeps
         assert sim.threads and any(sim.threads.values())
-
-    def test_timeline_bytes_scheduler_invariant(self, fft_app):
-        timelines = []
-        for scheduler in ("event", "legacy"):
-            sim = SimProfiler()
-            profiled_run(fft_app, scheduler=scheduler, profiler=sim)
-            timelines.append(sim.to_json_bytes())
-        assert timelines[0] == timelines[1]
 
     def test_timeline_bytes_exec_mode_invariant(self, fft_app):
         timelines = []

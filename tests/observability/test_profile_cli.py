@@ -27,14 +27,13 @@ class TestProfileRunCommand:
         assert {e["ph"] for e in doc["traceEvents"]} <= {"X", "C", "i", "M"}
         assert "profile written to" in capsys.readouterr().out
 
-    def test_timeline_bytes_scheduler_invariant(self, tmp_path):
+    def test_timeline_bytes_exec_mode_invariant(self, tmp_path):
         timelines = []
-        for scheduler in ("event", "legacy"):
-            timeline = tmp_path / f"{scheduler}.json"
+        for name, mode_args in (("fast", []), ("precise", ["--exec-mode", "precise"])):
+            timeline = tmp_path / f"{name}.json"
             assert main([
-                "profile", "run", "fft", *ARGS,
-                "--scheduler", scheduler,
-                "--out", str(tmp_path / f"{scheduler}-profile.json"),
+                "profile", "run", "fft", *ARGS, *mode_args,
+                "--out", str(tmp_path / f"{name}-profile.json"),
                 "--timeline-out", str(timeline),
             ]) == 0
             timelines.append(timeline.read_bytes())
