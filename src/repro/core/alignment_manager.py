@@ -201,6 +201,21 @@ class AlignmentManager:
             active_fc, count
         )
 
+    def whole_frames(self, first: int, limit: int, plain: int) -> int:
+        """How many whole aligned frames, up to *limit*, the queue front
+        holds for the frames ``first, first + 1, ...``: each the clean
+        header of its frame followed by exactly *plain* plain units — the
+        whole-quiet-frames engine's alignment check.
+
+        Only ``Rcv/Cmp`` with the producer running qualifies: each frame
+        then takes the roll to ``ExpHdr`` and the correct-header match
+        back to ``Rcv/Cmp`` on the per-frame path, and nothing else.
+        Consumes and charges nothing.
+        """
+        if self.producer_finished or self.state is not AlignmentState.RCV_CMP:
+            return 0
+        return self._queue.whole_frames(first, limit, plain)
+
     def _aligned_boundary(self, active_fc: int, count: int) -> bool:
         """The queue front is the clean (uncorrected) header of frame
         *active_fc* with at least *count* plain units published behind it.

@@ -20,14 +20,19 @@ end-of-computation signal from the PPU protection module).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.alignment_manager import AlignmentManager
 from repro.core.config import CommGuardConfig
-from repro.core.header import item_unit
+from repro.core.header import END_OF_COMPUTATION, DataUnit, item_unit
 from repro.core.header_inserter import HeaderInserter
 from repro.core.qit import QITEntry, QueueInfoTable
 from repro.core.queue_manager import GuardedQueue, QueueManager
 from repro.core.stats import CommGuardStats
 from repro.words import WORD_MASK
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.machine.plan import FramePlan
 
 
 class _FrameDomain:
@@ -136,6 +141,35 @@ class CommGuard:
             else:
                 self.hi.insert_for_queue(qid, domain.active_fc)
 
+    def charge_frames(
+        self, frames: int, in_units: tuple[int, ...], out_units: tuple[int, ...]
+    ) -> None:
+        """Charge *frames* whole aligned frames of a thread with one frame
+        domain at scale 1, whose frames pop ``in_units[i]`` plain units
+        from input queue ``i`` and push ``out_units[o]`` to output queue
+        ``o``: per frame, exactly what :meth:`on_new_frame_computation`,
+        the Header Inserter's insertion and push of one header per output
+        queue, the Alignment Managers' roll and correct-header match per
+        input queue, and the frame's plain pops and pushes charge.
+        Working-set publishes are left to the queues, which charge them
+        as they publish.
+        """
+        stats = self.stats
+        n_in, n_out = len(in_units), len(out_units)
+        pops = frames * (n_in + sum(in_units))
+        # The domain's count and roll, then one counter update per AM roll.
+        stats.counter_ops += frames * (2 + n_in)
+        # Per AM: the roll to ExpHdr and the header match; per HI insertion.
+        stats.fsm_ops += frames * (2 * n_in + n_out)
+        # One ECC check per header popped, one encode per header prepared.
+        stats.ecc_ops += frames * (n_in + n_out)
+        stats.prepare_header += frames * n_out
+        stats.header_stores += frames * n_out
+        stats.header_loads += frames * n_in
+        stats.is_header_checks += pops
+        stats.qm_pop_local += pops
+        stats.qm_push_local += frames * (n_out + sum(out_units))
+
     def on_end_of_computation(self) -> None:
         """The thread's outermost global scope exited (Section 4.4)."""
         if not self._ended:
@@ -177,6 +211,80 @@ class CommGuard:
         (the serializing dependency of Section 5.3).
         """
         return self.hi.advance()
+
+    # -- whole quiet frames ------------------------------------------------------
+    #
+    # The fast path's frame engine: K consecutive frame computations of the
+    # thread as one bulk transfer (NodeThread._fire_quiet_frames drives it).
+    # Each frame has exactly the effect of the per-frame sequence —
+    # on_new_frame_computation, advance_header_insertions, the aligned
+    # header match and the firings' pops and pushes — with the boundary
+    # charged K times by charge_frames.
+
+    def single_frame_domain(self) -> bool:
+        """True when all of the thread's queues share one frame domain at
+        scale 1: the engine's static precondition.  Scaled frames and
+        Section 5.4's mixed domains keep the per-frame path."""
+        return list(self._domains_by_scale) == [1]
+
+    def quiet_frames(self, plan: "FramePlan", limit: int) -> int:
+        """How many of the thread's next frame computations, up to
+        *limit*, the queues certify as whole quiet frames; ``0`` declines.
+        Consumes nothing.
+
+        Frame ``j`` of the span, with ``a`` the active-fc the next frame
+        takes, qualifies when the Header Inserter has nothing pending;
+        every Alignment Manager is in ``Rcv/Cmp`` with its producer
+        running and finds exactly the clean header of ``a + j`` followed
+        by the frame's plain units at its queue front (behind the frames
+        before it); every output queue has room for the span's headers
+        and plain units; and ``a + j`` is below the end-of-computation ID.
+        """
+        if not self.hi.idle:
+            return 0
+        domain = self._domains_by_scale[1]
+        first = domain.active_fc + 1 if domain.started else 0
+        limit = min(limit, END_OF_COMPUTATION - first)
+        outgoing = self.qm.outgoing
+        for qid, plain in zip(plan.out_qids, plan.out_units):
+            queue = outgoing[qid]
+            room = queue.geometry.capacity_units - queue.total_units()
+            limit = min(limit, room // (plain + 1))
+        if limit <= 0:
+            return 0
+        ams = self._ams
+        for qid, plain in zip(plan.in_qids, plan.in_units):
+            limit = ams[qid].whole_frames(first, limit, plain)
+            if not limit:
+                return 0
+        return limit
+
+    def pop_frames(self, plan: "FramePlan", frames: int) -> list[list[DataUnit]]:
+        """Pop *frames* certified frames off every input queue: one slice
+        per queue, in port order, headers included."""
+        incoming = self.qm.incoming
+        return [
+            incoming[qid].pop_frames(frames, plain)
+            for qid, plain in zip(plan.in_qids, plan.in_units)
+        ]
+
+    def push_frames(
+        self, plan: "FramePlan", frames: int, outputs: list[list[int]]
+    ) -> None:
+        """Close a span of *frames* certified frames: append each output
+        queue's headers and words (*outputs*, one flat list per port),
+        roll the domain to the span's last frame, and charge the frames'
+        boundaries.  Every Alignment Manager stays in ``Rcv/Cmp`` and the
+        Header Inserter idle, as after the per-frame path."""
+        domain = self._domains_by_scale[1]
+        first = domain.active_fc + 1 if domain.started else 0
+        stats = self.stats
+        outgoing = self.qm.outgoing
+        for qid, plain, words in zip(plan.out_qids, plan.out_units, outputs):
+            outgoing[qid].push_frames(first, frames, words, plain, stats)
+        domain.active_fc = first + frames - 1
+        domain.started = True
+        self.charge_frames(frames, plan.in_units, plan.out_units)
 
     # -- introspection ---------------------------------------------------------
 

@@ -22,7 +22,9 @@ payloads are exposed to the error injector.
 
 from __future__ import annotations
 
-from repro.core.ecc import ecc_decode, ecc_encode
+from functools import lru_cache
+
+from repro.core.ecc import EccError, ecc_decode, ecc_encode
 from repro.words import WORD_MASK
 
 #: Reserved frame ID signalling "this producer has finished its computation".
@@ -42,8 +44,15 @@ def item_unit(word: int) -> DataUnit:
     return word & WORD_MASK
 
 
+@lru_cache(maxsize=4096)
 def header_unit(frame_id: int) -> DataUnit:
-    """Build an ECC-protected frame-header unit for *frame_id*."""
+    """Build an ECC-protected frame-header unit for *frame_id*.
+
+    Memoised, so the queues, Header Inserters and Alignment Managers of a
+    run encode each frame's header once: a run's threads stay within a
+    few frames of each other (queue capacity bounds the lag), far inside
+    the cache's bound, which caps what a long-lived process keeps.
+    """
     if not 0 <= frame_id <= END_OF_COMPUTATION:
         raise ValueError(f"frame id {frame_id} out of 32-bit range")
     return HEADER_FLAG | ecc_encode(frame_id)
@@ -77,5 +86,5 @@ def is_end_of_computation(unit: DataUnit) -> bool:
         return False
     try:
         return header_frame_id(unit) == END_OF_COMPUTATION
-    except Exception:
+    except EccError:
         return False

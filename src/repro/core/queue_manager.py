@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
-from repro.core.header import DataUnit, is_header_unit
+from repro.core.header import DataUnit, header_unit, is_header_unit
 from repro.core.stats import CommGuardStats
 from repro.observability.events import QueueHighWater
 from repro.words import WORD_MASK
@@ -182,6 +183,75 @@ class GuardedQueue:
             self.peak_units = total
         return take
 
+    def push_frames(
+        self,
+        first: int,
+        frames: int,
+        words: list[int],
+        plain: int,
+        stats: CommGuardStats,
+    ) -> None:
+        """Append *frames* whole frames: frame ``j`` is the header of frame
+        ``first + j`` followed by its *plain* words of *words*.
+
+        The effect is exactly that of ``push_unit(header)``, ``flush()``
+        and ``push_items(frame words)`` per frame — the same publish
+        points, publish charges and ``peak_units`` — for a caller that has
+        checked the room for all of it.  Only the publishes are charged
+        here; the per-unit push charges (``qm_push_local``,
+        ``header_stores``) are the caller's.
+
+        The publish points follow from the working-set size ``W`` alone.
+        Each frame's header step publishes once: a full handoff when the
+        header fills the local working set, else the boundary refresh.
+        That leaves the local working set empty, so the frame's words make
+        ``plain // W`` full handoffs and leave ``plain % W`` words behind
+        for the next header to publish.  Publishing keeps unit order, so
+        the span is laid out once and published up to the last frame's
+        leftover words; wakes are idempotent within a step, so the
+        consumer is notified once.
+        """
+        local = self._producer_local
+        workset = self.geometry.workset_units
+        stride = plain + 1
+        wm = WORD_MASK
+        masked = [word & wm for word in words]
+        span: list[DataUnit] = []
+        end = 0
+        for frame_id in range(first, first + frames):
+            span.append(header_unit(frame_id))
+            span += masked[end : end + plain]
+            end += plain
+        per_frame, left = divmod(plain, workset)
+        word_handoffs = frames * per_frame
+        # The first header joins the units already local; each later one
+        # joins the previous frame's leftover words.
+        header_handoffs = (len(local) + 1 >= workset) + (frames - 1) * (
+            left + 1 >= workset
+        )
+        if self._local_headers:
+            base = self._published_total
+            self._header_offsets.extend(base + index for index in self._local_headers)
+            self._local_headers.clear()
+        ordinal = self._published_total + len(local)
+        self._header_offsets.extend(range(ordinal, ordinal + len(span), stride))
+        cut = len(span) - left
+        self._published.extend(local)
+        self._published.extend(span[:cut])
+        self._published_total = ordinal + cut
+        local[:] = span[cut:]
+        stats.qm_get_new_workset += frames + word_handoffs
+        stats.ecc_ops += (
+            ECC_OPS_PER_WORKSET_HANDOFF * (word_handoffs + header_handoffs)
+            + ECC_OPS_PER_BOUNDARY_REFRESH * (frames - header_handoffs)
+        )
+        if self.wake_hub is not None:
+            self.wake_hub.on_push(self.qid)
+        self._flushed = True
+        total = self.total_units()
+        if total > self.peak_units:
+            self.peak_units = total
+
     def flush(self, stats: CommGuardStats) -> bool:
         """Publish a partially-filled working set.
 
@@ -261,7 +331,58 @@ class GuardedQueue:
             self.wake_hub.on_pop(self.qid)
         return units
 
+    def pop_frames(self, frames: int, plain: int) -> list[DataUnit]:
+        """Pop *frames* whole frames that :meth:`whole_frames` counted —
+        each a header followed by *plain* plain units — as one slice,
+        headers included.
+
+        The queue state afterwards is that of the equivalent
+        :meth:`pop_unit` sequence; nothing is charged here (the guard's
+        ``charge_frames`` charges the per-unit pops).
+        """
+        take = frames * (plain + 1)
+        published = self._published
+        read = self._read
+        units = published[read : read + take]
+        self._read = read + take
+        self._popped_total += take
+        self._header_offsets = deque(islice(self._header_offsets, frames, None))
+        if self._read > _COMPACT_THRESHOLD:  # compact lazily
+            del published[: self._read]
+            self._read = 0
+        if self.wake_hub is not None:
+            self.wake_hub.on_pop(self.qid)
+        return units
+
     # -- introspection --------------------------------------------------------
+
+    def whole_frames(self, first: int, limit: int, plain: int) -> int:
+        """How many whole frames, up to *limit*, are published at the
+        consumer's front: frame ``j`` is exactly the clean header of frame
+        ``first + j`` followed by *plain* plain units, with the next
+        published header directly behind them.
+
+        Stops at the first frame that differs — a different or corrupted
+        header, one plain unit more or fewer, or a next header not yet
+        published.  O(frames counted) over the header ordinals.
+        """
+        offsets = iter(self._header_offsets)
+        ordinal = self._popped_total
+        if next(offsets, None) != ordinal:
+            return 0  # the front is not a header
+        published = self._published
+        index = self._read
+        stride = plain + 1
+        frames = 0
+        for next_header in islice(offsets, limit):
+            if published[index] != header_unit(first + frames):
+                break
+            ordinal += stride
+            if next_header != ordinal:
+                break
+            index += stride
+            frames += 1
+        return frames
 
     def visible_units(self) -> int:
         """Units the consumer could pop right now."""

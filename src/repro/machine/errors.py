@@ -109,13 +109,13 @@ class ErrorInjector:
     #: the error metrics labels.
     fault_name = "bit_flip"
 
-    #: Whether quiet-span certification (:meth:`quiet_for` /
+    #: Whether quiet-span certification (:meth:`quiet_windows` /
     #: :meth:`consume_quiet`) is sound for this model.  The base process is
     #: purely arrival-driven, so a window strictly shorter than the current
     #: countdown provably injects nothing.  Subclasses whose ``advance()``
     #: has effects beyond exponential arrivals (e.g. stuck-at replay while
-    #: dwelling) must either override :meth:`quiet_for` to account for them
-    #: or set this ``False`` to opt out of the fast path entirely.
+    #: dwelling) must either override :meth:`quiet_windows` to account for
+    #: them or set this ``False`` to opt out of the fast path entirely.
     supports_quiet_span = True
 
     def __init__(
@@ -154,33 +154,51 @@ class ErrorInjector:
             self._countdown += self._draw_gap()
         return events
 
-    def quiet_for(self, instructions: int) -> bool:
-        """True when an ``advance(instructions)`` would provably inject
-        nothing — the *error horizon* check of the quiet-span fast path.
+    def quiet_windows(self, instructions: int, limit: int) -> int:
+        """How many of the next *limit* consecutive windows of
+        *instructions* each would provably inject nothing, counted from
+        the first — the *error horizon* check of the quiet-span fast path.
+        Certified windows are consumed with :meth:`consume_quiet`.
 
-        The countdown to the next arrival is already drawn, so the window is
+        The countdown to the next arrival is already drawn, so a window is
         quiet iff it ends strictly before the countdown reaches zero
         (``advance`` fires the arrival when the countdown hits 0 exactly).
-        Certified windows are consumed with :meth:`consume_quiet`.
+        The count replays that test window by window on the countdown each
+        earlier window's :meth:`consume_quiet` subtraction would leave, so
+        ``quiet_windows(n, m)`` equals *m* successive ``quiet_windows(n, 1)``
+        / ``consume_quiet(n)`` steps stopping at the first refusal.  This is
+        the one certification primitive: fault models with effects beyond
+        arrivals override it.
         """
         if not self.supports_quiet_span:
-            return False
+            return 0
         countdown = self._countdown
-        return countdown is None or countdown > instructions
+        if countdown is None:
+            return limit
+        windows = 0
+        while windows < limit and countdown > instructions:
+            countdown -= instructions
+            windows += 1
+        return windows
 
-    def consume_quiet(self, instructions: int) -> None:
-        """Advance the clock through a window :meth:`quiet_for` certified.
+    def consume_quiet(self, instructions: int, windows: int = 1) -> None:
+        """Advance the clock through *windows* consecutive windows of
+        *instructions* each, all certified by :meth:`quiet_windows`.
 
-        The arithmetic is *identical* to :meth:`advance` — the same clock
-        add and the same single countdown subtraction — so interleaving
-        quiet and precise windows keeps the arrival process (and therefore
-        the RNG stream) bit-identical to an all-precise run.  Floating-point
-        subtraction is not associative, so the one-subtraction-per-window
-        discipline is load-bearing: never batch several windows into one.
+        The arithmetic is *identical* to one :meth:`advance` per window —
+        the same clock adds and one countdown subtraction per window — so
+        interleaving quiet and precise windows keeps the arrival process
+        (and therefore the RNG stream) bit-identical to an all-precise run.
+        Floating-point subtraction is not associative, so the
+        one-subtraction-per-window discipline is load-bearing: never merge
+        several windows into one subtraction.
         """
-        self.clock += instructions
-        if self._countdown is not None:
-            self._countdown -= instructions
+        self.clock += instructions * windows
+        countdown = self._countdown
+        if countdown is not None:
+            for _ in range(windows):
+                countdown -= instructions
+            self._countdown = countdown
 
     def _arrival(self, events: list[ErrorEvent]) -> None:
         """One error arrival: draw masking, then the architectural effect.

@@ -262,13 +262,13 @@ class StickyInjector(ErrorInjector):
                 self._stuck_kind = None
         return events
 
-    def quiet_for(self, instructions: int) -> bool:
+    def quiet_windows(self, instructions: int, limit: int) -> int:
         # While a register is stuck, every advance window re-corrupts (and
         # an expired dwell is only cleared by advance()); no window is
         # quiet until the precise path has run the fault off.
         if self._stuck_kind is not None:
-            return False
-        return super().quiet_for(instructions)
+            return 0
+        return super().quiet_windows(instructions, limit)
 
 
 # -- the registry ---------------------------------------------------------------

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator
 
 from repro.core.guard import CommGuard
 from repro.core.stats import ThreadCounters
 from repro.machine.errors import ErrorInjector, ErrorKind
-from repro.machine.plan import FiringPlan, compile_plan
+from repro.machine.plan import FiringPlan, FramePlan, compile_frame_plan, compile_plan
 from repro.machine.ppu import PPUModel
 from repro.machine.queues import RawQueue
 from repro.observability.events import QMTimeout
@@ -141,8 +143,9 @@ class GuardedCommPath(CommPath):
 
     def __init__(self, guard: CommGuard, in_qids: list[int], out_qids: list[int]) -> None:
         self.guard = guard
-        self._in_qids = in_qids
-        self._out_qids = out_qids
+        #: Queue ids of the input / output ports, in port order.
+        self.in_qids = in_qids
+        self.out_qids = out_qids
 
     def on_frame_start(self) -> None:
         self.guard.on_new_frame_computation()
@@ -151,16 +154,16 @@ class GuardedCommPath(CommPath):
         return self.guard.advance_header_insertions()
 
     def push(self, port: int, word: int) -> bool:
-        return self.guard.push(self._out_qids[port], word)
+        return self.guard.push(self.out_qids[port], word)
 
     def pop(self, port: int) -> int | None:
-        return self.guard.pop(self._in_qids[port])
+        return self.guard.pop(self.in_qids[port])
 
     def push_many(self, port: int, words: list[int], start: int) -> int:
-        return self.guard.push_many(self._out_qids[port], words, start)
+        return self.guard.push_many(self.out_qids[port], words, start)
 
     def pop_many(self, port: int, limit: int) -> list[int]:
-        return self.guard.pop_many(self._in_qids[port], limit)
+        return self.guard.pop_many(self.in_qids[port], limit)
 
     def can_fire_quiet(
         self, input_rates: tuple[int, ...], output_rates: tuple[int, ...]
@@ -171,11 +174,11 @@ class GuardedCommPath(CommPath):
             # (Section 5.3); defensive — the thread drains them at frame
             # boundaries before any firing runs.
             return False
-        in_qids = self._in_qids
+        in_qids = self.in_qids
         for port, rate in enumerate(input_rates):
             if not guard.can_pop_quiet(in_qids[port], rate):
                 return False
-        out_qids = self._out_qids
+        out_qids = self.out_qids
         for port, rate in enumerate(output_rates):
             if not guard.can_push_quiet(out_qids[port], rate):
                 return False
@@ -254,6 +257,22 @@ class NodeThread:
         # event bytes exactly, and under a profiler so every firing is
         # individually classified.
         self._fast = exec_mode == "fast" and tracer is None and profiler is None
+        #: Whole-quiet-frames engine (see _fire_quiet_frames): the frame
+        #: plan of a guarded thread on the fast path whose guard has one
+        #: frame domain at scale 1; ``None`` runs every frame per frame.
+        self.frame_plan: FramePlan | None = None
+        if (
+            self._fast
+            and isinstance(comm, GuardedCommPath)
+            and comm.guard.single_frame_domain()
+        ):
+            self.frame_plan = compile_frame_plan(
+                self.plan,
+                firings_per_frame,
+                comm.in_qids,
+                comm.out_qids,
+                frame_stall_cycles,
+            )
         self.counters = ThreadCounters()
         if isinstance(comm, GuardedCommPath):
             # Share the guard's stats object so aggregation sees both.
@@ -303,7 +322,16 @@ class NodeThread:
     # -- thread body --------------------------------------------------------------
 
     def _run(self) -> Iterator[None]:
-        for _frame in range(self.n_frames):
+        frame_plan = self.frame_plan
+        n_frames = self.n_frames
+        frame = 0
+        while frame < n_frames:
+            if frame_plan is not None:
+                ran = self._fire_quiet_frames(n_frames - frame)
+                if ran:
+                    frame += ran
+                    continue
+            frame += 1
             self.comm.on_frame_start()
             self.counters.frame_computations += 1
             self.counters.stall_cycles += self.frame_stall_cycles
@@ -364,7 +392,7 @@ class NodeThread:
         the precise generator path for this firing.
         """
         plan = self.plan
-        if not self.injector.quiet_for(plan.cost):
+        if not self.injector.quiet_windows(plan.cost, 1):
             return False
         comm = self.comm
         if not comm.can_fire_quiet(plan.input_rates, plan.output_rates):
@@ -406,6 +434,82 @@ class NodeThread:
         counters.firings += 1
         self._timeout_mode = False
         return True
+
+    def _fire_quiet_frames(self, remaining: int) -> int:
+        """Run up to *remaining* whole quiet frame computations as one bulk
+        transfer; return how many ran (``0``: the per-frame path runs the
+        next frame).
+
+        Eligibility (checked first, consuming nothing on failure): the
+        guard certifies K frames (:meth:`CommGuard.quiet_frames`: the
+        Header Inserter idle, every Alignment Manager aligned in
+        ``Rcv/Cmp`` with the K frames' clean headers and exact plain units
+        at its queue front, room for K frames in every output queue), and
+        the injector certifies the K × F firing windows as quiet.
+
+        Each such frame is, unit for unit, the frame the per-frame path
+        would run without yielding — boundary, header match and F quiet
+        firings — so the span pops each input queue's K frames as one
+        slice, calls ``work`` K × F times in order, appends each output
+        queue's K frames with their headers in place, and charges the
+        thread counters K times from the frame plan (the guard charges the
+        K boundaries, the queues their publishes).  The injector consumes
+        the K × F windows with one countdown subtraction each.  The span
+        never yields, and the frame after it blocks exactly where the
+        per-frame path would, so sweeps and wake order do not move.
+        """
+        frame_plan = self.frame_plan
+        guard = self.comm.guard
+        k = guard.quiet_frames(frame_plan, remaining)
+        if not k:
+            return 0
+        plan = self.plan
+        firings = frame_plan.firings
+        k = min(k, self.injector.quiet_windows(plan.cost, k * firings) // firings)
+        if not k:
+            return 0
+        self.injector.consume_quiet(plan.cost, k * firings)
+        node = self.node
+
+        ports = []
+        for units, plain, rate in zip(
+            guard.pop_frames(frame_plan, k), frame_plan.in_units, plan.input_rates
+        ):
+            del units[:: plain + 1]  # the K headers; the plain units are contiguous
+            ports.append(
+                [units[start : start + rate] for start in range(0, len(units), rate)]
+            )
+        if ports:
+            batches = map(list, zip(*ports))
+        else:
+            batches = [[] for _ in range(k * firings)]
+
+        work = node.work
+        results = [work(batch) for batch in batches]
+        output_rates = plan.output_rates
+        for outputs in results:
+            if tuple(map(len, outputs)) != output_rates:
+                raise RuntimeError(
+                    f"filter {node.name} produced wrong batch shape: "
+                    f"{[len(p) for p in outputs]} vs rates {node.output_rates}"
+                )
+        produced = [
+            list(chain.from_iterable(map(itemgetter(port), results)))
+            for port in range(len(output_rates))
+        ]
+        guard.push_frames(frame_plan, k, produced)
+
+        counters = self.counters
+        counters.frame_computations += k
+        counters.stall_cycles += k * frame_plan.stall_cycles
+        counters.committed_instructions += k * frame_plan.instructions
+        counters.firings += k * firings
+        counters.items_popped += k * frame_plan.items_popped
+        counters.items_pushed += k * frame_plan.items_pushed
+        counters.memory.loads += k * frame_plan.loads
+        counters.memory.stores += k * frame_plan.stores
+        self._timeout_mode = False
+        return k
 
     def _fire(self) -> Iterator[None]:
         node = self.node

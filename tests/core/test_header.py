@@ -57,6 +57,8 @@ class TestHeaderUnits:
     def test_eoc_detection(self):
         assert is_end_of_computation(header_unit(END_OF_COMPUTATION))
         assert not is_end_of_computation(header_unit(5))
+        # A double-bit error is detected, not corrected: not an EOC header.
+        assert not is_end_of_computation(header_unit(END_OF_COMPUTATION) ^ 0b11)
 
     @given(frame_ids, st.integers(min_value=0, max_value=38))
     def test_single_bit_corruption_in_payload_still_decodes(self, frame_id, bit):

@@ -62,16 +62,18 @@ def run_snapshot(config, app_name, protection, mtbe, seed, scale=0.25, **kw):
 
 
 #: Guarded DSP apps in which nearly every firing starts a frame, so their
-#: quiet spans run across aligned frame boundaries.  Small scale keeps
-#: each run near a tenth of a second.
-DSP_APPS = ("complex-fir", "channelvocoder")
+#: quiet spans run across aligned frame boundaries (and whole quiet frames
+#: run as one bulk transfer).  Small scale keeps each run near a tenth of
+#: a second.
+DSP_APPS = ("complex-fir", "channelvocoder", "audiobeamformer")
 DSP_SCALE = 0.05
 
 
 def grid_points():
     """Every protection level, a dense-error and a quiet-span-heavy MTBE,
     two seeds, over apps covering the guarded and raw queue paths, plus
-    CommGuard runs of the DSP apps."""
+    CommGuard runs of the DSP apps, including one error-free run each
+    (the Fig. 12-14 overhead runs, quiet from start to end)."""
     points = []
     for app_name in ("jpeg", "mp3", "fft"):
         for protection in ProtectionLevel:
@@ -87,6 +89,8 @@ def grid_points():
         for mtbe in (10_000.0, 1_024_000.0):
             for seed in (0, 1):
                 points.append((app_name, ProtectionLevel.COMMGUARD, mtbe, seed))
+    for app_name in DSP_APPS:
+        points.append((app_name, ProtectionLevel.COMMGUARD, None, 0))
     return points
 
 
@@ -107,6 +111,14 @@ class TestBitIdenticalResults:
         # headers only where a frame domain actually rolls over.
         kw = dict(scale=DSP_SCALE, commguard_config=CommGuardConfig(frame_scale=4))
         point = ("channelvocoder", ProtectionLevel.COMMGUARD, 1_024_000.0, 0)
+        assert run_snapshot(FAST, *point, **kw) == run_snapshot(PRECISE, *point, **kw)
+
+    def test_small_worksets_match(self):
+        # complex-fir moves 2 words per port per frame: with 3-unit working
+        # sets every header push completes a full handoff and the boundary
+        # flush behind it finds nothing to publish.
+        kw = dict(scale=DSP_SCALE, commguard_config=CommGuardConfig(workset_units=3))
+        point = ("complex-fir", ProtectionLevel.COMMGUARD, 1_024_000.0, 0)
         assert run_snapshot(FAST, *point, **kw) == run_snapshot(PRECISE, *point, **kw)
 
     def test_timeout_heavy_run_matches(self):
@@ -189,18 +201,18 @@ class TestQuietSpanContract:
         injector = ErrorInjector(ErrorModel(mtbe=1000.0), seed=0, core_id=0)
         countdown = injector._countdown
         assert countdown is not None
-        assert injector.quiet_for(int(countdown) - 1)
-        assert not injector.quiet_for(int(countdown) + 1)
+        assert injector.quiet_windows(int(countdown) - 1, 1) == 1
+        assert injector.quiet_windows(int(countdown) + 1, 1) == 0
 
     def test_error_free_injector_is_always_quiet(self):
         injector = ErrorInjector(ErrorModel(mtbe=None), seed=0, core_id=0)
-        assert injector.quiet_for(10**9)
+        assert injector.quiet_windows(10**9, 1) == 1
 
     def test_consume_quiet_matches_advance_arithmetic(self):
         a = ErrorInjector(ErrorModel(mtbe=50_000.0), seed=7, core_id=0)
         b = ErrorInjector(ErrorModel(mtbe=50_000.0), seed=7, core_id=0)
         n = 1000
-        assert a.quiet_for(n)
+        assert a.quiet_windows(n, 1) == 1
         a.consume_quiet(n)
         b.advance(n)
         assert a.clock == b.clock
@@ -211,7 +223,7 @@ class TestQuietSpanContract:
             supports_quiet_span = False
 
         injector = CustomInjector(ErrorModel(mtbe=None), seed=0, core_id=0)
-        assert not injector.quiet_for(1)
+        assert injector.quiet_windows(1, 1) == 0
 
     def test_invalid_exec_mode_names_choices(self):
         app = build_app("fft", scale=0.1)
