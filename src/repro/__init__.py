@@ -13,7 +13,8 @@ Public layers:
   Table 1 FSM, SEC-DED ECC, suboperation accounting).
 * :mod:`repro.apps` — the six StreamIt benchmarks of the evaluation.
 * :mod:`repro.quality` — SNR/PSNR metrics and synthetic media inputs.
-* :mod:`repro.experiments` — harnesses regenerating every table and figure.
+* :mod:`repro.experiments` — every table and figure as graded paper
+  targets, run by the store-backed ``repro paper`` pipeline.
 
 * :mod:`repro.observability` — structured event tracing and labelled
   metrics for every run.

@@ -503,11 +503,11 @@ class SweepPoint:
 class SweepReport:
     """Every point of one :func:`sweep`, in grid order.
 
-    Grid order is ``protection``-major, then ``mtbe``, then ``seed`` —
-    the same nesting the figure harnesses use.  ``stats`` carries the
-    engine's :class:`~repro.experiments.parallel.SweepStats` (wall/CPU
-    seconds, cache hits, failure/retry counts) when the parallel engine
-    executed the sweep.  Keep-going sweeps may contain failed points:
+    Grid order is ``protection``-major, then ``mtbe``, then ``seed``.
+    ``stats`` carries the engine's
+    :class:`~repro.experiments.parallel.SweepStats` (wall/CPU seconds,
+    cache hits, failure/retry counts) when the parallel engine executed
+    the sweep.  Keep-going sweeps may contain failed points:
     ``failures`` lists them, and every aggregation view (``select``,
     ``records``, the stats methods) covers completed points only.
     """
@@ -793,7 +793,7 @@ def sweep(
     (and cache-shared) across fault models.
 
     *options* is the shared :class:`~repro.experiments.EngineOptions` the
-    CLI and figure harnesses use: the sweep executes on the parallel
+    CLI uses: the sweep executes on the parallel
     engine with its ``jobs``/``trace_dir`` behaviour, and
     ``options.scale`` is the app-build input scale.  The fault-tolerance
     knobs (``retries``, ``run_timeout``, ``retry_backoff``,

@@ -5,7 +5,9 @@ Commands:
 * ``list`` — the six benchmarks and the reproducible figures/tables.
 * ``run`` — run one benchmark under a protection level and error rate
   (``--trace PATH`` streams the run's structured events as JSONL).
-* ``figure`` — regenerate one of the paper's figures/tables.
+* ``figure`` — grade one of the paper's figures/tables: the ``paper``
+  pipeline narrowed to that figure's targets, printing the section
+  ``paper`` writes to ``reproduction_data/<figure>.txt``.
 * ``sweep`` — MTBE sweep of one benchmark (quality + loss per point;
   ``--trace-dir DIR`` ships one JSONL trace per executed run).  The
   fault-tolerance flags — ``--retries N``, ``--run-timeout SECONDS``,
@@ -49,13 +51,13 @@ the uninterrupted sweep would have.
 fast path (default) or the per-word precise oracle — bit-identical by
 contract, so the choice only affects wall-clock time.
 
-``figure`` and ``sweep`` execute through the parallel sweep engine:
-``--jobs N`` (or the ``REPRO_JOBS`` environment variable) fans independent
-runs out over N worker processes, and completed points are memoized in
-the default result store ``.repro_store.sqlite`` (``--no-cache``
-disables it; ``REPRO_STORE`` moves it; a ``--store`` named on ``sweep``
-is always used) so re-running a figure or resuming an interrupted sweep
-skips finished work.
+``figure``, ``paper`` and ``sweep`` execute through the parallel sweep
+engine: ``--jobs N`` (or the ``REPRO_JOBS`` environment variable) fans
+independent runs out over N worker processes, and completed points are
+memoized in the default result store ``.repro_store.sqlite``
+(``REPRO_STORE`` moves it; ``sweep --no-cache`` disables it; a
+``--store`` named on ``sweep`` or ``paper`` is always used) so re-running
+a figure or resuming an interrupted sweep skips finished work.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from repro.experiments.parallel import (
     SweepStats,
 )
 from repro.experiments.aggregate import summarize
-from repro.experiments.registry import figure_names, figure_specs, resolve_figure
+from repro.experiments.registry import figure_names, figure_specs
 from repro.experiments.store import (
     ENV_LEGACY_CACHE_DIR,
     LEGACY_CACHE_DIR,
@@ -89,13 +91,6 @@ from repro.machine.faults import FAULT_MODELS, FaultModelSpec, fault_model_names
 from repro.machine.protection import ProtectionLevel
 from repro.observability.tracer import read_trace, summarize_trace
 from repro.quality.metrics import QUALITY_CAP_DB
-
-#: Derived view over the figure registry (canonical name -> (module,
-#: description)); kept for backwards compatibility — the registry in
-#: :mod:`repro.experiments.registry` is the source of truth.
-FIGURES = {
-    spec.name: (spec.module, spec.description) for spec in figure_specs()
-}
 
 #: Accepted --protection spellings: the canonical values plus the "ppu"
 #: shorthand; all funnel through :meth:`ProtectionLevel.parse`.
@@ -206,17 +201,48 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_paper_pipeline(
+    label: str, tier: str, options: EngineOptions, figure=None, progress=None
+):
+    """Run the paper pipeline, reporting the grid's executed/hit split on
+    stderr; ``None`` when interrupted (completed runs stay in the store)."""
+    from repro.experiments.paper import run_paper
+
+    try:
+        run = run_paper(tier, figure=figure, options=options, progress=progress)
+    except KeyboardInterrupt:
+        print(
+            f"\n[{label}] interrupted — completed runs are in the store; "
+            "re-run the same command to resume with zero re-execution",
+            file=sys.stderr,
+        )
+        return None
+    stats = run.stats
+    if stats is not None:
+        print(
+            f"[{label}] grid: {stats.executed} executed, "
+            f"{stats.cache_hits} store hits, {stats.failed} failed "
+            f"(campaign {run.report.campaign} in {run.store.path})",
+            file=sys.stderr,
+        )
+    return run
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.paper import figure_sections
+
     if args.list or args.name is None:
         if args.name is None and not args.list:
             print("usage: repro figure <name> (or --list)", file=sys.stderr)
         _print_figure_listing()
         return 0 if args.list else 2
-    spec = resolve_figure(args.name)
-    options = EngineOptions(
-        scale=args.scale, jobs=args.jobs, cache=not args.no_cache
+    run = _run_paper_pipeline(
+        "figure", args.scale, EngineOptions(jobs=args.jobs), figure=args.name
     )
-    print(spec.run(options).text)
+    if run is None:
+        return 130
+    ((_, section),) = figure_sections(run.report)
+    print(section)
     return 0
 
 
@@ -505,27 +531,14 @@ def cmd_paper(args: argparse.Namespace) -> int:
         keep_going=True,
         store=args.store if args.store is not None else True,
     )
-    try:
-        run = paper_pipeline.run_paper(
-            args.scale,
-            options=options,
-            progress=_progress_printer() if args.progress else None,
-        )
-    except KeyboardInterrupt:
-        print(
-            "\n[paper] interrupted — completed runs are in the store; "
-            "re-run the same command to resume with zero re-execution",
-            file=sys.stderr,
-        )
+    run = _run_paper_pipeline(
+        "paper",
+        args.scale,
+        options,
+        progress=_progress_printer() if args.progress else None,
+    )
+    if run is None:
         return 130
-    stats = run.stats
-    if stats is not None:
-        print(
-            f"[paper] grid: {stats.executed} executed, "
-            f"{stats.cache_hits} store hits, {stats.failed} failed "
-            f"(campaign {run.report.campaign} in {run.store.path})",
-            file=sys.stderr,
-        )
     paths = paper_pipeline.write_bundle(run, args.out)
     report = run.report
     counts = report.counts()
@@ -908,6 +921,16 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_tier_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scale",
+        choices=["smoke", "reduced", "full"],
+        default="reduced",
+        help="fidelity tier: smoke (CI-sized), reduced (laptop-sized, "
+        "default), full (the paper's Section 6 setup)",
+    )
+
+
 def _add_exec_mode_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--exec-mode",
@@ -976,7 +999,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_mode_option(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
-    figure_parser = sub.add_parser("figure", help="regenerate a paper figure")
+    figure_parser = sub.add_parser(
+        "figure", help="grade one paper figure (its section of `paper`)"
+    )
     figure_parser.add_argument(
         "name",
         nargs="?",
@@ -987,8 +1012,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser.add_argument(
         "--list", action="store_true", help="list the registered figures and exit"
     )
-    figure_parser.add_argument("--scale", type=float, default=None)
-    _add_engine_options(figure_parser)
+    _add_tier_option(figure_parser)
+    _add_jobs_option(figure_parser)
     figure_parser.set_defaults(func=cmd_figure)
 
     sweep_parser = sub.add_parser("sweep", help="MTBE sweep of one benchmark")
@@ -1138,13 +1163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paper",
         help="run the whole paper reproduction and grade it vs the paper",
     )
-    paper_parser.add_argument(
-        "--scale",
-        choices=["smoke", "reduced", "full"],
-        default="reduced",
-        help="fidelity tier: smoke (CI-sized), reduced (laptop-sized, "
-        "default), full (the paper's Section 6 setup)",
-    )
+    _add_tier_option(paper_parser)
     paper_parser.add_argument(
         "--out", default=".", metavar="DIR",
         help="bundle directory for REPRODUCTION.md / reproduction.json / "

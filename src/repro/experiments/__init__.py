@@ -1,15 +1,18 @@
-"""Experiment harnesses: one module per table/figure of the paper.
+"""Experiments: the paper's figures and tables as graded targets.
 
-Every module exposes a ``run(...)`` function returning structured results
-and a ``main()`` that prints the same rows/series the paper reports, and
-registers itself in the :mod:`~repro.experiments.registry` — the figure
-registry the CLI derives its dispatch and listings from.  The DESIGN.md
-experiment index maps each paper artifact to its module here and to the
-pytest-benchmark target that regenerates it.
+Each figure module (one per table/figure of the paper) declares the
+values the paper reports as :class:`PaperTarget`\\ s in ``paper_targets()``
+and registers itself in the :mod:`~repro.experiments.registry`.
+:func:`run_paper` executes every target's runs once, as one resumable
+:class:`RunStore` campaign through the :class:`ParallelRunner`, and
+grades each against its tolerance band; ``repro figure NAME`` runs the
+same pipeline on one figure.  The DESIGN.md experiment index maps each
+paper artifact to its module here and to its target prefix and tests.
 
-All harnesses accept a ``scale`` parameter shrinking the benchmark inputs
-(and a ``seeds`` count) so the full suite stays laptop-friendly;
-EXPERIMENTS.md records paper-vs-measured values at the recorded scales.
+Three scale tiers (:data:`~repro.experiments.fidelity.SCALE_TIERS`)
+shrink the inputs and seed counts so the whole reproduction stays
+laptop-friendly; EXPERIMENTS.md records paper-vs-measured values per
+tier.
 """
 
 from repro.experiments.options import EngineOptions
@@ -22,7 +25,6 @@ from repro.experiments.parallel import (
     SweepStats,
 )
 from repro.experiments.registry import (
-    FigureArtifact,
     FigureSpec,
     figure_names,
     figure_specs,
@@ -59,7 +61,7 @@ from repro.experiments.sweeps import (
     PAPER_SEEDS,
 )
 
-# Importing the harness modules is what populates the figure registry; they
+# Importing the figure modules is what populates the figure registry; they
 # must come after the engine imports above (they build on them), and their
 # order here is the registry's display order.
 from repro.experiments import (  # noqa: E402  isort: skip
@@ -86,7 +88,6 @@ __all__ = [
     "Comparison",
     "EngineOptions",
     "FailureRecord",
-    "FigureArtifact",
     "FigureSpec",
     "PaperRun",
     "PaperTarget",

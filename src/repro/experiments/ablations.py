@@ -1,7 +1,7 @@
 """Ablation studies on CommGuard's design choices (beyond the paper's
 figures, supporting its claims directly).
 
-* **Error-class decomposition** — run jpeg under single-class error models
+* **Error-class decomposition** — jpeg under single-class error models
   (data-only, control-only, address-only) across protection levels.  This
   isolates *which* failure class CommGuard actually converts: data errors
   pass through (tolerable by design), control-flow misalignments are
@@ -12,189 +12,16 @@ figures, supporting its claims directly).
 * **Working-set sizing** — the QM's ECC overhead vs sub-region size
   (Section 5.1's 320KB/8 design point is a latency/overhead trade).
 
-All three sweeps express their points as :class:`RunSpec`s (the error-model
-overrides and the ``workset_units`` knob are spec fields) and execute
-through the parallel engine in one fan-out each.
+The error-model overrides and the ``workset_units`` knob are
+:class:`~repro.experiments.parallel.RunSpec` fields.  The error-class
+claims are graded here; ``tests/experiments/test_ablations.py`` checks
+the rest over their own runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.parallel import ParallelRunner, RunSpec
-from repro.experiments.report import format_table
-from repro.experiments.runner import SimulationRunner
-from repro.machine.protection import ProtectionLevel
-from repro.quality.metrics import QUALITY_CAP_DB
 from repro.experiments.registry import register_figure
-
-CLASS_MODELS = {
-    "data-only": dict(p_data=1.0, p_control=0.0, p_address=0.0),
-    "control-only": dict(p_data=0.0, p_control=1.0, p_address=0.0),
-    "address-only": dict(p_data=0.0, p_control=0.0, p_address=1.0),
-}
-
-LEVELS = (
-    ProtectionLevel.PPU_ONLY,
-    ProtectionLevel.PPU_RELIABLE_QUEUE,
-    ProtectionLevel.COMMGUARD,
-)
-
-
-@dataclass(frozen=True)
-class ClassAblationCell:
-    error_class: str
-    protection: ProtectionLevel
-    mean_quality_db: float
-
-
-def _mean_capped_quality(records) -> float:
-    return sum(min(r.quality_db, QUALITY_CAP_DB) for r in records) / len(records)
-
-
-def error_class_decomposition(
-    app_name: str = "jpeg",
-    mtbe: float = 400_000,
-    scale: float = 1.0,
-    n_seeds: int = 3,
-    runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    store=None,
-) -> list[ClassAblationCell]:
-    """Quality per (error class, protection level), unmasked errors only."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
-    cells_axes = [
-        (class_name, level)
-        for class_name in CLASS_MODELS
-        for level in LEVELS
-    ]
-    specs = [
-        RunSpec(
-            app=app_name,
-            protection=level,
-            mtbe=mtbe,
-            seed=seed,
-            p_masked=0.0,
-            **CLASS_MODELS[class_name],
-        )
-        for class_name, level in cells_axes
-        for seed in range(n_seeds)
-    ]
-    records = runner.run_specs(specs)
-    cells = []
-    for index, (class_name, level) in enumerate(cells_axes):
-        chunk = records[index * n_seeds : (index + 1) * n_seeds]
-        cells.append(
-            ClassAblationCell(class_name, level, _mean_capped_quality(chunk))
-        )
-    return cells
-
-
-def masking_sensitivity(
-    app_name: str = "jpeg",
-    mtbe: float = 256_000,
-    scale: float = 1.0,
-    n_seeds: int = 3,
-    masking_rates: tuple[float, ...] = (0.0, 0.5, 0.8, 0.95),
-    runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    store=None,
-) -> dict[float, float]:
-    """Mean CommGuard quality vs the masked fraction of injected errors."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
-    specs = [
-        RunSpec(
-            app=app_name,
-            protection=ProtectionLevel.COMMGUARD,
-            mtbe=mtbe,
-            seed=seed,
-            p_masked=p_masked,
-        )
-        for p_masked in masking_rates
-        for seed in range(n_seeds)
-    ]
-    records = runner.run_specs(specs)
-    return {
-        p_masked: _mean_capped_quality(
-            records[index * n_seeds : (index + 1) * n_seeds]
-        )
-        for index, p_masked in enumerate(masking_rates)
-    }
-
-
-def workset_size_overhead(
-    app_name: str = "jpeg",
-    scale: float = 0.5,
-    workset_sizes: tuple[int, ...] = (8, 32, 256, 2048),
-    runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    store=None,
-) -> dict[int, float]:
-    """ECC suboperations per committed instruction vs working-set size."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
-    specs = [
-        RunSpec(
-            app=app_name,
-            protection=ProtectionLevel.COMMGUARD,
-            mtbe=None,
-            workset_units=units,
-        )
-        for units in workset_sizes
-    ]
-    records = runner.run_specs(specs)
-    return {
-        units: record.subop_ratios["ecc"]
-        for units, record in zip(workset_sizes, records)
-    }
-
-
-def main(
-    scale: float = 1.0,
-    n_seeds: int = 3,
-    jobs: int | None = None,
-    store=None,
-) -> str:
-    runner = ParallelRunner(scale=scale, jobs=jobs, store=store)
-    sections = []
-
-    cells = error_class_decomposition(n_seeds=n_seeds, runner=runner)
-    rows = []
-    for class_name in CLASS_MODELS:
-        row: list[object] = [class_name]
-        for level in LEVELS:
-            match = [
-                c
-                for c in cells
-                if c.error_class == class_name and c.protection == level
-            ]
-            row.append(match[0].mean_quality_db)
-        rows.append(row)
-    sections.append(
-        "Ablation: jpeg PSNR by error class and protection (unmasked errors)\n"
-        + format_table(
-            ["error class"] + [level.value for level in LEVELS], rows
-        )
-    )
-
-    masking = masking_sensitivity(n_seeds=n_seeds, runner=runner)
-    sections.append(
-        "Ablation: jpeg PSNR vs architectural masking rate (CommGuard)\n"
-        + format_table(
-            ["p_masked", "PSNR (dB)"], [[p, q] for p, q in masking.items()]
-        )
-    )
-
-    worksets = workset_size_overhead(
-        runner=ParallelRunner(scale=0.5, jobs=jobs, store=store)
-    )
-    sections.append(
-        "Ablation: QM ECC suboperation ratio vs working-set size (error-free)\n"
-        + format_table(
-            ["workset units", "ECC ops / instruction"],
-            [[w, r] for w, r in worksets.items()],
-        )
-    )
-    return "\n\n".join(sections)
+from repro.machine.protection import ProtectionLevel
 
 
 def paper_targets():
@@ -280,6 +107,3 @@ register_figure(
     paper_section="Section 5 design choices",
 )
 
-
-if __name__ == "__main__":  # pragma: no cover
-    print(main())

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.apps.registry import APP_ORDER
@@ -205,6 +206,11 @@ class Measurement:
         """The runs this measurement needs at *tier* (possibly empty)."""
         return _statistic(self.statistic).specs(self, tier)
 
+    @property
+    def charted(self) -> bool:
+        """Whether the value is a point on the paper's MTBE axis."""
+        return self.mtbe is not None and _statistic(self.statistic).charted
+
     def evaluate(
         self,
         tier: ScaleTier,
@@ -239,6 +245,10 @@ class _Statistic:
 
     build: Callable[[Measurement, ScaleTier], tuple[RunSpec, ...]]
     reduce: Callable[..., "tuple[float, CellStats | None]"]
+    #: False for differences between runs (ladder steps, baseline gaps):
+    #: such a value is no point on the paper's MTBE axis, so the
+    #: measured-vs-paper chart leaves it out.
+    charted: bool = True
 
     def specs(self, m: Measurement, tier: ScaleTier) -> tuple[RunSpec, ...]:
         return self.build(m, tier)
@@ -342,35 +352,25 @@ def _overhead_pair(app: str, frame_scale: int) -> tuple[RunSpec, RunSpec]:
     )
 
 
-def _runtime_overhead_specs(m, tier):
-    return _overhead_pair(m.app, m.frame_scale)
-
-
-def _runtime_overhead(m, tier, records, runner):
-    baseline, guarded = _require(records)
-    return (
-        (guarded.execution_time - baseline.execution_time)
-        / baseline.execution_time,
-        None,
-    )
-
-
 def _all_apps_overhead_specs(m, tier):
     return tuple(
         spec for app in APP_ORDER for spec in _overhead_pair(app, m.frame_scale)
     )
 
 
-def _runtime_overhead_gmean(m, tier, records, runner):
-    got = _require(records)
-    overheads = []
-    for index in range(0, len(got), 2):
-        baseline, guarded = got[index], got[index + 1]
-        overheads.append(
+def _overhead_fold(fold):
+    """Fold the overheads of ``(baseline, guarded)`` record pairs."""
+
+    def reduce_pairs(m, tier, records, runner):
+        got = _require(records)
+        overheads = [
             (guarded.execution_time - baseline.execution_time)
             / baseline.execution_time
-        )
-    return geometric_mean(overheads), None
+            for baseline, guarded in zip(got[::2], got[1::2])
+        ]
+        return fold(overheads), None
+
+    return reduce_pairs
 
 
 def _gain_specs(m: Measurement, tier: ScaleTier) -> tuple[RunSpec, ...]:
@@ -403,6 +403,29 @@ def _protection_gain(m, tier, records, runner):
     )
 
 
+def _clamped_mean_db(records: Sequence[RunRecord]) -> float:
+    """Mean clamped quality: the mean ``mean_quality_db`` reports."""
+    return sum(clamp_db(r.quality_db, QUALITY_CAP_DB) for r in records) / len(
+        records
+    )
+
+
+def _ladder_step_specs(m: Measurement, tier: ScaleTier) -> tuple[RunSpec, ...]:
+    """Seeded runs one 4x ladder rung below ``m.mtbe``, then at ``m.mtbe``."""
+    return _seed_specs(replace(m, mtbe=m.mtbe / 4), tier) + _seed_specs(m, tier)
+
+
+def _quality_step(m, tier, records, runner):
+    got = _require(records)
+    half = len(got) // 2
+    return _clamped_mean_db(got[half:]) - _clamped_mean_db(got[:half]), None
+
+
+def _baseline_gap(m, tier, records, runner):
+    baseline = clamp_db(runner.app(m.app).baseline_quality(), QUALITY_CAP_DB)
+    return baseline - _clamped_mean_db(_require(records)), None
+
+
 def _guarded_errorfree_spec(app: str) -> RunSpec:
     return RunSpec(app=app, protection=ProtectionLevel.COMMGUARD, mtbe=None)
 
@@ -423,11 +446,30 @@ def _field_reducer(getter):
     return reduce_one
 
 
-def _field_gmean(getter):
+def _field_fold(fold, getter):
     def reduce_all(m, tier, records, runner):
-        return geometric_mean([getter(r) for r in _require(records)]), None
+        return fold([getter(r) for r in _require(records)]), None
 
     return reduce_all
+
+
+def _field_lead(getter):
+    """``m.app``'s value minus the largest other app's (all-apps specs)."""
+
+    def reduce_all(m, tier, records, runner):
+        values = dict(zip(APP_ORDER, map(getter, _require(records))))
+        own = values.pop(m.app)
+        return own - max(values.values()), None
+
+    return reduce_all
+
+
+_header_loads = attrgetter("header_load_ratio")
+_header_stores = attrgetter("header_store_ratio")
+
+
+def _subop(series):
+    return lambda r: r.subop_ratios[series]
 
 
 def _storage_bits(m, tier, records, runner):
@@ -462,37 +504,69 @@ def _acceptable_fraction(m, tier, records, runner):
 
 
 #: Statistic registry: how each ``Measurement.statistic`` builds its specs
-#: and reduces their records.  ``*_gmean`` statistics span every app in
-#: :data:`~repro.apps.registry.APP_ORDER` and ignore ``Measurement.app``.
+#: and reduces their records.  ``*_gmean``, ``*_max``, ``*_min`` and
+#: ``*_lead`` statistics span every app in
+#: :data:`~repro.apps.registry.APP_ORDER`; all but ``*_lead`` ignore
+#: ``Measurement.app``.
 STATISTICS: dict[str, _Statistic] = {
     "mean_quality_db": _Statistic(_seed_specs, _mean_quality),
     "mean_loss_ratio": _Statistic(_seed_specs, _mean_loss),
     "app_baseline_db": _Statistic(lambda m, t: (), _app_baseline),
-    "runtime_overhead": _Statistic(_runtime_overhead_specs, _runtime_overhead),
     "runtime_overhead_gmean": _Statistic(
-        _all_apps_overhead_specs, _runtime_overhead_gmean
+        _all_apps_overhead_specs, _overhead_fold(geometric_mean)
+    ),
+    "runtime_overhead_max": _Statistic(
+        _all_apps_overhead_specs, _overhead_fold(max)
     ),
     "header_load_ratio": _Statistic(
-        _one_guarded_spec, _field_reducer(lambda r: r.header_load_ratio)
+        _one_guarded_spec, _field_reducer(_header_loads)
     ),
     "header_store_ratio": _Statistic(
-        _one_guarded_spec, _field_reducer(lambda r: r.header_store_ratio)
+        _one_guarded_spec, _field_reducer(_header_stores)
     ),
     "header_load_gmean": _Statistic(
-        _all_guarded_specs, _field_gmean(lambda r: r.header_load_ratio)
+        _all_guarded_specs, _field_fold(geometric_mean, _header_loads)
     ),
     "header_store_gmean": _Statistic(
-        _all_guarded_specs, _field_gmean(lambda r: r.header_store_ratio)
+        _all_guarded_specs, _field_fold(geometric_mean, _header_stores)
+    ),
+    "header_load_max": _Statistic(
+        _all_guarded_specs, _field_fold(max, _header_loads)
+    ),
+    "header_store_max": _Statistic(
+        _all_guarded_specs, _field_fold(max, _header_stores)
+    ),
+    "header_load_lead": _Statistic(
+        _all_guarded_specs, _field_lead(_header_loads)
     ),
     "subop_total_ratio": _Statistic(
-        _one_guarded_spec, _field_reducer(lambda r: r.subop_ratios["total"])
+        _one_guarded_spec, _field_reducer(_subop("total"))
     ),
     "subop_total_gmean": _Statistic(
-        _all_guarded_specs, _field_gmean(lambda r: r.subop_ratios["total"])
+        _all_guarded_specs, _field_fold(geometric_mean, _subop("total"))
+    ),
+    "subop_total_max": _Statistic(
+        _all_guarded_specs, _field_fold(max, _subop("total"))
+    ),
+    "subop_non_header_bit_min": _Statistic(
+        _all_guarded_specs,
+        _field_fold(
+            min, lambda r: r.subop_ratios["total"] - r.subop_ratios["header_bit"]
+        ),
+    ),
+    "subop_header_bit_over_ecc": _Statistic(
+        _one_guarded_spec,
+        _field_reducer(
+            lambda r: r.subop_ratios["header_bit"] - r.subop_ratios["ecc"]
+        ),
     ),
     "storage_bits": _Statistic(lambda m, t: (), _storage_bits),
     "acceptable_fraction": _Statistic(_seed_specs, _acceptable_fraction),
     "protection_gain_db": _Statistic(_gain_specs, _protection_gain),
+    "quality_step_db": _Statistic(
+        _ladder_step_specs, _quality_step, charted=False
+    ),
+    "baseline_gap_db": _Statistic(_seed_specs, _baseline_gap, charted=False),
 }
 
 
@@ -576,6 +650,7 @@ class TargetResult:
             },
             "source": self.target.source,
             "statistic": self.target.measure.statistic,
+            "mtbe": self.target.measure.mtbe,
             "verdict": self.verdict.value,
             "measured": _json_float(self.measured),
             "deviation": _json_float(self.deviation),
@@ -626,7 +701,7 @@ def result_from_dict(data: dict) -> TargetResult:
         paper_value=data["paper_value"],
         unit=data["unit"],
         band=band,
-        measure=Measurement(statistic=data["statistic"]),
+        measure=Measurement(statistic=data["statistic"], mtbe=data.get("mtbe")),
         comparison=Comparison(data["comparison"]),
         source=data["source"],
     )

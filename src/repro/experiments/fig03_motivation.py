@@ -2,147 +2,17 @@
 
 The paper shows four decoded images: error-free cores (3a), error-prone PPU
 cores with the plain software queue (3b), PPU cores with a fully-reliable
-queue (3c), and PPU cores with CommGuard (3d).  We report PSNR per
-configuration (and can dump the images as PPM files); the expected shape is
+queue (3c), and PPU cores with CommGuard (3d).  The expected shape is
 3a = lossy baseline, 3b and 3c degraded far below it (QME corruption and
-permanent misalignment respectively), 3d close to the baseline.
-
-Without image dumping the (protection, seed) grid fans out through the
-parallel engine in one call; dumping needs the raw run output, so that
-path executes in-process.
+permanent misalignment respectively), 3d close to the baseline.  The
+four-level ordering at a lower MTBE is checked in
+``tests/experiments/test_figures.py``.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
-from repro.experiments.parallel import ParallelRunner, RunSpec
-from repro.experiments.report import format_table
-from repro.experiments.runner import SimulationRunner
-from repro.experiments.sweeps import seed_list
-from repro.machine.protection import ProtectionLevel
-from repro.quality.images import write_ppm
-from repro.quality.metrics import QUALITY_CAP_DB
 from repro.experiments.registry import register_figure
-
-PROTECTIONS = (
-    ProtectionLevel.ERROR_FREE,
-    ProtectionLevel.PPU_ONLY,
-    ProtectionLevel.PPU_RELIABLE_QUEUE,
-    ProtectionLevel.COMMGUARD,
-)
-
-PAPER_LABELS = {
-    ProtectionLevel.ERROR_FREE: "3a error-free cores",
-    ProtectionLevel.PPU_ONLY: "3b PPU cores, software queue",
-    ProtectionLevel.PPU_RELIABLE_QUEUE: "3c PPU cores, reliable queue",
-    ProtectionLevel.COMMGUARD: "3d PPU cores + CommGuard",
-}
-
-
-@dataclass(frozen=True)
-class Fig3Row:
-    protection: ProtectionLevel
-    mean_psnr: float
-    min_psnr: float
-    max_psnr: float
-
-
-def _seeds_for(protection: ProtectionLevel, n_seeds: int) -> list[int]:
-    return [0] if protection is ProtectionLevel.ERROR_FREE else seed_list(n_seeds)
-
-
-def run(
-    mtbe: float = 1_000_000,
-    scale: float = 2.0,
-    n_seeds: int = 3,
-    dump_dir: str | None = None,
-    runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    store=None,
-) -> list[Fig3Row]:
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
-    if dump_dir is not None:
-        return _run_with_dump(mtbe, n_seeds, dump_dir, runner)
-    grid = [
-        (protection, seed)
-        for protection in PROTECTIONS
-        for seed in _seeds_for(protection, n_seeds)
-    ]
-    records = runner.run_specs(
-        [
-            RunSpec(app="jpeg", protection=protection, mtbe=mtbe, seed=seed)
-            for protection, seed in grid
-        ]
-    )
-    rows = []
-    for protection in PROTECTIONS:
-        qualities = [
-            min(record.quality_db, QUALITY_CAP_DB)
-            for (rec_protection, _), record in zip(grid, records)
-            if rec_protection is protection
-        ]
-        rows.append(
-            Fig3Row(
-                protection=protection,
-                mean_psnr=sum(qualities) / len(qualities),
-                min_psnr=min(qualities),
-                max_psnr=max(qualities),
-            )
-        )
-    return rows
-
-
-def _run_with_dump(
-    mtbe: float, n_seeds: int, dump_dir: str, runner: SimulationRunner
-) -> list[Fig3Row]:
-    app = runner.app("jpeg")
-    rows = []
-    for protection in PROTECTIONS:
-        qualities = []
-        seeds = _seeds_for(protection, n_seeds)
-        for seed in seeds:
-            record, result = runner.run_spec(
-                RunSpec(app="jpeg", protection=protection, mtbe=mtbe, seed=seed)
-            )
-            qualities.append(min(record.quality_db, QUALITY_CAP_DB))
-            if seed == seeds[0]:
-                image = app.output_signal(result).astype("uint8")
-                path = os.path.join(
-                    dump_dir, f"fig3_{protection.value.replace('-', '_')}.ppm"
-                )
-                write_ppm(path, image)
-        rows.append(
-            Fig3Row(
-                protection=protection,
-                mean_psnr=sum(qualities) / len(qualities),
-                min_psnr=min(qualities),
-                max_psnr=max(qualities),
-            )
-        )
-    return rows
-
-
-def main(
-    scale: float = 2.0,
-    n_seeds: int = 3,
-    dump_dir: str | None = None,
-    jobs: int | None = None,
-    store=None,
-) -> str:
-    rows = run(
-        scale=scale, n_seeds=n_seeds, dump_dir=dump_dir, jobs=jobs, store=store
-    )
-    text = "Figure 3: jpeg under protection mechanisms (MTBE = 1M instructions)\n"
-    text += format_table(
-        ["configuration", "mean PSNR (dB)", "min", "max"],
-        [
-            [PAPER_LABELS[r.protection], r.mean_psnr, r.min_psnr, r.max_psnr]
-            for r in rows
-        ],
-    )
-    return text
+from repro.machine.protection import ProtectionLevel
 
 
 def paper_targets():
@@ -217,6 +87,3 @@ register_figure(
     paper_section="Section 2 / Fig. 3",
 )
 
-
-if __name__ == "__main__":  # pragma: no cover
-    print(main())

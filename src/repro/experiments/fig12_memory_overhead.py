@@ -9,50 +9,7 @@ are a single item).
 
 from __future__ import annotations
 
-from repro.apps.registry import APP_ORDER
-from repro.experiments.parallel import ParallelRunner, RunSpec
-from repro.experiments.report import format_table
-from repro.experiments.runner import SimulationRunner, geometric_mean
-from repro.machine.protection import ProtectionLevel
 from repro.experiments.registry import register_figure
-
-
-def run(
-    scale: float = 1.0,
-    apps: tuple[str, ...] = APP_ORDER,
-    runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    store=None,
-) -> dict[str, tuple[float, float]]:
-    """Returns {app: (header load ratio, header store ratio)} + "GMean"."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
-    records = runner.run_specs(
-        [
-            RunSpec(app=app, protection=ProtectionLevel.COMMGUARD, mtbe=None)
-            for app in apps
-        ]
-    )
-    results: dict[str, tuple[float, float]] = {
-        app: (record.header_load_ratio, record.header_store_ratio)
-        for app, record in zip(apps, records)
-    }
-    results["GMean"] = (
-        geometric_mean([v[0] for v in results.values()]),
-        geometric_mean([v[1] for v in results.values()]),
-    )
-    return results
-
-
-def main(scale: float = 1.0, jobs: int | None = None, store=None) -> str:
-    results = run(scale=scale, jobs=jobs, store=store)
-    rows = [
-        [app, 100.0 * loads, 100.0 * stores]
-        for app, (loads, stores) in results.items()
-    ]
-    text = "Figure 12: header traffic as % of all loads/stores (error-free run)\n"
-    text += format_table(["app", "loads %", "stores %"], rows)
-    text += "\n(paper: GMean < 0.2%; worst audiobeamformer 0.66% / 0.75%)"
-    return text
 
 
 def paper_targets():
@@ -106,6 +63,40 @@ def paper_targets():
             measure=Measurement("header_store_ratio", app="audiobeamformer"),
             source="Section 6.3 / Fig. 12 (0.75% extra stores)",
         ),
+        PaperTarget(
+            name="fig12.header_loads_max",
+            figure="fig12",
+            description="every app's header-load traffic under 5%",
+            paper_value=0.05,
+            unit="ratio",
+            band=ToleranceBand(pass_within=0.0, warn_within=0.05),
+            measure=Measurement("header_load_max"),
+            comparison=Comparison.BELOW,
+            source="Section 6.3 / Fig. 12 (every app small)",
+        ),
+        PaperTarget(
+            name="fig12.header_stores_max",
+            figure="fig12",
+            description="every app's header-store traffic under 5%",
+            paper_value=0.05,
+            unit="ratio",
+            band=ToleranceBand(pass_within=0.0, warn_within=0.05),
+            measure=Measurement("header_store_max"),
+            comparison=Comparison.BELOW,
+            source="Section 6.3 / Fig. 12 (every app small)",
+        ),
+        PaperTarget(
+            name="fig12.audiobeamformer_lead",
+            figure="fig12",
+            description="audiobeamformer has the most header loads (its "
+            "frames are one item)",
+            paper_value=0.0,
+            unit="ratio",
+            band=ToleranceBand(pass_within=0.0, warn_within=0.002),
+            measure=Measurement("header_load_lead", app="audiobeamformer"),
+            comparison=Comparison.ABOVE,
+            source="Section 6.3 / Fig. 12 (worst case audiobeamformer)",
+        ),
     )
 
 
@@ -116,6 +107,3 @@ register_figure(
     paper_section="Section 6.3 / Fig. 12",
 )
 
-
-if __name__ == "__main__":  # pragma: no cover
-    print(main())

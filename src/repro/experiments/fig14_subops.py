@@ -9,56 +9,12 @@ header-bit checks the most frequent class.
 
 from __future__ import annotations
 
-from repro.apps.registry import APP_ORDER
-from repro.experiments.parallel import ParallelRunner, RunSpec
-from repro.experiments.report import format_table
-from repro.experiments.runner import SimulationRunner, geometric_mean
-from repro.machine.protection import ProtectionLevel
 from repro.experiments.registry import register_figure
-
-SERIES = ("fsm_counter", "ecc", "header_bit", "total")
-
-
-def run(
-    scale: float = 1.0,
-    apps: tuple[str, ...] = APP_ORDER,
-    runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    store=None,
-) -> dict[str, dict[str, float]]:
-    """Returns {app: {series: ratio}} + "GMean"."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, store=store)
-    records = runner.run_specs(
-        [
-            RunSpec(app=app, protection=ProtectionLevel.COMMGUARD, mtbe=None)
-            for app in apps
-        ]
-    )
-    results: dict[str, dict[str, float]] = {
-        app: dict(record.subop_ratios) for app, record in zip(apps, records)
-    }
-    results["GMean"] = {
-        series: geometric_mean([results[app][series] for app in apps])
-        for series in SERIES
-    }
-    return results
-
-
-def main(scale: float = 1.0, jobs: int | None = None, store=None) -> str:
-    results = run(scale=scale, jobs=jobs, store=store)
-    headers = ["app"] + [f"{s} %" for s in SERIES]
-    rows = [
-        [app] + [100.0 * ratios[s] for s in SERIES]
-        for app, ratios in results.items()
-    ]
-    text = "Figure 14: CommGuard suboperations / committed instructions\n"
-    text += format_table(headers, rows)
-    text += "\n(paper: GMean total ~2%, worst audiobeamformer 4.9%)"
-    return text
 
 
 def paper_targets():
     from repro.experiments.fidelity import (
+        Comparison,
         Measurement,
         PaperTarget,
         ToleranceBand,
@@ -85,6 +41,42 @@ def paper_targets():
             measure=Measurement("subop_total_ratio", app="audiobeamformer"),
             source="Section 6.5 / Fig. 14 (worst 4.9%)",
         ),
+        PaperTarget(
+            name="fig14.subops_every_app_25pct",
+            figure="fig14",
+            description="every app's suboperation ratio under 25%",
+            paper_value=0.25,
+            unit="fraction",
+            band=ToleranceBand(pass_within=0.0, warn_within=0.05),
+            measure=Measurement("subop_total_max"),
+            comparison=Comparison.BELOW,
+            source="Section 6.5 / Fig. 14 (every app small)",
+        ),
+        PaperTarget(
+            name="fig14.total_minus_header_bit",
+            figure="fig14",
+            description="every app's total covers its header-bit checks",
+            paper_value=0.0,
+            unit="fraction",
+            band=ToleranceBand(pass_within=0.0, warn_within=0.01),
+            measure=Measurement("subop_non_header_bit_min"),
+            comparison=Comparison.ABOVE,
+            source="Section 6.5 / Fig. 14 (stacked classes)",
+        ),
+        *(
+            PaperTarget(
+                name=f"fig14.{app}_header_bit_gt_ecc",
+                figure="fig14",
+                description=f"header-bit checks outnumber ECC work in {app}",
+                paper_value=0.0,
+                unit="fraction",
+                band=ToleranceBand(pass_within=0.0, warn_within=0.01),
+                measure=Measurement("subop_header_bit_over_ecc", app=app),
+                comparison=Comparison.ABOVE,
+                source="Section 6.5 / Fig. 14 (header-bit most frequent)",
+            )
+            for app in ("jpeg", "fft")
+        ),
     )
 
 
@@ -95,6 +87,3 @@ register_figure(
     paper_section="Section 6.5 / Fig. 14",
 )
 
-
-if __name__ == "__main__":  # pragma: no cover
-    print(main())

@@ -1,11 +1,11 @@
 """Engine options shared by every execution entry point.
 
-:func:`repro.api.run`, :func:`repro.api.sweep`, the CLI (``repro run`` /
-``repro figure`` / ``repro sweep``) and the
-:class:`~repro.experiments.registry.FigureSpec` runners all accept the
-same knobs through this dataclass — the single documented spelling of
-"how should the engine execute this", so a figure harness and an API
-sweep configured the same way build the same
+:func:`repro.api.run`, :func:`repro.api.sweep`,
+:func:`repro.api.reproduce` / :func:`~repro.experiments.paper.run_paper`
+and the CLI (``repro run`` / ``repro sweep`` / ``repro figure`` /
+``repro paper``) all accept the same knobs through this dataclass — the
+single documented spelling of "how should the engine execute this", so
+a paper run and an API sweep configured the same way build the same
 :class:`~repro.experiments.parallel.ParallelRunner`, and a single
 :func:`~repro.api.run` call reuses the very same option names.
 """
@@ -21,7 +21,8 @@ from repro.experiments.store import RunStore
 class EngineOptions:
     """How the engine executes a run or a batch of runs.
 
-    ``scale`` shrinks app inputs (``None`` keeps each harness's default);
+    ``scale`` shrinks app inputs (``None`` keeps each entry point's
+    default; the paper pipeline's tier owns its scale);
     ``jobs`` is the worker-process count (``None`` defers to ``REPRO_JOBS``
     or the CPU count, ``1`` forces serial); ``cache`` toggles the default
     result store (see :meth:`batch_store`); ``trace_dir`` ships one JSONL
@@ -67,7 +68,7 @@ class EngineOptions:
     store: object | None = None
 
     def batch_store(self) -> RunStore | None:
-        """The store a batch entry point (sweep, figure, campaign) uses.
+        """The store a batch entry point (a sweep) uses.
 
         ``store`` when set; otherwise the default store when ``cache`` is
         true; otherwise none.  Only a named ``store`` records campaigns:

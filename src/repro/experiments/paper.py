@@ -55,7 +55,7 @@ from repro.experiments.fidelity import (
 from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec, SweepStats
 from repro.experiments.plotting import ascii_chart
-from repro.experiments.registry import figure_specs
+from repro.experiments.registry import figure_specs, resolve_figure
 from repro.experiments.report import format_table
 from repro.experiments.store import RunStore, _git_describe, derive_campaign_id
 
@@ -267,10 +267,17 @@ def _dedup_specs(
 def run_paper(
     tier: str | ScaleTier = "smoke",
     *,
+    figure: str | None = None,
     options: EngineOptions | None = None,
     progress=None,
 ) -> PaperRun:
     """Execute every registered paper target at *tier* and grade it.
+
+    *figure* (a registered name or alias) narrows the run to that
+    figure's targets.  Their sub-grid is a campaign of its own in the
+    same store, and runs are keyed by content, so after a whole-paper
+    run at the same tier it executes nothing and grades the same
+    verdicts.
 
     *options* carries the engine knobs (``jobs``, ``retries``,
     ``run_timeout``, ``store``, ``exec_mode``); ``options.store=None``
@@ -286,6 +293,9 @@ def run_paper(
     opts = options or EngineOptions()
     store = RunStore.coerce(opts.store if opts.store is not None else True)
     targets = collect_targets()
+    if figure is not None:
+        name = resolve_figure(figure).name
+        targets = tuple(t for t in targets if t.figure == name)
     specs, needs = _dedup_specs(targets, tier)
     campaign = derive_campaign_id(specs, tier.app_scale)
     store.begin_campaign(
@@ -390,9 +400,7 @@ def _figure_chart(results: Sequence[TargetResult]) -> str | None:
     """Measured-vs-paper ASCII chart over MTBE, when the figure has at
     least two MTBE-anchored targets with measurements."""
     anchored = [
-        r
-        for r in results
-        if r.target.measure.mtbe is not None and r.measured is not None
+        r for r in results if r.target.measure.charted and r.measured is not None
     ]
     if len(anchored) < 2:
         return None
@@ -411,7 +419,7 @@ def _figure_chart(results: Sequence[TargetResult]) -> str | None:
     )
 
 
-def _figure_sections(report: ReproductionReport) -> list[tuple[str, str]]:
+def figure_sections(report: ReproductionReport) -> list[tuple[str, str]]:
     """``(figure name, rendered markdown section)`` per contributing figure,
     in registry order."""
     grouped = report.by_figure()
@@ -488,7 +496,7 @@ def render_markdown(report: ReproductionReport) -> str:
         head.append("")
     head.append("## Per-figure verdicts")
     head.append("")
-    body = [section for _, section in _figure_sections(report)]
+    body = [section for _, section in figure_sections(report)]
     tail = [
         "",
         "## Reproducing this report",
@@ -528,7 +536,7 @@ def write_bundle(run: PaperRun, out_dir: str | Path = ".") -> list[Path]:
     js.write_text(report.to_json() + "\n", encoding="utf-8")
     paths.append(js)
 
-    for name, section in _figure_sections(report):
+    for name, section in figure_sections(report):
         results = [r for r in report.results if r.target.figure == name]
         fig_json = data_dir / f"{name}.json"
         fig_json.write_text(
@@ -561,6 +569,7 @@ __all__ = [
     "Provenance",
     "REPRODUCTION_SCHEMA_VERSION",
     "ReproductionReport",
+    "figure_sections",
     "render_markdown",
     "run_paper",
     "verdict_table",

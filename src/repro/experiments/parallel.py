@@ -78,7 +78,7 @@ class RunSpec:
     The first five fields are the paper's sweep axes.  The CommGuard design
     knobs mirror :class:`~repro.core.config.CommGuardConfig`; the optional
     ``p_*`` fields override the error model's masking/effect mix (the
-    ablation harness sweeps them) — all ``None`` means the calibrated
+    ablation targets set them) — all ``None`` means the calibrated
     default mix of the selected fault model at ``mtbe``.
 
     ``fault_model`` selects the error process from the registry in
@@ -469,9 +469,7 @@ class ParallelRunner(SimulationRunner):
 
     # -- sweep execution -------------------------------------------------------
 
-    def run_specs(
-        self, specs: Sequence[RunSpec], jobs: int | None = None
-    ) -> list[RunRecord]:
+    def run_specs(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
         """Run every spec, in order, returning one record per spec.
 
         Completed points found in the store are not re-run.  The remainder
@@ -491,7 +489,7 @@ class ParallelRunner(SimulationRunner):
         partial ``last_stats`` (``interrupted=True``) and re-raises.
         """
         specs = list(specs)
-        jobs = resolve_jobs(self.jobs if jobs is None else jobs)
+        jobs = resolve_jobs(self.jobs)
         stats = SweepStats(total=len(specs), jobs=jobs)
         wall_before = time.perf_counter()
         records: list[RunRecord | None] = [None] * len(specs)

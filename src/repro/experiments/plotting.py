@@ -1,8 +1,9 @@
-"""ASCII line charts for the figure harnesses.
+"""ASCII line charts for the reproduction report.
 
 The paper's evaluation figures are line plots (quality or loss vs MTBE);
-these helpers render the same series as terminal charts so harness output
-visually matches the paper without any plotting dependency.
+:func:`ascii_chart` renders measured-vs-paper series as terminal charts
+so ``REPRODUCTION.md`` shows each figure's shape without any plotting
+dependency.
 """
 
 from __future__ import annotations
@@ -10,18 +11,12 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from repro.quality.metrics import QUALITY_CAP_DB
-
 #: Plot glyphs assigned to series in order.
 MARKERS = "ox+*#@%&"
 
 #: Glyph marking a missing cell: a point whose y is nan/inf still shows
 #: up as an explicit gap on the x axis instead of silently vanishing.
 GAP_MARKER = "·"
-
-
-def _finite(values: Sequence[float]) -> list[float]:
-    return [v for v in values if math.isfinite(v)]
 
 
 def ascii_chart(
@@ -97,31 +92,3 @@ def ascii_chart(
     lines.append("  legend: " + legend)
     return "\n".join(lines)
 
-
-def quality_chart(
-    points_by_series: Mapping[str, Mapping[int, float]],
-    y_label: str = "quality (dB)",
-    cap: float = QUALITY_CAP_DB,
-) -> str:
-    """Chart quality-vs-MTBE series (the shape of Figs. 9-11)."""
-    series = {
-        name: [(float(mtbe), min(value, cap)) for mtbe, value in sorted(pts.items())]
-        for name, pts in points_by_series.items()
-    }
-    return ascii_chart(series, x_label="MTBE (instructions)", y_label=y_label, log_x=True)
-
-
-def loss_chart(results: Mapping[str, Mapping[int, float]]) -> str:
-    """Chart log10(loss ratio) vs MTBE (the shape of Fig. 8)."""
-    series = {}
-    for app, pts in results.items():
-        series[app] = [
-            (float(mtbe), math.log10(max(ratio, 1e-8)))
-            for mtbe, ratio in sorted(pts.items())
-        ]
-    return ascii_chart(
-        series,
-        x_label="MTBE (instructions)",
-        y_label="log10(lost/accepted data)",
-        log_x=True,
-    )

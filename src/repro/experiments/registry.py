@@ -1,43 +1,29 @@
 """Figure registry: every paper artifact declares itself once.
 
-Each ``figXX``/``tables``/``ablations``/``campaign`` module calls
-:func:`register_figure` at import time with its name, description, paper
-section and optional aliases; the CLI's ``figure`` and ``list`` commands
-and :func:`repro.experiments.figure_specs` all derive from this registry —
+Each ``figXX``/``tables``/``ablations``/``campaign`` module declares its
+:class:`~repro.experiments.fidelity.PaperTarget`\\ s in a module-level
+``paper_targets()`` and calls :func:`register_figure` at import time with
+its name, description, paper section and optional aliases.  ``repro
+paper`` grades every registered figure's targets, ``repro figure NAME``
+grades one figure's, and the CLI's ``figure`` and ``list`` commands and
+:func:`repro.experiments.figure_specs` all derive from this registry —
 there is no hand-maintained dispatch table to drift out of sync.
 
 ``figNN`` names get their zero-padded spelling as an automatic alias
 (``fig3`` <-> ``fig03``), so both forms resolve.
-
-Running a spec funnels the shared :class:`EngineOptions` into whatever
-subset of ``(scale, jobs, store)`` the harness's ``main()`` supports and
-wraps the output in a :class:`FigureArtifact`.
 """
 
 from __future__ import annotations
 
-import importlib
-import inspect
 import re
 from dataclasses import dataclass
-
-from repro.experiments.options import EngineOptions
 
 _FIG_NUMBER = re.compile(r"^fig(\d+)$")
 
 
 @dataclass(frozen=True)
-class FigureArtifact:
-    """One regenerated paper artifact: the rendered text plus provenance."""
-
-    name: str
-    text: str
-    options: EngineOptions
-
-
-@dataclass(frozen=True)
 class FigureSpec:
-    """One registered paper artifact and how to regenerate it."""
+    """One registered paper artifact."""
 
     name: str
     module: str
@@ -48,30 +34,6 @@ class FigureSpec:
     @property
     def all_names(self) -> tuple[str, ...]:
         return (self.name, *self.aliases)
-
-    def run(self, options: EngineOptions | None = None) -> FigureArtifact:
-        """Regenerate the artifact through the shared engine options.
-
-        A harness whose ``main()`` accepts ``options`` receives the whole
-        :class:`EngineOptions` (the preferred convention — store-backed
-        resume included); other harnesses get whatever subset of
-        ``(scale, jobs, store)`` they support, ``store`` being
-        :meth:`EngineOptions.batch_store`.
-        """
-        options = options or EngineOptions()
-        module = importlib.import_module(self.module)
-        supported = inspect.signature(module.main).parameters
-        kwargs = {}
-        if "options" in supported:
-            kwargs["options"] = options
-        else:
-            if options.scale is not None and "scale" in supported:
-                kwargs["scale"] = options.scale
-            if "jobs" in supported:
-                kwargs["jobs"] = options.jobs
-            if "store" in supported:
-                kwargs["store"] = options.batch_store()
-        return FigureArtifact(name=self.name, text=module.main(**kwargs), options=options)
 
 
 #: Registration order is display order (`repro list`, `repro figure --list`).

@@ -1,4 +1,4 @@
-"""Plain-text report formatting for the experiment harnesses."""
+"""Plain-text table formatting for the CLI and the reproduction report."""
 
 from __future__ import annotations
 

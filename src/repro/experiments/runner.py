@@ -2,7 +2,7 @@
 
 Caches built apps (codec encoding and graph construction are the expensive
 parts) and packages each run's measurements into a flat
-:class:`RunRecord` the figure harnesses aggregate.
+:class:`RunRecord` the paper targets and sweeps aggregate.
 
 The runner executes frozen :class:`~repro.experiments.parallel.RunSpec`
 descriptions (:meth:`run_spec` / :meth:`execute_spec` / :meth:`run_specs`),
@@ -163,13 +163,12 @@ class SimulationRunner:
         """Run one frozen spec, returning just the flat record."""
         return self.run_spec(spec)[0]
 
-    def run_specs(self, specs: Sequence, jobs: int | None = None) -> list[RunRecord]:
+    def run_specs(self, specs: Sequence) -> list[RunRecord]:
         """Run specs in order, serially and in-process.
 
         :class:`~repro.experiments.parallel.ParallelRunner` overrides this
         with process fan-out and a result store; the base implementation is
-        the exact single-process path (``jobs`` is accepted and ignored so
-        harnesses can thread it through uniformly).
+        the exact single-process path.
         """
         return [self.execute_spec(spec) for spec in specs]
 

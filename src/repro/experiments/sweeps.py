@@ -20,7 +20,3 @@ PAPER_SEEDS = 5
 #: Frame-size scaling factors (Section 5.4; Figs. 10, 11, 13).
 FRAME_SCALES = (1, 2, 4, 8)
 
-
-def seed_list(n_seeds: int) -> list[int]:
-    """The deterministic seed set used across all experiments."""
-    return list(range(n_seeds))

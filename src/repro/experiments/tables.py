@@ -1,128 +1,17 @@
 """Tables 1-3 and the Section 5.5 storage estimate.
 
-Table 1 is the AM FSM — we print the implemented transition table straight
-from the code (its correctness is enforced by tests/core/test_fsm.py).
-Tables 2 and 3 enumerate CommGuard suboperations per interface event; we
-validate them dynamically by driving a probe producer/consumer pair through
-push / pop / new-frame-computation events and reporting the suboperation
-counts each event incurred.  Section 5.5's ~82-byte reliable-storage
-estimate is recomputed from the QIT model.
+Table 1 is the AM FSM; ``tests/core/test_fsm.py`` checks the implemented
+transition table against it.  Tables 2 and 3 enumerate CommGuard
+suboperations per interface event; ``tests/experiments/test_figures.py``
+drives a probe producer/consumer pair through push / pop /
+new-frame-computation events and pins the suboperations each incurs.
+Section 5.5's ~82-byte reliable-storage estimate is graded here,
+recomputed from the QIT model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
-from repro.core.config import CommGuardConfig
-from repro.core.fsm import _TRANSITIONS  # the implemented Table 1
-from repro.core.guard import CommGuard
-from repro.core.queue_manager import GuardedQueue, plan_geometry
-from repro.core.stats import CommGuardStats
-from repro.experiments.report import format_table
 from repro.experiments.registry import register_figure
-
-
-def table1_text() -> str:
-    rows = [
-        [state.value, event.value, nxt.value]
-        for (state, event), nxt in sorted(
-            _TRANSITIONS.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-        )
-    ]
-    return "Table 1: Alignment Manager FSM transitions\n" + format_table(
-        ["state", "event", "next state"], rows
-    )
-
-
-@dataclass(frozen=True)
-class EventCosts:
-    """Suboperation deltas one interface event incurred."""
-
-    event: str
-    deltas: dict[str, int]
-
-
-def _snapshot(stats: CommGuardStats) -> dict[str, int]:
-    return {f.name: getattr(stats, f.name) for f in fields(stats)}
-
-
-def _delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
-    return {k: after[k] - before[k] for k in after if after[k] != before[k]}
-
-
-def probe_event_costs() -> list[EventCosts]:
-    """Drive one queue through Table 2's interface events, recording costs."""
-    queue = GuardedQueue(0, plan_geometry(4, 4, 4, workset_units=4))
-    producer = CommGuard(CommGuardConfig())
-    consumer = CommGuard(CommGuardConfig())
-    producer.attach_outgoing(queue)
-    consumer.attach_incoming(queue)
-    costs = []
-
-    before = _snapshot(producer.stats)
-    producer.on_new_frame_computation()
-    producer.advance_header_insertions()
-    costs.append(
-        EventCosts("new frame computation (producer)", _delta(before, _snapshot(producer.stats)))
-    )
-
-    before = _snapshot(producer.stats)
-    producer.push(0, 42)
-    costs.append(EventCosts("push (regular item)", _delta(before, _snapshot(producer.stats))))
-
-    for word in (43, 44, 45):
-        producer.push(0, word)
-    producer.on_new_frame_computation()  # publishes the frame for the consumer
-    producer.advance_header_insertions()
-
-    before = _snapshot(consumer.stats)
-    consumer.on_new_frame_computation()
-    consumer.advance_header_insertions()
-    costs.append(
-        EventCosts("new frame computation (consumer)", _delta(before, _snapshot(consumer.stats)))
-    )
-
-    before = _snapshot(consumer.stats)
-    consumer.pop(0)  # crosses the frame header, then returns item 42
-    costs.append(
-        EventCosts("pop (header + item)", _delta(before, _snapshot(consumer.stats)))
-    )
-
-    before = _snapshot(consumer.stats)
-    consumer.pop(0)
-    costs.append(EventCosts("pop (regular item)", _delta(before, _snapshot(consumer.stats))))
-    return costs
-
-
-def table2_text() -> str:
-    rows = []
-    for cost in probe_event_costs():
-        deltas = ", ".join(f"{k}+{v}" for k, v in sorted(cost.deltas.items()))
-        rows.append([cost.event, deltas])
-    return (
-        "Tables 2/3: measured suboperation counts per interface event\n"
-        + format_table(["interface event", "suboperations incurred"], rows)
-    )
-
-
-def storage_text(n_queues: int = 4) -> str:
-    """Section 5.5: reliable on-core storage for a thread with *n_queues*."""
-    guard = CommGuard(CommGuardConfig())
-    for qid in range(n_queues):
-        queue = GuardedQueue(qid, plan_geometry(4, 4, 4))
-        if qid % 2:
-            guard.attach_incoming(queue)
-        else:
-            guard.attach_outgoing(queue)
-    bits = guard.reliable_storage_bits()
-    return (
-        f"Section 5.5: reliable storage for {n_queues} queues = {bits} bits "
-        f"(~{bits / 8:.0f} B; paper estimates ~82 B)"
-    )
-
-
-def main() -> str:
-    return "\n\n".join([table1_text(), table2_text(), storage_text()])
 
 
 def paper_targets():
@@ -153,6 +42,3 @@ register_figure(
     paper_section="Sections 4-5 / Tables 1-3",
 )
 
-
-if __name__ == "__main__":  # pragma: no cover
-    print(main())

@@ -1,18 +1,16 @@
-"""Tests for the fault-injection campaign harness."""
+"""Outcome classification and the paper's campaign-form claims.
+
+Runs are bucketed into error-free / tolerable / degraded / catastrophic
+outcomes; ``campaign.paper_targets()`` grades the acceptable fraction the
+paper grid holds, and the claims below need runs outside it.
+"""
 
 import pytest
 
-from repro.experiments.campaign import (
-    CampaignResult,
-    Outcome,
-    OutcomeThresholds,
-    classify_outcome,
-    compare_protections,
-    run_campaign,
-)
+from repro.experiments.campaign import Outcome, OutcomeThresholds, classify_outcome
 from repro.experiments.parallel import ParallelRunner, RunSpec
-from repro.experiments.runner import SimulationRunner
 from repro.machine.protection import ProtectionLevel
+from repro.quality.metrics import QUALITY_CAP_DB
 
 T = OutcomeThresholds(tolerable_db=5.0, catastrophic_db=5.0)
 
@@ -57,111 +55,69 @@ class TestClassification:
         assert classify_outcome(35.0, 30.0, False, T) is Outcome.ERROR_FREE
 
 
-class TestCampaignResult:
-    def test_fractions(self):
-        result = CampaignResult("x", ProtectionLevel.COMMGUARD, 1000)
-        result.counts = {Outcome.ERROR_FREE: 3, Outcome.TOLERABLE: 1}
-        assert result.n_runs == 4
-        assert result.fraction(Outcome.ERROR_FREE) == 0.75
-        assert result.acceptable_fraction() == 1.0
+def mean_capped_quality(records) -> float:
+    return sum(min(r.quality_db, QUALITY_CAP_DB) for r in records) / len(records)
 
-    def test_empty_safe(self):
-        result = CampaignResult("x", ProtectionLevel.COMMGUARD, 1000)
-        assert result.fraction(Outcome.DEGRADED) == 0.0
+
+def outcomes(runner, records) -> list[Outcome]:
+    """Classify records the way the campaign target does."""
+    baseline = min(runner.app(records[0].app).baseline_quality(), QUALITY_CAP_DB)
+    return [
+        classify_outcome(
+            min(r.quality_db, QUALITY_CAP_DB), baseline, r.hung, OutcomeThresholds()
+        )
+        for r in records
+    ]
 
 
 class TestCampaignRuns:
     @pytest.fixture(scope="class")
-    def runner(self):
-        return SimulationRunner(scale=0.1)
-
-    def test_campaign_counts_sum(self, runner):
-        app = runner.app("fft")
-        result = run_campaign(
-            app, ProtectionLevel.COMMGUARD, mtbe=100_000, n_runs=4
+    def jpeg_300k(self):
+        """jpeg at 1x, MTBE 300k, seeds 0-4, under CommGuard and under the
+        reliable-queue baseline: ``{protection: (runner, records)}``."""
+        runner = ParallelRunner(scale=1.0, jobs=2)
+        levels = (ProtectionLevel.COMMGUARD, ProtectionLevel.PPU_RELIABLE_QUEUE)
+        records = runner.run_specs(
+            [
+                RunSpec(app="jpeg", protection=level, mtbe=300_000, seed=seed)
+                for level in levels
+                for seed in range(5)
+            ]
         )
-        assert result.n_runs == 4
-        assert len(result.qualities) == 4
-
-    def test_rare_errors_mostly_error_free(self, runner):
-        app = runner.app("fft")
-        result = run_campaign(app, ProtectionLevel.COMMGUARD, mtbe=1e9, n_runs=3)
-        assert result.fraction(Outcome.ERROR_FREE) == 1.0
-
-    def test_compare_protections_structure(self, runner):
-        results = compare_protections(
-            "complex-fir", mtbe=40_000, n_runs=3, runner=runner
-        )
-        assert set(results) == {
-            ProtectionLevel.PPU_ONLY,
-            ProtectionLevel.PPU_RELIABLE_QUEUE,
-            ProtectionLevel.COMMGUARD,
+        return {
+            level: (runner, records[5 * i : 5 * i + 5])
+            for i, level in enumerate(levels)
         }
-        for campaign in results.values():
-            assert campaign.n_runs == 3
 
-    def test_campaign_honours_frame_scale(self, runner):
-        result = run_campaign(
-            "fft",
-            ProtectionLevel.COMMGUARD,
-            mtbe=100_000,
-            n_runs=2,
-            frame_scale=4,
-            runner=runner,
+    def test_rare_errors_mostly_error_free(self):
+        runner = ParallelRunner(scale=0.1, jobs=1)
+        records = runner.run_specs(
+            [RunSpec(app="fft", mtbe=1e9, seed=seed) for seed in range(3)]
         )
-        assert result.n_runs == 2
+        assert outcomes(runner, records) == [Outcome.ERROR_FREE] * 3
 
-    def test_campaign_spec_carries_design_knobs(self, runner):
-        spec = RunSpec(app="fft", workset_units=16)
-        result = run_campaign(
-            "fft",
-            ProtectionLevel.COMMGUARD,
-            mtbe=100_000,
-            n_runs=2,
-            spec=spec,
-            runner=runner,
-        )
-        assert result.n_runs == 2
-
-    def test_campaign_through_parallel_engine_matches_serial(self):
-        serial = run_campaign(
-            "fft",
-            ProtectionLevel.COMMGUARD,
-            mtbe=100_000,
-            n_runs=3,
-            runner=ParallelRunner(scale=0.1, jobs=1),
-        )
-        fanned = run_campaign(
-            "fft",
-            ProtectionLevel.COMMGUARD,
-            mtbe=100_000,
-            n_runs=3,
-            runner=ParallelRunner(scale=0.1, jobs=2),
-        )
-        assert serial.counts == fanned.counts
-        assert serial.qualities == fanned.qualities
-
-    def test_prebuilt_app_shares_runner_cache(self):
-        engine = ParallelRunner(scale=0.1, jobs=1)
-        app = engine.app("fft")
-        result = run_campaign(
-            app, ProtectionLevel.COMMGUARD, mtbe=1e9, n_runs=2, runner=engine
-        )
-        assert result.app == "fft"
-        assert engine.app("fft") is app
-
-    def test_commguard_acceptable_fraction_dominates(self):
+    def test_commguard_acceptable_fraction_dominates(self, jpeg_300k):
         """At a high error rate on jpeg, CommGuard's acceptable fraction
         must beat the unprotected baselines' (the paper's core claim in
         campaign form)."""
-        runner = SimulationRunner(scale=1.0)
-        results = compare_protections(
-            "jpeg", mtbe=300_000, n_runs=4, runner=runner
+        runner, guarded = jpeg_300k[ProtectionLevel.COMMGUARD]
+        _, baseline = jpeg_300k[ProtectionLevel.PPU_RELIABLE_QUEUE]
+        guarded, baseline = guarded[:4], baseline[:4]
+        tolerated = (Outcome.ERROR_FREE, Outcome.TOLERABLE)
+        guarded_ok = sum(
+            o in (*tolerated, Outcome.DEGRADED) for o in outcomes(runner, guarded)
         )
-        guarded = results[ProtectionLevel.COMMGUARD]
-        assert guarded.acceptable_fraction() + guarded.fraction(
-            Outcome.DEGRADED
-        ) >= results[ProtectionLevel.PPU_RELIABLE_QUEUE].acceptable_fraction()
-        assert guarded.mean_quality() > results[
-            ProtectionLevel.PPU_RELIABLE_QUEUE
-        ].mean_quality()
+        baseline_ok = sum(o in tolerated for o in outcomes(runner, baseline))
+        assert guarded_ok >= baseline_ok
+        assert mean_capped_quality(guarded) > mean_capped_quality(baseline)
+
+    def test_commguard_beats_reliable_queue_at_300k(self, jpeg_300k):
+        """Five seeds each: CommGuard's mean quality is higher and its
+        catastrophic fraction no larger."""
+        runner, guarded = jpeg_300k[ProtectionLevel.COMMGUARD]
+        _, baseline = jpeg_300k[ProtectionLevel.PPU_RELIABLE_QUEUE]
+        assert mean_capped_quality(guarded) > mean_capped_quality(baseline)
+        assert outcomes(runner, guarded).count(Outcome.CATASTROPHIC) <= outcomes(
+            runner, baseline
+        ).count(Outcome.CATASTROPHIC)
+

@@ -2,12 +2,7 @@
 
 import math
 
-from repro.experiments.plotting import (
-    GAP_MARKER,
-    ascii_chart,
-    loss_chart,
-    quality_chart,
-)
+from repro.experiments.plotting import GAP_MARKER, ascii_chart
 
 
 class TestAsciiChart:
@@ -71,12 +66,3 @@ class TestAsciiChart:
         )
         assert GAP_MARKER in chart
 
-
-class TestFigureCharts:
-    def test_quality_chart_caps_values(self):
-        chart = quality_chart({"app": {1000: 120.0, 2000: 10.0}}, cap=50.0)
-        assert "50.0" in chart  # capped maximum
-
-    def test_loss_chart_log_scale(self):
-        chart = loss_chart({"app": {1000: 1e-2, 2000: 1e-6}})
-        assert "-2.0" in chart and "-6.0" in chart

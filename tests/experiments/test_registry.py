@@ -1,15 +1,10 @@
-"""The figure registry: self-registration, aliases, and options funnelling."""
-
-import sys
-import types
+"""The figure registry: self-registration, aliases and CLI dispatch."""
 
 import pytest
 
 import repro.experiments  # noqa: F401  (imports populate the registry)
 from repro.experiments import registry
-from repro.experiments.options import EngineOptions
 from repro.experiments.registry import (
-    FigureSpec,
     figure_names,
     figure_specs,
     register_figure,
@@ -76,60 +71,14 @@ class TestRegistration:
         assert resolve_figure("fig4") is spec
 
 
-class TestRun:
-    def _fake_module(self, monkeypatch, main):
-        module = types.ModuleType("fake_figure_module")
-        module.main = main
-        monkeypatch.setitem(sys.modules, "fake_figure_module", module)
-        return FigureSpec(name="fake", module="fake_figure_module", description="d")
-
-    def test_run_passes_only_supported_kwargs(self, monkeypatch):
-        seen = {}
-
-        def main(scale=1.0, jobs=None):
-            seen.update(scale=scale, jobs=jobs)
-            return "ok"
-
-        spec = self._fake_module(monkeypatch, main)
-        artifact = spec.run(EngineOptions(scale=0.5, jobs=3, cache=False))
-        assert artifact.text == "ok"
-        assert artifact.name == "fake"
-        assert seen == {"scale": 0.5, "jobs": 3}  # store unsupported: not passed
-
-    def test_run_keeps_harness_default_scale_when_unset(self, monkeypatch):
-        seen = {}
-
-        def main(scale=0.7, store=True):
-            seen.update(scale=scale, store=store)
-            return "ok"
-
-        spec = self._fake_module(monkeypatch, main)
-        spec.run(EngineOptions(cache=False))  # scale=None: harness default
-        assert seen == {"scale": 0.7, "store": None}
-
-    def test_run_hands_harnesses_the_batch_store(self, monkeypatch, tmp_path):
-        seen = {}
-
-        def main(store=None):
-            seen["store"] = store
-            return "ok"
-
-        spec = self._fake_module(monkeypatch, main)
-        spec.run(EngineOptions())  # cache on: the default store
-        assert seen["store"].path == tmp_path / "default-store.sqlite"
-        named = tmp_path / "named.sqlite"
-        spec.run(EngineOptions(cache=False, store=str(named)))
-        assert seen["store"].path == named
-
-
 class TestCliIntegration:
     def test_cli_figures_derive_from_registry(self):
-        from repro.cli import FIGURES
+        from repro.cli import build_parser
 
-        assert tuple(FIGURES) == CANONICAL
-        for name, (module_name, description) in FIGURES.items():
-            spec = resolve_figure(name)
-            assert (module_name, description) == (spec.module, spec.description)
+        for name in figure_names(include_aliases=True):
+            assert build_parser().parse_args(["figure", name]).name == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure", "fig99"])
 
     def test_figure_list_flag(self, capsys):
         from repro.cli import main

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import FIGURES, _parse_mtbe, build_parser, main
+from repro.cli import _parse_mtbe, build_parser, main
+from repro.experiments.registry import figure_names
 from repro.experiments.store import RunStore
 
 
@@ -98,7 +99,9 @@ class TestParser:
             "fig3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
             "fig13", "fig14", "tables", "ablations", "campaign",
         }
-        assert set(FIGURES) == expected
+        assert set(figure_names()) == expected
+        for name in expected:
+            assert build_parser().parse_args(["figure", name]).name == name
 
 
 class TestCommands:
@@ -165,11 +168,19 @@ class TestCommands:
     def test_figure_accepts_engine_options(self):
         args = build_parser().parse_args(["figure", "fig10", "--jobs", "4"])
         assert args.jobs == 4
-        assert not args.no_cache
+        assert args.scale == "reduced"  # the paper pipeline's default tier
+        args = build_parser().parse_args(["figure", "fig10", "--scale", "smoke"])
+        assert args.scale == "smoke"
+        for removed in (["--no-cache"], ["--scale", "0.1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["figure", "fig10", *removed])
 
     def test_figure_tables(self, capsys):
         assert main(["figure", "tables"]) == 0
-        assert "Table 1" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out.startswith("### `tables`")
+        assert "tables.reliable_storage" in captured.out
+        assert "[figure] grid: 0 executed, 0 store hits" in captured.err
 
 
 class TestFaultToleranceFlags:

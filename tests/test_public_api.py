@@ -41,14 +41,6 @@ class TestPublicApi:
 
         assert repro.__version__.count(".") == 2
 
-    def test_experiment_modules_have_main(self):
-        import importlib
-
-        from repro.cli import FIGURES
-
-        for module_name, _ in FIGURES.values():
-            module = importlib.import_module(module_name)
-            assert callable(module.main), module_name
 
 
 class TestRemovedIn2:
@@ -77,6 +69,22 @@ class TestRemovedIn2:
         for name, value in (("jobs", 1), ("no_cache", True), ("store", None)):
             with pytest.raises(TypeError):
                 api.sweep("fft", mtbes=100_000, **{name: value})
+
+    def test_figure_harnesses(self):
+        """Figures are graded targets now: no module runs a harness."""
+        import importlib
+
+        import repro.experiments as experiments
+        from repro.experiments import registry
+        from repro.experiments.registry import figure_specs
+
+        for spec in figure_specs():
+            module = importlib.import_module(spec.module)
+            assert callable(module.paper_targets), spec.module
+            assert not hasattr(module, "main"), spec.module
+            assert not hasattr(module, "run"), spec.module
+        assert not hasattr(registry.FigureSpec, "run")
+        assert "FigureArtifact" not in experiments.__all__
 
     def test_result_cache_class(self):
         import repro.experiments as experiments
