@@ -12,12 +12,32 @@ from repro.machine.runstats import RunResult
 from repro.machine.system import run_program
 from repro.quality.metrics import psnr_db, snr_db
 from repro.streamit.program import StreamProgram
-from repro.words import word_to_float
+from repro.words import WORD_MASK, word_to_float
+
+_SIGN_BIT = 1 << 31
 
 
 def words_to_floats(words: Sequence[int]) -> np.ndarray:
     """Decode a sink's word stream as float32 samples."""
     return np.array([word_to_float(w) for w in words], dtype=np.float64)
+
+
+def words_to_ints(words: Sequence[int]) -> np.ndarray:
+    """Decode 32-bit words as signed two's-complement int64 values.
+
+    The batched :func:`repro.words.word_to_int`: mask, then sign-extend.
+    """
+    values = np.asarray(words, dtype=np.int64) & WORD_MASK
+    return (values ^ _SIGN_BIT) - _SIGN_BIT
+
+
+def ints_to_words(values: np.ndarray) -> list:
+    """Encode int64 values as 32-bit words (truncating), as Python ints.
+
+    The batched :func:`repro.words.int_to_word`; a 2-D array gives one list
+    of words per row.
+    """
+    return (values & WORD_MASK).tolist()
 
 
 def clipped_float_decoder(limit: float) -> Callable[[Sequence[int]], np.ndarray]:

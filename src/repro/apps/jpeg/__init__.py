@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.apps.base import BenchmarkApp
+from repro.apps.base import BenchmarkApp, words_to_ints
 from repro.apps.jpeg.codec import decode_image, encode_image
 from repro.apps.jpeg.graph import build_jpeg_graph
 from repro.apps.jpeg.graph420 import build_jpeg420_graph
@@ -26,11 +26,10 @@ def jpeg_output_decoder(width: int, height: int):
     def decode(words: Sequence[int]) -> np.ndarray:
         pixels = np.zeros(width * height * 3, dtype=np.int64)
         n = min(len(words), pixels.shape[0])
-        pixels[:n] = np.asarray(list(words[:n]), dtype=np.int64)
+        pixels[:n] = words_to_ints(words[:n])
         # Words are 8-bit pixel values unless corrupted downstream of F5;
         # saturate exactly like a framebuffer write would.
-        signed = np.where(pixels > 0x7FFFFFFF, pixels - (1 << 32), pixels)
-        return np.clip(signed, 0, 255).reshape(height, width, 3)
+        return np.clip(pixels, 0, 255).reshape(height, width, 3)
 
     return decode
 

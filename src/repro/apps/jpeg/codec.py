@@ -7,15 +7,18 @@ prediction, using separate luma/chroma quantisation and Huffman tables.
 The container is self-defined (DESIGN.md §3): Huffman tables are computed
 per image (libjpeg "optimized" mode) and serialized in the header.
 
-The per-block helpers here (:func:`dequantize_block`, :func:`idct_block`,
-:func:`color_channel_values`, ...) are shared with the streaming decoder
-filters in :mod:`repro.apps.jpeg.graph`, so the reference decoder and an
-error-free simulated run produce bit-identical pixels.
+The block kernels here (:func:`dequantize_blocks`, :func:`idct_blocks`,
+:func:`color_channel`, :func:`clamp_pixels`) and the entropy decoder
+(:func:`decode_mcus`) are shared with the streaming decoder filters in
+:mod:`repro.apps.jpeg.graph` and :mod:`repro.apps.jpeg.graph420`, so the
+reference decoder and an error-free simulated run produce bit-identical
+pixels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -47,30 +50,6 @@ def rgb_to_ycbcr(image: np.ndarray) -> np.ndarray:
     return np.stack([y, cb, cr], axis=-1)
 
 
-def color_channel_values(
-    y: list[int], cb: list[int], cr: list[int], channel: int
-) -> list[int]:
-    """One RGB channel for a block of YCbCr samples (integer rounding).
-
-    This is exactly the computation of the F3R/F3G/F3B nodes in Fig. 1.
-    """
-    out = []
-    for yv, cbv, crv in zip(y, cb, cr):
-        if channel == 0:  # R
-            value = yv + 1.402 * (crv - 128.0)
-        elif channel == 1:  # G
-            value = yv - 0.344136 * (cbv - 128.0) - 0.714136 * (crv - 128.0)
-        else:  # B
-            value = yv + 1.772 * (cbv - 128.0)
-        out.append(int(round(value)))
-    return out
-
-
-def clamp_pixel(value: int) -> int:
-    """Saturate to the 8-bit pixel range (node F5)."""
-    return 0 if value < 0 else 255 if value > 255 else value
-
-
 # -- block transforms -------------------------------------------------------------
 
 
@@ -82,21 +61,57 @@ def quantize_block(block: np.ndarray, table: np.ndarray) -> list[int]:
     return [int(flat[idx]) for idx in ZIGZAG]
 
 
-def dequantize_block(zigzag_coeffs: list[int], table_flat: list[int]) -> list[int]:
-    """Zigzag coefficients -> natural-order dequantized levels (node F1)."""
-    natural = [0] * 64
-    for pos, idx in enumerate(ZIGZAG):
-        natural[idx] = int(zigzag_coeffs[pos]) * table_flat[idx]
-    return natural
+# The decoder's block kernels (nodes F1, F2, F3 and F5) map int64 arrays to
+# int64 arrays, one block (or one plane) per row.  The streaming filters feed
+# them whatever words arrive, and bit flips and garbage loads make those span
+# the full signed 32-bit range; every intermediate still fits int64 exactly:
+# |coefficient| <= 2**31, times a table entry <= 255 stays below 2**39, and
+# |IDCT output| < 2**37.
 
 
-def idct_block(levels: list[int]) -> list[int]:
-    """Inverse DCT + level shift, rounded to integers (node F2).
+def dequantize_blocks(coeffs: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Zigzag coefficients -> natural-order dequantized levels (node F1).
 
-    Values are *not* clamped here; clamping is F5's job, as in the graph.
+    ``coeffs`` holds one block's 64 zigzag-ordered coefficients per row,
+    ``tables`` the matching natural-order quantisation tables.
     """
-    pixels = inverse_dct(np.asarray(levels, dtype=np.float64)) + 128.0
-    return [int(v) for v in np.round(pixels).reshape(64)]
+    levels = np.empty_like(coeffs)
+    levels[:, ZIGZAG] = coeffs * tables[:, ZIGZAG]
+    return levels
+
+
+def idct_blocks(levels: np.ndarray) -> np.ndarray:
+    """Inverse DCT + level shift, rounded half-to-even (node F2).
+
+    One :func:`inverse_dct` call per block: a stacked matmul may round
+    differently.  Values are *not* clamped here; clamping is F5's job, as
+    in the graph.
+    """
+    pixels = np.empty(levels.shape)
+    for row, block in zip(pixels, levels):
+        row[:] = inverse_dct(block).reshape(64)
+    return np.round(pixels + 128.0).astype(np.int64)
+
+
+def color_channel(ycc: np.ndarray, channel: int) -> np.ndarray:
+    """One RGB channel from rows of Y, Cb and Cr samples (nodes F3R/F3G/F3B).
+
+    Float64 arithmetic in the order of the scalar formulas, rounded
+    half-to-even like Python's ``round``.
+    """
+    y, cb, cr = ycc.astype(np.float64)
+    if channel == 0:  # R
+        value = y + 1.402 * (cr - 128.0)
+    elif channel == 1:  # G
+        value = y - 0.344136 * (cb - 128.0) - 0.714136 * (cr - 128.0)
+    else:  # B
+        value = y + 1.772 * (cb - 128.0)
+    return np.round(value).astype(np.int64)
+
+
+def clamp_pixels(values: np.ndarray) -> np.ndarray:
+    """Saturate to the 8-bit pixel range (node F5)."""
+    return np.clip(values, 0, 255)
 
 
 # -- amplitude (magnitude-category) coding ----------------------------------------
@@ -213,11 +228,28 @@ class JpegHeader:
     def blocks_y(self) -> int:
         return self.height // 8
 
+    @property
+    def mcu_side(self) -> int:
+        """Pixels per MCU edge: 8 in 4:4:4, 16 in 4:2:0."""
+        return 8 if self.subsampling == "444" else 16
+
+    @property
+    def mcus(self) -> int:
+        return (self.width // self.mcu_side) * (self.height // self.mcu_side)
+
     def luma_table(self) -> np.ndarray:
         return quality_scaled_table(LUMINANCE_BASE, self.quality)
 
     def chroma_table(self) -> np.ndarray:
         return quality_scaled_table(CHROMINANCE_BASE, self.quality)
+
+    def block_tables(self) -> np.ndarray:
+        """Natural-order quantisation table of each block of an MCU, (n, 64)."""
+        luma = self.luma_table().reshape(64)
+        chroma = self.chroma_table().reshape(64)
+        return np.stack(
+            [luma if cls == "Y" else chroma for cls in MCU_COMPONENTS[self.subsampling]]
+        )
 
 
 def subsample_chroma(plane: np.ndarray) -> np.ndarray:
@@ -226,7 +258,7 @@ def subsample_chroma(plane: np.ndarray) -> np.ndarray:
     return plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def upsample_chroma_block(block8: list[int]) -> list[int]:
+def upsample_chroma_block(block8: Sequence[int]) -> list[int]:
     """Nearest-neighbour 2x upsampling: 8x8 samples -> 16x16 raster list."""
     out = [0] * 256
     for y in range(16):
@@ -350,39 +382,33 @@ def parse_header(data: bytes) -> tuple[JpegHeader, BitReader]:
     return header, reader
 
 
-class McuDecoder:
-    """Sequential MCU decoder over the entropy-coded stream.
+def decode_mcus(data: bytes) -> tuple[JpegHeader, list[list[int]]]:
+    """Entropy-decode a whole container: its header and, per MCU, the zigzag
+    coefficients of its blocks concatenated in component order (64 each).
 
-    Shared by the reference decoder and the streaming parser node F0; yields
-    per-MCU ``[Y, Cb, Cr]`` lists of 64 zigzag coefficients each.
+    The one decoder of the codec: the reference decoder and the streaming
+    parser node F0 both use it.
     """
-
-    def __init__(self, header: JpegHeader, reader: BitReader) -> None:
-        self._header = header
-        self._reader = reader
-        self._dc_luma = header.dc_luma.decoder()
-        self._ac_luma = header.ac_luma.decoder()
-        self._dc_chroma = header.dc_chroma.decoder()
-        self._ac_chroma = header.ac_chroma.decoder()
-        self._predictors = [0, 0, 0]
-        self._classes = MCU_COMPONENTS[header.subsampling]
-        self._predictor_of = MCU_PREDICTOR[header.subsampling]
-
-    def next_mcu(self) -> list[list[int]]:
-        components = []
-        for comp, cls in enumerate(self._classes):
-            dc = self._dc_luma if cls == "Y" else self._dc_chroma
-            ac = self._ac_luma if cls == "Y" else self._ac_chroma
-            pred = self._predictor_of[comp]
-            coeffs, predictor = decode_block(
-                self._reader, dc, ac, self._predictors[pred]
+    header, reader = parse_header(data)
+    dc = {"Y": header.dc_luma.decoder(), "C": header.dc_chroma.decoder()}
+    ac = {"Y": header.ac_luma.decoder(), "C": header.ac_chroma.decoder()}
+    components = tuple(
+        zip(MCU_COMPONENTS[header.subsampling], MCU_PREDICTOR[header.subsampling])
+    )
+    predictors = [0, 0, 0]
+    mcus = []
+    for _ in range(header.mcus):
+        coeffs: list[int] = []
+        for cls, pred in components:
+            block, predictors[pred] = decode_block(
+                reader, dc[cls], ac[cls], predictors[pred]
             )
-            self._predictors[pred] = predictor
-            components.append(coeffs)
-        return components
+            coeffs += block
+        mcus.append(coeffs)
+    return header, mcus
 
 
-def assemble_y16(y_blocks: list[list[int]]) -> list[int]:
+def assemble_y16(y_blocks: Sequence[Sequence[int]]) -> list[int]:
     """Four 8x8 luma blocks (TL, TR, BL, BR) -> one 16x16 raster list."""
     out = [0] * 256
     offsets = ((0, 0), (0, 8), (8, 0), (8, 8))
@@ -393,42 +419,36 @@ def assemble_y16(y_blocks: list[list[int]]) -> list[int]:
     return out
 
 
+#: The 4:2:0 upsampling stage (node F2U) as a gather: entry *i* of the
+#: ``[Y16, Cb16, Cr16]`` output is sample ``UPSAMPLE_420[i]`` of the
+#: ``[Y0, Y1, Y2, Y3, Cb, Cr]`` input (6 x 64 -> 3 x 256).
+UPSAMPLE_420 = (
+    assemble_y16([range(b * 64, b * 64 + 64) for b in range(4)])
+    + upsample_chroma_block(range(256, 320))
+    + upsample_chroma_block(range(320, 384))
+)
+
+
 def decode_image(data: bytes) -> np.ndarray:
     """Reference (error-free) decoder: container bytes -> RGB uint8 image.
 
-    Mirrors the streaming pipeline's integer arithmetic exactly (both
-    subsampling modes).
+    Runs the streaming pipeline's block kernels over every block at once,
+    so its integer arithmetic is exactly the graphs' (both subsampling
+    modes).
     """
-    header, reader = parse_header(data)
-    decoder = McuDecoder(header, reader)
-    luma_flat = [int(v) for v in header.luma_table().reshape(64)]
-    chroma_flat = [int(v) for v in header.chroma_table().reshape(64)]
-    image = np.zeros((header.height, header.width, 3), dtype=np.uint8)
-    mcu_px = 8 if header.subsampling == "444" else 16
-    classes = MCU_COMPONENTS[header.subsampling]
-    for by in range(header.height // mcu_px):
-        for bx in range(header.width // mcu_px):
-            components = decoder.next_mcu()
-            planes8 = []
-            for comp, coeffs in enumerate(components):
-                table = luma_flat if classes[comp] == "Y" else chroma_flat
-                planes8.append(idct_block(dequantize_block(coeffs, table)))
-            if header.subsampling == "444":
-                y_plane, cb_plane, cr_plane = planes8
-                side = 8
-            else:
-                y_plane = assemble_y16(planes8[0:4])
-                cb_plane = upsample_chroma_block(planes8[4])
-                cr_plane = upsample_chroma_block(planes8[5])
-                side = 16
-            for channel in range(3):
-                values = color_channel_values(y_plane, cb_plane, cr_plane, channel)
-                block = np.array(
-                    [clamp_pixel(v) for v in values], dtype=np.uint8
-                ).reshape(side, side)
-                image[
-                    by * side : (by + 1) * side,
-                    bx * side : (bx + 1) * side,
-                    channel,
-                ] = block
-    return image
+    header, mcus = decode_mcus(data)
+    n, side = len(mcus), header.mcu_side
+    coeffs = np.array(mcus, dtype=np.int64).reshape(-1, 64)
+    tables = np.tile(header.block_tables(), (n, 1))
+    samples = idct_blocks(dequantize_blocks(coeffs, tables)).reshape(n, -1)
+    if header.subsampling == "420":
+        samples = samples[:, UPSAMPLE_420]
+    ycc = samples.reshape(n, 3, side * side).transpose(1, 0, 2).reshape(3, -1)
+    rgb = np.stack([clamp_pixels(color_channel(ycc, ch)) for ch in range(3)], axis=-1)
+    rows, cols = header.height // side, header.width // side
+    return (
+        rgb.reshape(rows, cols, side, side, 3)
+        .transpose(0, 2, 1, 3, 4)
+        .reshape(header.height, header.width, 3)
+        .astype(np.uint8)
+    )

@@ -23,24 +23,32 @@
 A frame computation is one steady-state iteration = one row of 8x8 blocks,
 matching the paper's observation that jpeg output frames are rows 8 pixels
 high (Fig. 7).
+
+The node classes are sized by the MCU's pixel region (``side`` x ``side``
+pixels), so the 4:2:0 graph of :mod:`repro.apps.jpeg.graph420` reuses them
+at 16x16.  F1, F2, F3 and F5 convert each port once per firing and run the
+codec's block kernels over all of its blocks; F6 and F7 are index gathers.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
+from repro.apps.base import ints_to_words, words_to_ints
 from repro.apps.jpeg.codec import (
+    MCU_COMPONENTS,
     JpegHeader,
-    McuDecoder,
-    clamp_pixel,
-    color_channel_values,
-    dequantize_block,
-    idct_block,
+    clamp_pixels,
+    color_channel,
+    decode_mcus,
+    dequantize_blocks,
+    idct_blocks,
     parse_header,
 )
 from repro.streamit.filters import Batch, Filter, IntSink
 from repro.streamit.graph import StreamGraph
-from repro.words import int_to_word, word_to_int
 
 
 class JpegParser(Filter):
@@ -48,173 +56,173 @@ class JpegParser(Filter):
 
     The container file itself is I/O and read reliably; the parser's
     *output* traffic and item counts are exposed to the error injector like
-    any other thread's.
+    any other thread's.  The injector never reaches the decoder's state
+    (the parser has no :meth:`state_words`), so MCU *i* has the same words
+    in every run: the parser decodes the whole container once, on its first
+    :meth:`reset` (never at construction, so building an app decodes
+    nothing), and each firing hands out a copy of the next MCU's words.
     """
 
     def __init__(self, name: str, data: bytes) -> None:
-        super().__init__(name, input_rates=(), output_rates=(192,))
-        self._data = data
         header, _ = parse_header(data)
+        rate = 64 * len(MCU_COMPONENTS[header.subsampling])
+        super().__init__(name, input_rates=(), output_rates=(rate,))
+        self._data = data
         self.header = header
-        self._decoder: McuDecoder | None = None
+        self._mcus: list[list[int]] | None = None
         self._mcus_decoded = 0
 
     def reset(self) -> None:
-        header, reader = parse_header(self._data)
-        self._decoder = McuDecoder(header, reader)
+        if self._mcus is None:
+            _, mcus = decode_mcus(self._data)
+            self._mcus = ints_to_words(np.array(mcus, dtype=np.int64))
         self._mcus_decoded = 0
 
     @property
     def total_firings(self) -> int:
-        return self.header.blocks_x * self.header.blocks_y
+        return self.header.mcus
 
     def instruction_cost(self) -> int:
-        # Bit-serial Huffman decode of 3x64 coefficients: the per-bit code
+        # Bit-serial Huffman decode of each coefficient: the per-bit code
         # walk plus amplitude bits costs ~60 instructions per coefficient.
-        return 300 + 60 * 192
+        return 300 + 60 * self.output_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        if self._decoder is None:
+        if self._mcus is None:
             self.reset()
-        assert self._decoder is not None
-        if self._mcus_decoded >= self.total_firings:
-            return [[0] * 192]  # stream exhausted (end of computation)
-        components = self._decoder.next_mcu()
+        assert self._mcus is not None
+        if self._mcus_decoded >= len(self._mcus):
+            # Stream exhausted (end of computation).
+            return [[0] * self.output_rates[0]]
+        words = self._mcus[self._mcus_decoded]
         self._mcus_decoded += 1
-        words = []
-        for coeffs in components:
-            words.extend(int_to_word(c) for c in coeffs)
-        return [words]
+        return [words.copy()]
 
 
 class JpegDequantizer(Filter):
-    """F1: de-zigzag and dequantize the three component blocks."""
+    """F1: de-zigzag and dequantize every component block of an MCU."""
 
     def __init__(self, name: str, header: JpegHeader) -> None:
-        super().__init__(name, input_rates=(192,), output_rates=(192,))
-        self._luma = [int(v) for v in header.luma_table().reshape(64)]
-        self._chroma = [int(v) for v in header.chroma_table().reshape(64)]
+        self._tables = header.block_tables()
+        rate = self._tables.size
+        super().__init__(name, input_rates=(rate,), output_rates=(rate,))
 
     def instruction_cost(self) -> int:
         # Zigzag table lookup, multiply and store per coefficient.
-        return 80 + 12 * 192
+        return 80 + 12 * self.input_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        out: list[int] = []
-        for comp in range(3):
-            table = self._luma if comp == 0 else self._chroma
-            coeffs = [word_to_int(w) for w in words[comp * 64 : comp * 64 + 64]]
-            out.extend(int_to_word(v) for v in dequantize_block(coeffs, table))
-        return [out]
+        coeffs = words_to_ints(inputs[0]).reshape(-1, 64)
+        return [ints_to_words(dequantize_blocks(coeffs, self._tables).ravel())]
 
 
 class JpegIdct(Filter):
-    """F2: inverse DCT + level shift, duplicated to the three color nodes."""
+    """F2: inverse DCT + level shift of every block, pushed to ``copies``
+    output ports (the 4:4:4 graph duplicates the planes to its color nodes).
+    """
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name, input_rates=(192,), output_rates=(192, 192, 192))
+    def __init__(self, name: str, blocks: int = 3, copies: int = 3) -> None:
+        rate = 64 * blocks
+        super().__init__(name, input_rates=(rate,), output_rates=(rate,) * copies)
 
     def instruction_cost(self) -> int:
         # Separable 8x8 IDCT per plane: 2x8x64 MACs at ~4 instructions
-        # each plus rounding/level shift, x3 planes (~80 per output item).
-        return 400 + 80 * 192
+        # each plus rounding/level shift (~80 per output item).
+        return 400 + 80 * self.input_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        out: list[int] = []
-        for comp in range(3):
-            levels = [word_to_int(w) for w in words[comp * 64 : comp * 64 + 64]]
-            out.extend(int_to_word(v) for v in idct_block(levels))
-        return [list(out), list(out), list(out)]
+        levels = words_to_ints(inputs[0]).reshape(-1, 64)
+        out = ints_to_words(idct_blocks(levels).ravel())
+        return [out] + [out.copy() for _ in self.output_rates[1:]]
 
 
 class JpegColorChannel(Filter):
-    """F3R/F3G/F3B: one RGB channel from the YCbCr planes (192 -> 64)."""
+    """F3R/F3G/F3B: one RGB channel of a ``side`` x ``side`` region from
+    its Y, Cb and Cr planes (192 -> 64 at 8x8)."""
 
-    def __init__(self, name: str, channel: int) -> None:
-        super().__init__(name, input_rates=(192,), output_rates=(64,))
+    def __init__(self, name: str, channel: int, side: int = 8) -> None:
+        pixels = side * side
+        super().__init__(name, input_rates=(3 * pixels,), output_rates=(pixels,))
         self.channel = channel
 
     def instruction_cost(self) -> int:
         # Three multiplies, adds and a round per produced pixel sample.
-        return 60 + 18 * 64
+        return 60 + 18 * self.output_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        y = [word_to_int(w) for w in words[0:64]]
-        cb = [word_to_int(w) for w in words[64:128]]
-        cr = [word_to_int(w) for w in words[128:192]]
-        values = color_channel_values(y, cb, cr, self.channel)
-        return [[int_to_word(v) for v in values]]
+        ycc = words_to_ints(inputs[0]).reshape(3, -1)
+        return [ints_to_words(color_channel(ycc, self.channel))]
 
 
 class JpegChannelJoiner(Filter):
-    """F4: merge the R, G and B blocks (64,64,64 -> 192, plane order)."""
+    """F4: merge the R, G and B planes (64,64,64 -> 192 at 8x8)."""
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name, input_rates=(64, 64, 64), output_rates=(192,))
+    def __init__(self, name: str, side: int = 8) -> None:
+        pixels = side * side
+        super().__init__(
+            name, input_rates=(pixels,) * 3, output_rates=(3 * pixels,)
+        )
 
     def instruction_cost(self) -> int:
-        return 50 + 6 * 192
+        return 50 + 6 * self.output_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        return [list(inputs[0]) + list(inputs[1]) + list(inputs[2])]
+        return [inputs[0] + inputs[1] + inputs[2]]
 
 
 class JpegClamper(Filter):
     """F5: saturate every sample to the 8-bit pixel range."""
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name, input_rates=(192,), output_rates=(192,))
+    def __init__(self, name: str, side: int = 8) -> None:
+        rate = 3 * side * side
+        super().__init__(name, input_rates=(rate,), output_rates=(rate,))
 
     def instruction_cost(self) -> int:
-        return 50 + 8 * 192
+        return 50 + 8 * self.input_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        return [[int_to_word(clamp_pixel(word_to_int(w))) for w in inputs[0]]]
+        return [ints_to_words(clamp_pixels(words_to_ints(inputs[0])))]
 
 
 class JpegPixelFormatter(Filter):
-    """F6: plane order -> per-pixel interleaved RGB (192 -> 192)."""
+    """F6: plane order -> per-pixel interleaved RGB (192 -> 192 at 8x8)."""
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name, input_rates=(192,), output_rates=(192,))
+    def __init__(self, name: str, side: int = 8) -> None:
+        pixels = side * side
+        super().__init__(name, input_rates=(3 * pixels,), output_rates=(3 * pixels,))
+        self._gather = itemgetter(
+            *[plane * pixels + pixel for pixel in range(pixels) for plane in range(3)]
+        )
 
     def instruction_cost(self) -> int:
-        return 50 + 8 * 192
+        return 50 + 8 * self.input_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        out = [0] * 192
-        for pixel in range(64):
-            out[3 * pixel] = words[pixel]
-            out[3 * pixel + 1] = words[64 + pixel]
-            out[3 * pixel + 2] = words[128 + pixel]
-        return [out]
+        return [list(self._gather(inputs[0]))]
 
 
 class JpegRowAssembler(IntSink):
-    """F7: assemble one row of blocks per firing into raster scan order."""
+    """F7: assemble one row of ``side`` x ``side`` regions per firing into
+    raster scan order."""
 
-    def __init__(self, name: str, blocks_x: int) -> None:
-        super().__init__(name, rate=blocks_x * 192)
-        self.blocks_x = blocks_x
+    def __init__(self, name: str, blocks_x: int, side: int = 8) -> None:
+        region = 3 * side * side
+        super().__init__(name, rate=blocks_x * region)
+        self._gather = itemgetter(
+            *[
+                block * region + 3 * (y * side + x) + rgb
+                for y in range(side)
+                for block in range(blocks_x)
+                for x in range(side)
+                for rgb in range(3)
+            ]
+        )
 
     def instruction_cost(self) -> int:
         return 80 + 8 * self.input_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        row = [0] * len(words)
-        row_width = self.blocks_x * 8 * 3
-        for block in range(self.blocks_x):
-            base = block * 192
-            for pixel in range(64):
-                py, px = divmod(pixel, 8)
-                dst = py * row_width + (block * 8 + px) * 3
-                row[dst : dst + 3] = words[base + 3 * pixel : base + 3 * pixel + 3]
-        self.collected.extend(row)
+        self.collected.extend(self._gather(inputs[0]))
         return []
 
 
@@ -223,6 +231,8 @@ def build_jpeg_graph(encoded: bytes) -> StreamGraph:
     graph = StreamGraph()
     parser = graph.add_node(JpegParser("F0_parser", encoded))
     header = parser.header
+    if header.subsampling != "444":
+        raise ValueError("stream is 4:2:0 subsampled; use build_jpeg420_graph")
     dequant = graph.add_node(JpegDequantizer("F1_dequant", header))
     idct = graph.add_node(JpegIdct("F2_idct"))
     color_r = graph.add_node(JpegColorChannel("F3R_color", channel=0))

@@ -15,70 +15,35 @@ Data layouts: F0/F1/F2 carry the six blocks plane-ordered
 ``[Y0, Y1, Y2, Y3, Cb, Cr]`` (64 values each); F2U assembles the 16x16
 luma plane and nearest-neighbour-upsamples the chroma planes, pushing
 ``[Y(256), Cb(256), Cr(256)]`` (768 words) to each color node; downstream
-nodes mirror the 4:4:4 graph at 256 pixels per region.
+nodes are the 4:4:4 graph's at 256 pixels per region.
 """
 
 from __future__ import annotations
 
-from repro.apps.jpeg.codec import (
-    JpegHeader,
-    assemble_y16,
-    clamp_pixel,
-    color_channel_values,
-    dequantize_block,
-    idct_block,
-    upsample_chroma_block,
+from operator import itemgetter
+
+from repro.apps.jpeg.codec import UPSAMPLE_420
+from repro.apps.jpeg.graph import (
+    JpegChannelJoiner,
+    JpegClamper,
+    JpegColorChannel,
+    JpegDequantizer,
+    JpegIdct,
+    JpegParser,
+    JpegPixelFormatter,
+    JpegRowAssembler,
 )
-from repro.apps.jpeg.graph import JpegParser
-from repro.streamit.filters import Batch, Filter, IntSink
+from repro.streamit.filters import Batch, Filter
 from repro.streamit.graph import StreamGraph
-from repro.words import int_to_word, word_to_int
 
 MCU_WORDS = 6 * 64   # coefficients per 16x16 MCU
 PIXEL_WORDS = 3 * 256  # RGB words per 16x16 region
 
 
-class Jpeg420Dequantizer(Filter):
-    """F1: de-zigzag and dequantize the six component blocks."""
-
-    def __init__(self, name: str, header: JpegHeader) -> None:
-        super().__init__(name, input_rates=(MCU_WORDS,), output_rates=(MCU_WORDS,))
-        self._luma = [int(v) for v in header.luma_table().reshape(64)]
-        self._chroma = [int(v) for v in header.chroma_table().reshape(64)]
-
-    def instruction_cost(self) -> int:
-        return 80 + 12 * MCU_WORDS
-
-    def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        out: list[int] = []
-        for comp in range(6):
-            table = self._luma if comp < 4 else self._chroma
-            coeffs = [word_to_int(w) for w in words[comp * 64 : comp * 64 + 64]]
-            out.extend(int_to_word(v) for v in dequantize_block(coeffs, table))
-        return [out]
-
-
-class Jpeg420Idct(Filter):
-    """F2: inverse DCT + level shift on all six blocks."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name, input_rates=(MCU_WORDS,), output_rates=(MCU_WORDS,))
-
-    def instruction_cost(self) -> int:
-        return 400 + 80 * MCU_WORDS
-
-    def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        out: list[int] = []
-        for comp in range(6):
-            levels = [word_to_int(w) for w in words[comp * 64 : comp * 64 + 64]]
-            out.extend(int_to_word(v) for v in idct_block(levels))
-        return [out]
-
-
 class Jpeg420Upsampler(Filter):
     """F2U: assemble the 16x16 luma plane, upsample chroma, duplicate."""
+
+    _gather = itemgetter(*UPSAMPLE_420)
 
     def __init__(self, name: str) -> None:
         super().__init__(
@@ -91,151 +56,30 @@ class Jpeg420Upsampler(Filter):
         return 100 + 6 * PIXEL_WORDS
 
     def work(self, inputs: Batch) -> Batch:
-        words = [word_to_int(w) for w in inputs[0]]
-        blocks = [words[comp * 64 : comp * 64 + 64] for comp in range(6)]
-        y16 = assemble_y16(blocks[0:4])
-        cb16 = upsample_chroma_block(blocks[4])
-        cr16 = upsample_chroma_block(blocks[5])
-        plane = [int_to_word(v) for v in (*y16, *cb16, *cr16)]
+        plane = self._gather(inputs[0])
         return [list(plane), list(plane), list(plane)]
-
-
-class Jpeg420ColorChannel(Filter):
-    """F3R/F3G/F3B: one RGB channel for the 256-pixel region."""
-
-    def __init__(self, name: str, channel: int) -> None:
-        super().__init__(name, input_rates=(PIXEL_WORDS,), output_rates=(256,))
-        self.channel = channel
-
-    def instruction_cost(self) -> int:
-        return 60 + 18 * 256
-
-    def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        y = [word_to_int(w) for w in words[0:256]]
-        cb = [word_to_int(w) for w in words[256:512]]
-        cr = [word_to_int(w) for w in words[512:768]]
-        values = color_channel_values(y, cb, cr, self.channel)
-        return [[int_to_word(v) for v in values]]
-
-
-class Jpeg420ChannelJoiner(Filter):
-    """F4: merge R, G, B planes (256,256,256 -> 768)."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(
-            name, input_rates=(256, 256, 256), output_rates=(PIXEL_WORDS,)
-        )
-
-    def instruction_cost(self) -> int:
-        return 50 + 6 * PIXEL_WORDS
-
-    def work(self, inputs: Batch) -> Batch:
-        return [list(inputs[0]) + list(inputs[1]) + list(inputs[2])]
-
-
-class Jpeg420Clamper(Filter):
-    """F5: saturate to the 8-bit pixel range."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name, input_rates=(PIXEL_WORDS,), output_rates=(PIXEL_WORDS,))
-
-    def instruction_cost(self) -> int:
-        return 50 + 8 * PIXEL_WORDS
-
-    def work(self, inputs: Batch) -> Batch:
-        return [[int_to_word(clamp_pixel(word_to_int(w))) for w in inputs[0]]]
-
-
-class Jpeg420PixelFormatter(Filter):
-    """F6: plane order -> per-pixel interleaved RGB (768 -> 768)."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name, input_rates=(PIXEL_WORDS,), output_rates=(PIXEL_WORDS,))
-
-    def instruction_cost(self) -> int:
-        return 50 + 8 * PIXEL_WORDS
-
-    def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        out = [0] * PIXEL_WORDS
-        for pixel in range(256):
-            out[3 * pixel] = words[pixel]
-            out[3 * pixel + 1] = words[256 + pixel]
-            out[3 * pixel + 2] = words[512 + pixel]
-        return [out]
-
-
-class Jpeg420RowAssembler(IntSink):
-    """F7: assemble one row of 16x16 MCUs per firing into raster order."""
-
-    def __init__(self, name: str, mcus_x: int) -> None:
-        super().__init__(name, rate=mcus_x * PIXEL_WORDS)
-        self.mcus_x = mcus_x
-
-    def instruction_cost(self) -> int:
-        return 80 + 8 * self.input_rates[0]
-
-    def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        row = [0] * len(words)
-        row_width = self.mcus_x * 16 * 3
-        for mcu in range(self.mcus_x):
-            base = mcu * PIXEL_WORDS
-            for pixel in range(256):
-                py, px = divmod(pixel, 16)
-                dst = py * row_width + (mcu * 16 + px) * 3
-                row[dst : dst + 3] = words[base + 3 * pixel : base + 3 * pixel + 3]
-        self.collected.extend(row)
-        return []
-
-
-class Jpeg420Parser(JpegParser):
-    """F0 for 4:2:0: one 16x16 MCU (384 coefficients) per firing."""
-
-    def __init__(self, name: str, data: bytes) -> None:
-        super().__init__(name, data)
-        # Re-declare rates for the six-block MCU.
-        self.output_rates = (MCU_WORDS,)
-
-    @property
-    def total_firings(self) -> int:
-        return (self.header.width // 16) * (self.header.height // 16)
-
-    def instruction_cost(self) -> int:
-        return 300 + 60 * MCU_WORDS
-
-    def work(self, inputs: Batch) -> Batch:
-        if self._decoder is None:
-            self.reset()
-        assert self._decoder is not None
-        if self._mcus_decoded >= self.total_firings:
-            return [[0] * MCU_WORDS]
-        components = self._decoder.next_mcu()
-        self._mcus_decoded += 1
-        words: list[int] = []
-        for coeffs in components:
-            words.extend(int_to_word(c) for c in coeffs)
-        return [words]
 
 
 def build_jpeg420_graph(encoded: bytes) -> StreamGraph:
     """Build the 11-node 4:2:0 decoder graph for an encoded image."""
     graph = StreamGraph()
-    parser = graph.add_node(Jpeg420Parser("F0_parser", encoded))
+    parser = graph.add_node(JpegParser("F0_parser", encoded))
     header = parser.header
     if header.subsampling != "420":
         raise ValueError("stream is not 4:2:0 subsampled")
-    dequant = graph.add_node(Jpeg420Dequantizer("F1_dequant", header))
-    idct = graph.add_node(Jpeg420Idct("F2_idct"))
+    side = header.mcu_side
+    dequant = graph.add_node(JpegDequantizer("F1_dequant", header))
+    idct = graph.add_node(JpegIdct("F2_idct", blocks=6, copies=1))
     upsample = graph.add_node(Jpeg420Upsampler("F2U_upsample"))
-    color_r = graph.add_node(Jpeg420ColorChannel("F3R_color", channel=0))
-    color_g = graph.add_node(Jpeg420ColorChannel("F3G_color", channel=1))
-    color_b = graph.add_node(Jpeg420ColorChannel("F3B_color", channel=2))
-    join = graph.add_node(Jpeg420ChannelJoiner("F4_join"))
-    clamp = graph.add_node(Jpeg420Clamper("F5_clamp"))
-    formatter = graph.add_node(Jpeg420PixelFormatter("F6_format"))
-    assembler = graph.add_node(Jpeg420RowAssembler("F7_rows", header.width // 16))
+    color_r = graph.add_node(JpegColorChannel("F3R_color", channel=0, side=side))
+    color_g = graph.add_node(JpegColorChannel("F3G_color", channel=1, side=side))
+    color_b = graph.add_node(JpegColorChannel("F3B_color", channel=2, side=side))
+    join = graph.add_node(JpegChannelJoiner("F4_join", side=side))
+    clamp = graph.add_node(JpegClamper("F5_clamp", side=side))
+    formatter = graph.add_node(JpegPixelFormatter("F6_format", side=side))
+    assembler = graph.add_node(
+        JpegRowAssembler("F7_rows", header.width // side, side=side)
+    )
     graph.connect(parser, dequant)
     graph.connect(dequant, idct)
     graph.connect(idct, upsample)

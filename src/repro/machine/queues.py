@@ -22,6 +22,11 @@ import random
 from repro.observability.events import QueueHighWater
 from repro.words import WORD_MASK
 
+#: Period of the free-running ring pointers: slot indices jump at this wrap
+#: unless the capacity divides it, so a contiguous run of slots ends there
+#: as well as at the end of the ring.
+_WRAP = 1 << 32
+
 #: Occupancy/capacity fractions at which a ``QueueHighWater`` trace event
 #: fires (mirrors :data:`repro.core.queue_manager.HIGH_WATER_MARKS`).
 HIGH_WATER_MARKS = (0.5, 0.75, 0.9)
@@ -150,7 +155,7 @@ class ReliableQueue(RawQueue):
         take = min(room, len(words) - start)
         if take <= 0:
             return 0
-        self._items.extend(word & WORD_MASK for word in words[start : start + take])
+        self._items += [word & WORD_MASK for word in words[start : start + take]]
         if (occupancy := self.occupancy()) > getattr(self, "_peak", 0):
             self._peak = occupancy
         if self.wake_hub is not None:
@@ -231,6 +236,8 @@ class SoftwareQueue(RawQueue):
         return word
 
     def push_many(self, words: list[int], start: int) -> int:
+        """Copy contiguous runs of slots: a run ends at the end of the ring
+        or at the 2**32 wrap of the tail, whichever comes first."""
         if self.tracer is not None or self.profiler is not None:
             return 0  # per-word path reproduces events and samples exactly
         room = self.capacity - self.occupancy()
@@ -240,9 +247,15 @@ class SoftwareQueue(RawQueue):
         buffer = self._buffer
         capacity = self.capacity
         tail = self.tail
-        for word in words[start : start + take]:
-            buffer[tail % capacity] = word & WORD_MASK
-            tail = (tail + 1) & WORD_MASK
+        end = start + take
+        while start < end:
+            slot = tail % capacity
+            run = min(end - start, capacity - slot, _WRAP - tail)
+            buffer[slot : slot + run] = [
+                word & WORD_MASK for word in words[start : start + run]
+            ]
+            start += run
+            tail = (tail + run) & WORD_MASK
         self.tail = tail
         if (occupancy := min(self.occupancy(), capacity)) > getattr(self, "_peak", 0):
             self._peak = occupancy
@@ -254,17 +267,21 @@ class SoftwareQueue(RawQueue):
         if self.profiler is not None:
             return []  # per-word path samples occupancy per operation
         # Corrupted pointers can make occupancy() astronomical; replaying
-        # stale slots word by word is exactly what repeated pop() does.
+        # stale slots, round the ring more than once if need be, is exactly
+        # what repeated pop() does.
         take = min(limit, self.occupancy())
         if take <= 0:
             return []
         buffer = self._buffer
         capacity = self.capacity
         head = self.head
-        words = []
-        for _ in range(take):
-            words.append(buffer[head % capacity])
-            head = (head + 1) & WORD_MASK
+        words: list[int] = []
+        while take:
+            slot = head % capacity
+            run = min(take, capacity - slot, _WRAP - head)
+            words += buffer[slot : slot + run]
+            take -= run
+            head = (head + run) & WORD_MASK
         self.head = head
         if self.wake_hub is not None:
             self.wake_hub.on_pop(self.qid)

@@ -54,6 +54,16 @@ class Filter:
 
         ``inputs[p]`` has exactly ``input_rates[p]`` words; the return value
         must have ``output_rates[p]`` words per output port.
+
+        The contract batched filters rely on:
+
+        * the caller owns the returned lists and may flip their bits in
+          place, so never return a list the filter keeps (or one list on
+          two ports);
+        * output words are Python ints in ``[0, 2**32)``;
+        * a source that reads a reliable container may decode it on its
+          first :meth:`reset`, never at construction: sweeps build apps
+          they never run (a store replay builds one and executes nothing).
         """
         raise NotImplementedError
 

@@ -12,10 +12,10 @@ from repro.apps.jpeg.codec import (
     decode_amplitude,
     decode_block,
     decode_image,
-    dequantize_block,
+    dequantize_blocks,
     encode_amplitude,
     encode_image,
-    idct_block,
+    idct_blocks,
     parse_header,
     quantize_block,
     rgb_to_ycbcr,
@@ -216,10 +216,10 @@ class TestQuantRoundtrip:
         rng = np.random.default_rng(2)
         block = rng.uniform(0, 255, (8, 8))
         table = quality_scaled_table(LUMINANCE_BASE, 95)
-        zz = quantize_block(block, table)
-        levels = dequantize_block(zz, [int(v) for v in table.reshape(64)])
-        pixels = idct_block(levels)
-        assert np.max(np.abs(np.asarray(pixels).reshape(8, 8) - block)) < 24
+        zz = np.array([quantize_block(block, table)])
+        levels = dequantize_blocks(zz, table.reshape(1, 64))
+        pixels = idct_blocks(levels)
+        assert np.max(np.abs(pixels.reshape(8, 8) - block)) < 24
 
 
 class TestFullCodec:

@@ -1,16 +1,38 @@
 """Tests for the streaming jpeg decoder graph (Fig. 1 / Fig. 2 of the paper)."""
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.apps.jpeg import build_jpeg_app
-from repro.apps.jpeg.codec import decode_image, encode_image
-from repro.apps.jpeg.graph import build_jpeg_graph
+from repro.apps.jpeg import build_jpeg_app, codec
+from repro.apps.jpeg.codec import (
+    assemble_y16,
+    decode_image,
+    encode_image,
+    parse_header,
+    upsample_chroma_block,
+)
+from repro.apps.jpeg.dct import inverse_dct
+from repro.apps.jpeg.graph import (
+    JpegClamper,
+    JpegColorChannel,
+    JpegDequantizer,
+    JpegIdct,
+    JpegPixelFormatter,
+    JpegRowAssembler,
+    build_jpeg_graph,
+)
+from repro.apps.jpeg.graph420 import Jpeg420Upsampler
+from repro.apps.jpeg.tables import ZIGZAG
+from repro.apps.registry import build_app
+from repro.machine.errors import ErrorModel
 from repro.machine.protection import ProtectionLevel
 from repro.machine.system import run_program
 from repro.quality.images import synthetic_image
 from repro.streamit.frames import FrameAnalysis, edge_frame_analysis
 from repro.streamit.program import StreamProgram
+from repro.words import int_to_word, word_to_int
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +92,6 @@ class TestEquivalence:
 
 class TestUnderErrors:
     def test_commguard_beats_reliable_queue_on_misalignment(self):
-        from repro.machine.errors import ErrorModel
-
         app = build_jpeg_app(width=96, height=64, quality=85)
         model = ErrorModel(
             mtbe=150_000, p_masked=0.0, p_data=0.1, p_control=0.8, p_address=0.1
@@ -97,3 +117,213 @@ class TestUnderErrors:
             app.program, ProtectionLevel.COMMGUARD, mtbe=50_000, seed=1
         )
         assert len(result.outputs["F7_rows"]) == 48 * 32 * 3
+
+
+class TestDecodeOnce:
+    """F0 entropy-decodes its container on the first run, never at build."""
+
+    @pytest.fixture
+    def decoded_blocks(self, monkeypatch):
+        calls = []
+        real = codec.decode_block
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(codec, "decode_block", spy)
+        return calls
+
+    def test_build_decodes_nothing(self, decoded_blocks):
+        build_app("jpeg", scale=0.25)
+        assert decoded_blocks == []
+
+    def test_runs_of_one_app_decode_the_container_once(self, decoded_blocks):
+        app = build_app("jpeg", scale=0.25)
+        first = run_program(app.program, ProtectionLevel.ERROR_FREE)
+        blocks = len(decoded_blocks)
+        assert blocks == 3 * (40 // 8) * (24 // 8)
+        # Data errors flip bits of the words F0 hands out, never of its cache.
+        flips = ErrorModel(
+            mtbe=5_000, p_masked=0.0, p_data=1.0, p_control=0.0, p_address=0.0
+        )
+        run_program(app.program, ProtectionLevel.PPU_ONLY, error_model=flips, seed=1)
+        second = run_program(app.program, ProtectionLevel.ERROR_FREE)
+        assert len(decoded_blocks) == blocks
+        assert second.outputs == first.outputs
+
+
+# -- the scalar formulas the batched block kernels replaced --------------------
+
+
+def _dequantize_block(zigzag_coeffs, table_flat):
+    natural = [0] * 64
+    for pos, idx in enumerate(ZIGZAG):
+        natural[idx] = int(zigzag_coeffs[pos]) * table_flat[idx]
+    return natural
+
+
+def _idct_block(levels):
+    pixels = inverse_dct(np.asarray(levels, dtype=np.float64)) + 128.0
+    return [int(v) for v in np.round(pixels).reshape(64)]
+
+
+def _color_channel_values(y, cb, cr, channel):
+    out = []
+    for yv, cbv, crv in zip(y, cb, cr):
+        if channel == 0:  # R
+            value = yv + 1.402 * (crv - 128.0)
+        elif channel == 1:  # G
+            value = yv - 0.344136 * (cbv - 128.0) - 0.714136 * (crv - 128.0)
+        else:  # B
+            value = yv + 1.772 * (cbv - 128.0)
+        out.append(int(round(value)))
+    return out
+
+
+def _clamp_pixel(value):
+    return 0 if value < 0 else 255 if value > 255 else value
+
+
+def _planes(words, size):
+    """Split a word batch into signed planes of *size* samples."""
+    return [
+        [word_to_int(w) for w in words[start : start + size]]
+        for start in range(0, len(words), size)
+    ]
+
+
+def _words(rng, n):
+    """Full-range 32-bit words, as bit flips and garbage loads produce,
+    with the signed extremes mixed in."""
+    edges = [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0xFFFFFF80]
+    return [
+        rng.choice(edges) if rng.random() < 0.1 else rng.getrandbits(32)
+        for _ in range(n)
+    ]
+
+
+def _assert_words(batch):
+    for port in batch:
+        assert type(port) is list
+        assert all(type(w) is int and 0 <= w < 1 << 32 for w in port)
+
+
+@pytest.fixture(scope="module", params=["444", "420"])
+def header(request):
+    # Quality 10 saturates the chroma table at 255, the largest multiplier.
+    image = synthetic_image(32, 32)
+    return parse_header(encode_image(image, quality=10, subsampling=request.param))[0]
+
+
+class TestBatchedKernels:
+    """Every batched node equals the scalar per-word formulas on
+    full-range words, for 3-block (4:4:4) and 6-block (4:2:0) MCUs."""
+
+    FIRINGS = 20
+
+    def test_dequantizer(self, header):
+        rng = random.Random(f"f1-{header.subsampling}")
+        node = JpegDequantizer("F1", header)
+        tables = [[int(v) for v in row] for row in header.block_tables()]
+        assert node.input_rates[0] == 64 * len(tables)
+        for _ in range(self.FIRINGS):
+            words = _words(rng, node.input_rates[0])
+            expected = [
+                int_to_word(v)
+                for block, table in zip(_planes(words, 64), tables)
+                for v in _dequantize_block(block, table)
+            ]
+            got = node.work([words])
+            _assert_words(got)
+            assert got == [expected]
+
+    def test_idct(self, header):
+        rng = random.Random(f"f2-{header.subsampling}")
+        blocks, copies = (3, 3) if header.subsampling == "444" else (6, 1)
+        node = JpegIdct("F2", blocks=blocks, copies=copies)
+        for _ in range(self.FIRINGS):
+            words = _words(rng, 64 * blocks)
+            expected = [
+                int_to_word(v) for block in _planes(words, 64) for v in _idct_block(block)
+            ]
+            got = node.work([words])
+            _assert_words(got)
+            assert got == [expected] * copies
+            # Each port gets its own list: a bit flip on one must not leak.
+            assert len({id(port) for port in got}) == copies
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_color_channel(self, header, channel):
+        rng = random.Random(f"f3-{header.subsampling}-{channel}")
+        side = header.mcu_side
+        node = JpegColorChannel("F3", channel=channel, side=side)
+        for _ in range(self.FIRINGS):
+            words = _words(rng, 3 * side * side)
+            y, cb, cr = _planes(words, side * side)
+            expected = [int_to_word(v) for v in _color_channel_values(y, cb, cr, channel)]
+            got = node.work([words])
+            _assert_words(got)
+            assert got == [expected]
+
+    def test_clamper(self, header):
+        rng = random.Random(f"f5-{header.subsampling}")
+        node = JpegClamper("F5", side=header.mcu_side)
+        for _ in range(self.FIRINGS):
+            words = _words(rng, node.input_rates[0])
+            expected = [int_to_word(_clamp_pixel(word_to_int(w))) for w in words]
+            got = node.work([words])
+            _assert_words(got)
+            assert got == [expected]
+
+    def test_pixel_formatter_gather(self, header):
+        rng = random.Random(f"f6-{header.subsampling}")
+        pixels = header.mcu_side**2
+        node = JpegPixelFormatter("F6", side=header.mcu_side)
+        words = _words(rng, 3 * pixels)
+        expected = [0] * (3 * pixels)
+        for pixel in range(pixels):
+            expected[3 * pixel] = words[pixel]
+            expected[3 * pixel + 1] = words[pixels + pixel]
+            expected[3 * pixel + 2] = words[2 * pixels + pixel]
+        got = node.work([words])
+        _assert_words(got)
+        assert got == [expected]
+
+    @pytest.mark.parametrize("regions_x", [1, 3])
+    def test_row_assembler_gather(self, header, regions_x):
+        rng = random.Random(f"f7-{header.subsampling}-{regions_x}")
+        side = header.mcu_side
+        region = 3 * side * side
+        node = JpegRowAssembler("F7", regions_x, side=side)
+        words = _words(rng, regions_x * region)
+        expected = [0] * len(words)
+        row_width = regions_x * side * 3
+        for block in range(regions_x):
+            base = block * region
+            for pixel in range(side * side):
+                py, px = divmod(pixel, side)
+                dst = py * row_width + (block * side + px) * 3
+                expected[dst : dst + 3] = words[base + 3 * pixel : base + 3 * pixel + 3]
+        node.reset()
+        assert node.work([words]) == []
+        assert node.collected == expected
+
+    def test_upsampler_gather(self):
+        rng = random.Random("f2u")
+        node = Jpeg420Upsampler("F2U")
+        for _ in range(self.FIRINGS):
+            words = _words(rng, 384)
+            blocks = _planes(words, 64)
+            plane = [
+                int_to_word(v)
+                for v in (
+                    *assemble_y16(blocks[0:4]),
+                    *upsample_chroma_block(blocks[4]),
+                    *upsample_chroma_block(blocks[5]),
+                )
+            ]
+            got = node.work([words])
+            _assert_words(got)
+            assert got == [plane] * 3
+            assert len({id(port) for port in got}) == 3

@@ -91,6 +91,52 @@ class TestSoftwareQueueBulk:
         queue.tail = (queue.head + (1 << 10)) & 0xFFFFFFFF  # looks over-full
         assert queue.push_many([1, 2], 0) == 0
 
+    @staticmethod
+    def _ring_twins(rng, state):
+        """Two identical queues of a random capacity in one pointer state."""
+        capacity = rng.randint(1, 960)
+        if state == "zero":
+            head = tail = 0
+        elif state == "near-wrap":  # both pointers within 2 x capacity of 2**32
+            head = (1 << 32) - rng.randint(1, 2 * capacity)
+            tail = head + rng.randint(0, capacity)
+        else:  # a corrupted view: tail behind head, occupancy ~2**32
+            head = rng.getrandbits(32)
+            tail = head - rng.randint(1, 4 * capacity)
+        buffer = [rng.getrandbits(32) for _ in range(capacity)]
+        twins = SoftwareQueue(capacity), SoftwareQueue(capacity)
+        for queue in twins:
+            queue.head, queue.tail = head & 0xFFFFFFFF, tail & 0xFFFFFFFF
+            queue._buffer = list(buffer)
+        return twins
+
+    @pytest.mark.parametrize("state", ["zero", "near-wrap", "corrupt"])
+    def test_bulk_equals_per_word_across_both_wraps(self, state):
+        """Seeded differential: slices end at the end of the ring and at the
+        2**32 pointer wrap, and a corrupted view replays the ring more than
+        once; the per-word loop is the reference for every observable."""
+        rng = random.Random(f"software-queue-{state}")
+        for _ in range(40):
+            reference, bulk = self._ring_twins(rng, state)
+            capacity = reference.capacity
+            for _ in range(6):
+                if rng.random() < 0.5:
+                    words = [rng.getrandbits(34) for _ in range(rng.randint(0, 2 * capacity))]
+                    start = rng.randint(0, len(words))
+                    pushed = 0
+                    while start + pushed < len(words) and reference.push(words[start + pushed]):
+                        pushed += 1
+                    assert bulk.push_many(words, start) == pushed
+                else:
+                    limit = rng.randint(1, 3 * capacity)
+                    expected = []
+                    while len(expected) < limit and (word := reference.pop()) is not None:
+                        expected.append(word)
+                    assert bulk.pop_many(limit) == expected
+                assert (bulk.head, bulk.tail) == (reference.head, reference.tail)
+                assert bulk._buffer == reference._buffer
+                assert bulk.peak_occupancy == reference.peak_occupancy
+
 
 def make_guarded(workset=4, capacity=64):
     return GuardedQueue(0, QueueGeometry(workset_units=workset, capacity_units=capacity))
