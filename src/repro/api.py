@@ -25,9 +25,9 @@ Inputs are forgiving: *app* is a registry name or a prebuilt
 understands (``True`` collects events in memory, a path streams JSONL
 there, a ready tracer passes through).
 
-The shared parsing helpers (:func:`resolve_app`, :func:`parse_mtbe`) live
-here too, so the CLI and the examples agree on accepted spellings and
-error messages.
+The shared parsing helpers (:func:`resolve_app`, :func:`parse_mtbe`) and
+the sweep grid (:func:`sweep_grid`) live here too, so the CLI and the
+examples agree on accepted spellings, error messages and grids.
 """
 
 from __future__ import annotations
@@ -48,14 +48,9 @@ from repro.experiments.cache import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.experiments.options import EngineOptions
-from repro.experiments.store import RunStore, derive_campaign_id
-from repro.experiments.parallel import (
-    FailureRecord,
-    ParallelRunner,
-    RunSpec,
-    SweepStats,
-)
+from repro.experiments.options import EngineOptions, build_engine
+from repro.experiments.parallel import FailureRecord, RunSpec, SweepStats
+from repro.experiments.store import RunStore
 from repro.experiments.runner import RunRecord, SimulationRunner
 from repro.machine.errors import ErrorModel
 from repro.machine.faults import DEFAULT_FAULT_MODEL, FaultModelSpec
@@ -144,32 +139,6 @@ class AppInfo:
             "compiled program; rebuild it with repro.api.resolve_app(name) "
             "to compute baseline quality"
         )
-
-
-def _options_to_dict(options: EngineOptions) -> dict:
-    """JSON-safe document of :class:`EngineOptions`.
-
-    ``trace`` may hold a live tracer and ``store`` a live
-    :class:`~repro.experiments.store.RunStore` — in-memory handles are
-    normalized to their path (or dropped) so the document stays
-    serializable and deterministic."""
-    data = {
-        f.name: getattr(options, f.name)
-        for f in dataclasses.fields(EngineOptions)
-    }
-    if data.get("trace") is not None and not isinstance(data["trace"], (str, bool)):
-        data["trace"] = None
-    store = data.get("store")
-    if isinstance(store, RunStore):
-        data["store"] = str(store.path)
-    elif isinstance(store, Path):
-        data["store"] = str(store)
-    return data
-
-
-def _options_from_dict(data: dict) -> EngineOptions:
-    known = {f.name for f in dataclasses.fields(EngineOptions)}
-    return EngineOptions(**{k: v for k, v in data.items() if k in known})
 
 
 def _failure_to_dict(failure: FailureRecord) -> dict:
@@ -339,10 +308,13 @@ def run(
 
     ``config`` supplies the CommGuard design knobs (``frame_scale`` is a
     shorthand used only when ``config`` is omitted); ``error_model``
-    overrides the calibrated masking/effect mix.  ``fault_model`` selects
-    the error process from the registry in :mod:`repro.machine.faults` —
-    a name or ``name:param=val,...`` spec string (default ``bit_flip``,
-    which is bit-identical to the pre-registry injector).  See the module
+    overrides the calibrated masking/effect mix and supplies the MTBE
+    (an explicit *mtbe* must agree with ``error_model.mtbe``).  The
+    override becomes the spec's ``mtbe`` and ``p_*`` fields, so it keys
+    the store like any other point.  ``fault_model`` selects the error
+    process from the registry in :mod:`repro.machine.faults` — a name or
+    ``name:param=val,...`` spec string (default ``bit_flip``, which is
+    bit-identical to the pre-registry injector).  See the module
     docstring for the accepted *app*, *protection* and trace spellings.
 
     Engine knobs come through *options*, the same
@@ -361,9 +333,6 @@ def run(
     with provenance.  Only a named store is used: ``options.cache``
     does not select the default one here, so a plain ``run()`` always
     simulates and returns its raw result.
-    Runs with an ``error_model`` override never touch the store: the
-    override is not part of the spec's content key, so neither a cached
-    baseline record nor a store write would be faithful to it.
 
     ``profile`` takes a :class:`~repro.observability.ProfileSession`: the
     run records its simulated-time timeline into ``profile.sim`` and its
@@ -390,19 +359,33 @@ def run(
             f"vs frame_scale={frame_scale}"
         )
     rate = parse_mtbe(mtbe)
+    mix = {}
+    if error_model is not None:
+        if rate is not None and rate != error_model.mtbe:
+            raise ValueError(
+                f"conflicting MTBEs: error_model.mtbe={error_model.mtbe} "
+                f"vs mtbe={mtbe!r}"
+            )
+        rate = error_model.mtbe
+        mix = {
+            name: getattr(error_model, name)
+            for name in ("p_masked", "p_data", "p_control", "p_address")
+        }
+    error_free = level is ProtectionLevel.ERROR_FREE
     fault = FaultModelSpec.coerce(fault_model)
     tracer, owned = coerce_tracer(trace)
 
     spec = RunSpec(
         app=bench.name,
         protection=level,
-        mtbe=None if level is ProtectionLevel.ERROR_FREE else rate,
+        mtbe=None if error_free else rate,
         seed=seed,
         frame_scale=config.frame_scale,
         workset_units=config.workset_units,
         pad_word=config.pad_word,
         push_timeout=config.push_timeout,
         pop_timeout=config.pop_timeout,
+        **({} if error_free else mix),
         fault_model=fault.canonical(),
         trace=str(owned.path) if owned is not None and owned.path else None,
         exec_mode=opts.exec_mode,
@@ -410,17 +393,9 @@ def run(
     runner = _runner_for(scale)
     runner.adopt_app(bench)
     store = RunStore.coerce(opts.store)
-    # An error_model override is not part of RunSpec (and hence the
-    # content key), so a store hit would return a baseline record that
-    # ignores the override and a store write would poison the baseline
-    # key — overridden runs bypass the store entirely, like traced ones.
-    # Profiled runs skip the hit path too: a store hit has no timeline.
-    if (
-        store is not None
-        and trace is None
-        and error_model is None
-        and profile is None
-    ):
+    # A store hit has no trace and no timeline: traced and profiled runs
+    # always execute.
+    if store is not None and trace is None and profile is None:
         cached = store.load(spec.content_key(scale))
         if cached is not None:
             return RunReport(
@@ -432,24 +407,17 @@ def run(
     engine = profile.engine if profile is not None else None
     try:
         with engine_span(
-            engine, "run", app=bench.name, protection=level.name, seed=seed
+            engine, "run", app=bench.name, protection=level.value, seed=seed
         ):
-            record, result = runner._execute(
-                bench.name,
-                level,
-                mtbe=rate,
-                seed=seed,
-                commguard_config=config,
-                error_model=error_model,
+            record, result = runner.run_spec(
+                spec,
                 tracer=tracer,
-                fault_model=fault.canonical(),
-                exec_mode=opts.exec_mode,
                 profiler=profile.sim if profile is not None else None,
             )
     finally:
         if owned is not None:
             owned.close()
-    if store is not None and error_model is None:
+    if store is not None:
         store.store(
             spec.content_key(scale), spec, scale, record,
             provenance={"entry": "api.run"},
@@ -636,7 +604,7 @@ class SweepReport:
             "schema_version": SCHEMA_VERSION,
             "kind": "sweep_report",
             "app": {"name": self.app.name, "metric": self.app.metric},
-            "options": _options_to_dict(self.options),
+            "options": self.options.to_dict(),
             "points": [
                 {
                     "spec": spec_to_dict(point.spec),
@@ -682,7 +650,7 @@ class SweepReport:
         return cls(
             app=AppInfo(**data["app"]),
             points=points,
-            options=_options_from_dict(data["options"]),
+            options=EngineOptions.from_dict(data["options"]),
             stats=_stats_from_dict(stats) if stats is not None else None,
         )
 
@@ -693,6 +661,24 @@ class SweepReport:
         :class:`AppInfo` stand-in.  Rejects documents whose
         ``schema_version`` this reader does not support."""
         return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_records(
+        cls,
+        app: BenchmarkApp | AppInfo,
+        specs: Sequence[RunSpec],
+        records: Sequence[RunRecord | None],
+        stats: SweepStats,
+        options: EngineOptions,
+    ) -> "SweepReport":
+        """The report of one engine pass: *records* (``None`` for a failed
+        keep-going point) in *specs* order, with the engine's *stats*."""
+        failures = {failure.index: failure for failure in stats.failures}
+        points = [
+            SweepPoint(spec=spec, record=record, failure=failures.get(index))
+            for index, (spec, record) in enumerate(zip(specs, records))
+        ]
+        return cls(app=app, points=points, options=options, stats=stats)
 
     @classmethod
     def from_store(
@@ -724,7 +710,7 @@ class SweepReport:
         return cls(
             app=AppInfo(name=status.app, metric=status.metric),
             points=points,
-            options=_options_from_dict(status.options),
+            options=EngineOptions.from_dict(status.options),
             stats=None,
         )
 
@@ -764,6 +750,49 @@ def _parse_seed_axis(seeds: int | Iterable[int]) -> tuple[int, ...]:
     if not values:
         raise ValueError("sweep needs at least one seed")
     return values
+
+
+def sweep_grid(
+    app: str,
+    protections: ProtectionLevel | str | Iterable[ProtectionLevel | str],
+    mtbes: float | str | None | Iterable[float | str | None],
+    seeds: int | Iterable[int],
+    *,
+    frame_scale: int = 1,
+    fault_model: FaultModelSpec | str | None = None,
+    exec_mode: str = "fast",
+) -> list[RunSpec]:
+    """The specs of a ``protections x mtbes x seeds`` grid of *app*, in
+    grid order (``protection``-major, then ``mtbe``, then ``seed``).
+
+    :func:`sweep` and ``repro sweep`` both run this grid; see
+    :func:`sweep` for the accepted axis spellings.  ``ERROR_FREE``
+    contributes one point (``mtbe=None``, first seed, default fault
+    model) however wide the error axes are.
+    """
+    levels = _parse_protection_axis(protections)
+    rates = _parse_mtbe_axis(mtbes)
+    seed_values = _parse_seed_axis(seeds)
+    fault = FaultModelSpec.coerce(fault_model).canonical()
+    specs: list[RunSpec] = []
+    for level in levels:
+        error_free = level is ProtectionLevel.ERROR_FREE
+        for rate in (None,) if error_free else rates:
+            for seed in seed_values[:1] if error_free else seed_values:
+                specs.append(
+                    RunSpec(
+                        app=app,
+                        protection=level,
+                        mtbe=rate,
+                        seed=seed,
+                        frame_scale=frame_scale,
+                        fault_model=(
+                            DEFAULT_FAULT_MODEL if rate is None else fault
+                        ),
+                        exec_mode=exec_mode,
+                    )
+                )
+    return specs
 
 
 def sweep(
@@ -835,30 +864,15 @@ def sweep(
     options = options or EngineOptions()
     scale = options.scale if options.scale is not None else 1.0
     bench = resolve_app(app, scale=scale)
-    levels = _parse_protection_axis(protections)
-    rates = _parse_mtbe_axis(mtbes)
-    seed_values = _parse_seed_axis(seeds)
-    fault = FaultModelSpec.coerce(fault_model)
-
-    specs: list[RunSpec] = []
-    for level in levels:
-        error_free = level is ProtectionLevel.ERROR_FREE
-        for rate in (None,) if error_free else rates:
-            for seed in seed_values[:1] if error_free else seed_values:
-                specs.append(
-                    RunSpec(
-                        app=bench.name,
-                        protection=level,
-                        mtbe=rate,
-                        seed=seed,
-                        frame_scale=frame_scale,
-                        fault_model=(
-                            DEFAULT_FAULT_MODEL if error_free or rate is None
-                            else fault.canonical()
-                        ),
-                        exec_mode=options.exec_mode,
-                    )
-                )
+    specs = sweep_grid(
+        bench.name,
+        protections,
+        mtbes,
+        seeds,
+        frame_scale=frame_scale,
+        fault_model=fault_model,
+        exec_mode=options.exec_mode,
+    )
 
     engine = profile.engine if profile is not None else None
     in_process = collect_results or isinstance(app, BenchmarkApp)
@@ -871,43 +885,21 @@ def sweep(
             )
         return SweepReport(app=bench, points=points, options=options)
 
-    store = options.batch_store()
-    if store is not None and options.store is not None:  # a named store
-        if campaign is None:
-            campaign = derive_campaign_id(specs, scale)
-        store.begin_campaign(
-            campaign,
-            specs,
-            scale,
-            app=bench.name,
-            metric=bench.metric,
-            options=_options_to_dict(options),
-        )
-    else:
-        campaign = None
-    runner = ParallelRunner(
-        scale=scale,
-        jobs=options.jobs,
-        trace_dir=options.trace_dir,
-        retries=options.retries,
-        run_timeout=options.run_timeout,
-        retry_backoff=options.retry_backoff,
-        strict=not options.keep_going,
-        profiler=engine,
-        store=store,
+    runner = build_engine(
+        options,
+        scale,
+        specs,
         campaign=campaign,
+        app=bench.name,
+        metric=bench.metric,
+        profiler=engine,
     )
     with engine_span(
         engine, "sweep", app=bench.name, points=len(specs), jobs=options.jobs
     ):
         records = runner.run_specs(specs)
-    failures = {f.index: f for f in runner.last_stats.failures}
-    points = [
-        SweepPoint(spec=s, record=r, failure=failures.get(i))
-        for i, (s, r) in enumerate(zip(specs, records))
-    ]
-    return SweepReport(
-        app=bench, points=points, options=options, stats=runner.last_stats
+    return SweepReport.from_records(
+        bench, specs, records, runner.last_stats, options
     )
 
 

@@ -37,8 +37,7 @@ Commands:
   the pending points.
 * ``store`` — the SQLite result store: ``stats``, ``query`` (filter by
   app/protection/mtbe/seed/fault-model), ``gc`` (prune superseded
-  failures + orphaned files), ``import`` (one-shot migration of a repro
-  1.x ``.repro_cache/`` directory), ``export`` (JSONL dump).
+  failures + orphaned files), ``export`` (JSONL dump).
 
 ``sweep --store [PATH]`` records the sweep as a resumable *campaign* in
 the store: every completed point is flushed as it finishes, so after a
@@ -64,28 +63,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro import api
 from repro.apps.registry import APP_ORDER
-from repro.experiments.options import EngineOptions
-from repro.experiments.parallel import (
-    ParallelRunner,
-    RunSpec,
-    SweepRunError,
-    SweepStats,
-)
+from repro.experiments.options import EngineOptions, build_engine
+from repro.experiments.parallel import ParallelRunner, SweepRunError, SweepStats
 from repro.experiments.aggregate import summarize
 from repro.experiments.registry import figure_names, figure_specs
-from repro.experiments.store import (
-    ENV_LEGACY_CACHE_DIR,
-    LEGACY_CACHE_DIR,
-    RunStore,
-    derive_campaign_id,
-)
+from repro.experiments.store import RunStore
 from repro.experiments.report import db_or_errorfree, format_table
 from repro.machine.faults import FAULT_MODELS, FaultModelSpec, fault_model_names
 from repro.machine.protection import ProtectionLevel
@@ -246,87 +235,49 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_summary(
-    app_name: str,
-    metric: str,
-    protection_value: str,
-    fault_model: str,
-    seeds: int,
-    ladder: list,
-    cells: list,
-) -> str:
-    """The sweep summary block: header line plus the per-MTBE table.
-
-    ``cells`` holds, per ladder entry, the completed records of that MTBE
-    point (an empty cell — every run failed — renders as dashes).  Both
-    ``repro sweep`` and ``repro report`` print through this function, so
-    a report rendered from a serialized sweep reproduces the live sweep's
-    summary byte for byte.
-    """
-    rows = []
-    for mtbe, chunk in zip(ladder, cells):
-        label = "-" if mtbe is None else f"{mtbe / 1000:.0f}k"
-        if not chunk:
-            rows.append([label, "-", "-"])
-            continue
-        quality = summarize([r.quality_db for r in chunk], cap=QUALITY_CAP_DB)
-        loss = summarize([r.data_loss_ratio for r in chunk])
-        rows.append([label, quality.format(), loss.format(4)])
-    header = (
-        f"{app_name} under {protection_value} "
-        f"({seeds} seeds/point, fault model {fault_model}, mean ±95% CI)"
-    )
-    table = format_table(["MTBE", f"{metric.upper()} (dB)", "loss ratio"], rows)
-    return f"{header}\n{table}"
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     options = _sweep_options(args)
     if args.resume is not None:
-        return _sweep_resume(args, options.batch_store())
-    if args.app is None:
+        store = options.batch_store()
+        try:
+            status = store.campaign(args.resume)
+        except ValueError as error:
+            print(f"repro sweep: {error}", file=sys.stderr)
+            return 2
+        print(f"[sweep] resuming {status.summary()}", file=sys.stderr)
+        # The full frozen grid goes back through the engine: completed
+        # positions are store hits (zero re-execution), pending ones run.
+        app = api.AppInfo(name=status.app, metric=status.metric)
+        specs = list(status.specs)
+        options = replace(options, scale=status.scale, store=store)
+    elif args.app is None:
         print("repro sweep: an app is required (or --resume CAMPAIGN)",
               file=sys.stderr)
         return 2
-    store = options.batch_store()
-    protection = ProtectionLevel.parse(args.protection)
-    runner = ParallelRunner(
-        scale=args.scale,
-        jobs=args.jobs,
-        progress=_progress_printer() if args.progress else None,
-        trace_dir=args.trace_dir,
-        retries=args.retries,
-        run_timeout=args.run_timeout,
-        strict=not args.keep_going,
-        store=store,
-    )
-    app = runner.app(args.app)
-    ladder = [_parse_mtbe(text) for text in args.mtbe]
-    specs = [
-        RunSpec(
-            app=args.app,
-            protection=protection,
-            mtbe=mtbe,
-            seed=seed,
+    else:
+        app = api.resolve_app(args.app, scale=args.scale)
+        specs = api.sweep_grid(
+            args.app,
+            args.protection,
+            args.mtbe,
+            args.seeds,
             fault_model=args.fault_model,
             exec_mode=args.exec_mode,
         )
-        for mtbe in ladder
-        for seed in range(args.seeds)
-    ]
-    campaign = None
-    if options.store is not None:
-        campaign = args.campaign or derive_campaign_id(specs, args.scale)
-        store.begin_campaign(
-            campaign,
-            specs,
-            args.scale,
-            app=args.app,
-            metric=app.metric,
-            options=api._options_to_dict(options),
+    runner = build_engine(
+        options,
+        options.scale,
+        specs,
+        campaign=args.resume or args.campaign,
+        app=app.name,
+        metric=app.metric,
+        progress=_progress_printer() if args.progress else None,
+    )
+    if runner.campaign is not None:
+        print(
+            f"[sweep] campaign {runner.campaign} in {runner.store.path}",
+            file=sys.stderr,
         )
-        runner.campaign = campaign
-        print(f"[sweep] campaign {campaign} in {store.path}", file=sys.stderr)
     try:
         records = runner.run_specs(specs)
     except KeyboardInterrupt:
@@ -335,10 +286,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("\n[sweep] interrupted — completed runs are cached", file=sys.stderr)
         if runner.last_stats is not None:
             print(f"[sweep] {runner.last_stats.summary()}", file=sys.stderr)
-        if campaign is not None:
+        if runner.campaign is not None:
             print(
-                f"[sweep] resume with: repro sweep --store {store.path} "
-                f"--resume {campaign}",
+                f"[sweep] resume with: repro sweep --store {runner.store.path} "
+                f"--resume {runner.campaign}",
                 file=sys.stderr,
             )
         return 130
@@ -350,46 +301,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    cells = [
-        [
-            r
-            for r in records[index * args.seeds : (index + 1) * args.seeds]
-            if r is not None
-        ]
-        for index in range(len(ladder))
-    ]
-    print(
-        _sweep_summary(
-            args.app, app.metric, protection.value, args.fault_model,
-            args.seeds, ladder, cells,
-        )
+    report = api.SweepReport.from_records(
+        app, specs, records, runner.last_stats, options
     )
-    if runner.last_stats is not None:
-        print(f"[sweep] {runner.last_stats.summary()}")
-        for failure in runner.last_stats.failures:
-            print(f"[sweep] failed: {failure.summary()}", file=sys.stderr)
+    _render_report(report)
     if args.metrics_out is not None and _write_metrics(runner, args.metrics_out):
         return 1
     if args.trace_dir is not None:
         print(f"traces under {args.trace_dir}")
     if args.output is not None:
-        if campaign is not None:
+        if runner.campaign is not None:
             # The store document is canonical: rebuilt purely from what was
             # computed, so an interrupted-then-resumed campaign and an
             # uninterrupted one write byte-identical reports.
-            report = api.SweepReport.from_store(store, campaign)
-        else:
-            stats = runner.last_stats
-            failures = {f.index: f for f in stats.failures} if stats else {}
-            report = api.SweepReport(
-                app=app,
-                points=[
-                    api.SweepPoint(spec=spec, record=record, failure=failures.get(i))
-                    for i, (spec, record) in enumerate(zip(specs, records))
-                ],
-                options=options,
-                stats=stats,
-            )
+            report = api.SweepReport.from_store(runner.store, runner.campaign)
         try:
             Path(args.output).write_text(report.to_json() + "\n")
         except OSError as error:
@@ -431,90 +356,40 @@ def _sweep_options(args: argparse.Namespace) -> EngineOptions:
     )
 
 
-def _sweep_resume(args: argparse.Namespace, store: RunStore) -> int:
-    """Resume a stored campaign: run only its missing points, then render
-    (and optionally write) the campaign's canonical report."""
-    try:
-        status = store.campaign(args.resume)
-    except ValueError as error:
-        print(f"repro sweep: {error}", file=sys.stderr)
-        return 2
-    print(f"[sweep] resuming {status.summary()}", file=sys.stderr)
-    runner = ParallelRunner(
-        scale=status.scale,
-        jobs=args.jobs,
-        progress=_progress_printer() if args.progress else None,
-        trace_dir=args.trace_dir,
-        retries=args.retries,
-        run_timeout=args.run_timeout,
-        strict=not args.keep_going,
-        store=store,
-        campaign=args.resume,
-    )
-    try:
-        # The full frozen grid goes back through the engine: completed
-        # positions are store hits (zero re-execution), pending ones run.
-        runner.run_specs(list(status.specs))
-    except KeyboardInterrupt:
-        print("\n[sweep] interrupted — completed runs are stored", file=sys.stderr)
-        if runner.last_stats is not None:
-            print(f"[sweep] {runner.last_stats.summary()}", file=sys.stderr)
-        print(
-            f"[sweep] resume with: repro sweep --store {store.path} "
-            f"--resume {args.resume}",
-            file=sys.stderr,
-        )
-        return 130
-    except SweepRunError as error:
-        print(f"[sweep] aborted: {error}", file=sys.stderr)
-        print(
-            "[sweep] use --keep-going to finish the remaining points, "
-            "--retries/--run-timeout to tolerate transient faults",
-            file=sys.stderr,
-        )
-        return 1
-    report = api.SweepReport.from_store(store, args.resume)
-    _render_report(report)
-    if runner.last_stats is not None:
-        print(f"[sweep] {runner.last_stats.summary()}")
-    if args.metrics_out is not None and _write_metrics(runner, args.metrics_out):
-        return 1
-    if args.output is not None:
-        try:
-            Path(args.output).write_text(report.to_json() + "\n")
-        except OSError as error:
-            print(f"cannot write report: {error}", file=sys.stderr)
-            return 1
-        print(f"report written to {args.output}")
-    return 0
-
-
 def _render_report(report: "api.SweepReport") -> None:
     """Print a report's summary blocks (one per protection level) plus its
-    engine stats — the shared renderer behind ``repro report`` and the
-    store-backed ``repro sweep --resume``."""
+    engine stats — what ``repro sweep`` prints for the sweep it ran and
+    ``repro report`` for a serialized one, byte for byte.
+
+    Each block is a header line plus the per-MTBE table: mean ±95% CI of
+    each MTBE point's completed records (an empty cell — every run
+    failed — renders as dashes)."""
     if not report.points:
         print("empty report: no sweep points")
         return
     seeds = len({point.spec.seed for point in report.points})
+    metric = report.app.metric
     for level in report.protections:
         points = [p for p in report.points if p.spec.protection is level]
-        ladder = list(dict.fromkeys(p.spec.mtbe for p in points))
-        cells = [
-            [
+        rows = []
+        for mtbe in dict.fromkeys(p.spec.mtbe for p in points):
+            label = "-" if mtbe is None else f"{mtbe / 1000:.0f}k"
+            chunk = [
                 p.record
                 for p in points
                 if p.spec.mtbe == mtbe and p.record is not None
             ]
-            for mtbe in ladder
-        ]
-        fault_model = points[0].spec.fault_model
+            if not chunk:
+                rows.append([label, "-", "-"])
+                continue
+            quality = summarize([r.quality_db for r in chunk], cap=QUALITY_CAP_DB)
+            loss = summarize([r.data_loss_ratio for r in chunk])
+            rows.append([label, quality.format(), loss.format(4)])
         print(
-            _sweep_summary(
-                report.app.name, report.app.metric, level.value, fault_model,
-                seeds, ladder, cells,
-            )
+            f"{report.app.name} under {level.value} ({seeds} seeds/point, "
+            f"fault model {points[0].spec.fault_model}, mean ±95% CI)"
         )
+        print(format_table(["MTBE", f"{metric.upper()} (dB)", "loss ratio"], rows))
     if report.stats is not None:
         print(f"[sweep] {report.stats.summary()}")
         for failure in report.stats.failures:
@@ -657,26 +532,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
         return 0
 
-    from repro.core.config import CommGuardConfig
-    from repro.machine.system import SystemConfig, run_program
     from repro.observability.profile import ProfileSession
 
     protection = ProtectionLevel.parse(args.protection)
     session = ProfileSession()
-    bench = api.resolve_app(args.app, scale=args.scale)
-    with session.engine.span(
-        "run", app=args.app, protection=protection.value, seed=args.seed
-    ):
-        result = run_program(
-            bench.program,
-            protection,
-            mtbe=args.mtbe,
-            seed=args.seed,
-            commguard_config=CommGuardConfig(frame_scale=args.frame_scale),
-            system_config=SystemConfig(exec_mode=args.exec_mode),
-            fault_model=args.fault_model,
-            profiler=session.sim,
-        )
+    result = api.run(
+        args.app,
+        protection,
+        mtbe=args.mtbe,
+        seed=args.seed,
+        frame_scale=args.frame_scale,
+        fault_model=args.fault_model,
+        options=EngineOptions(scale=args.scale, exec_mode=args.exec_mode),
+        profile=session,
+    ).result
     try:
         write_chrome_trace(
             args.out, profile_to_chrome(sim=session.sim, engine=session.engine)
@@ -868,11 +737,6 @@ def cmd_store(args: argparse.Namespace) -> int:
         collected = store.gc(trace_dirs=args.trace_dir or ())
         print(f"[store] {collected.summary()}")
         return 0
-    if args.action == "import":
-        root = args.cache or os.environ.get(ENV_LEGACY_CACHE_DIR) or LEGACY_CACHE_DIR
-        imported = store.import_cache(root)
-        print(f"imported {imported} run(s) from {root} into {store.path}")
-        return 0
     # export
     if args.output is not None:
         try:
@@ -1026,7 +890,9 @@ def build_parser() -> argparse.ArgumentParser:
         "remembers its grid)",
     )
     sweep_parser.add_argument(
-        "--mtbe", nargs="+", default=["64k", "256k", "1M", "4M"]
+        "--mtbe", nargs="+", type=_parse_mtbe,
+        default=[64_000.0, 256_000.0, 1_000_000.0, 4_000_000.0],
+        help="per-core MTBE ladder, e.g. 64k 256k 1M (default: 64k 256k 1M 4M)",
     )
     sweep_parser.add_argument(
         "--protection", choices=list(PROTECTION_CHOICES), default="commguard"
@@ -1036,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME[:P=V,...]",
         help="fault model spec, e.g. burst:p_cluster=0.7 (see `repro list`)",
     )
-    sweep_parser.add_argument("--seeds", type=int, default=3)
+    sweep_parser.add_argument("--seeds", type=_positive_int, default=3)
     sweep_parser.add_argument("--scale", type=float, default=0.5)
     sweep_parser.add_argument(
         "--progress", action="store_true", help="print progress lines to stderr"
@@ -1190,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="inspect/maintain the SQLite result store"
     )
     store_parser.add_argument(
-        "action", choices=["stats", "query", "gc", "import", "export"]
+        "action", choices=["stats", "query", "gc", "export"]
     )
     store_parser.add_argument(
         "--db", default=None, metavar="PATH",
@@ -1218,11 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_parser.add_argument(
         "--json", action="store_true", help="query: one JSON object per row"
-    )
-    store_parser.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="import: repro 1.x cache directory (default: "
-        ".repro_cache/ or REPRO_CACHE_DIR)",
     )
     store_parser.add_argument(
         "--trace-dir", action="append", default=None, metavar="DIR",

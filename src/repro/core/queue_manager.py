@@ -173,7 +173,7 @@ class GuardedQueue:
         end = start + take
         while i < end:
             chunk = min(workset - len(local), end - i)
-            local.extend(word & wm for word in words[i : i + chunk])
+            local += [word & wm for word in words[i : i + chunk]]
             i += chunk
             if len(local) >= workset:
                 self._publish(stats, full_handoff=True)

@@ -6,15 +6,19 @@ and the CLI (``repro run`` / ``repro sweep`` / ``repro figure`` /
 ``repro paper``) all accept the same knobs through this dataclass — the
 single documented spelling of "how should the engine execute this", so
 a paper run and an API sweep configured the same way build the same
-:class:`~repro.experiments.parallel.ParallelRunner`, and a single
-:func:`~repro.api.run` call reuses the very same option names.
+:class:`~repro.experiments.parallel.ParallelRunner` (through
+:func:`build_engine`, the one place options become an engine), and a
+single :func:`~repro.api.run` call reuses the very same option names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
+from typing import Sequence
 
-from repro.experiments.store import RunStore
+from repro.experiments.parallel import ParallelRunner, RunSpec
+from repro.experiments.store import RunStore, derive_campaign_id
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,3 +81,74 @@ class EngineOptions:
         if self.store is not None:
             return RunStore.coerce(self.store)
         return RunStore() if self.cache else None
+
+    def to_dict(self) -> dict:
+        """JSON-safe document of these options.
+
+        ``trace`` may hold a live tracer and ``store`` a live
+        :class:`~repro.experiments.store.RunStore` — in-memory handles are
+        normalized to their path (or dropped) so the document stays
+        serializable and deterministic."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if data["trace"] is not None and not isinstance(data["trace"], (str, bool)):
+            data["trace"] = None
+        store = data["store"]
+        if isinstance(store, RunStore):
+            data["store"] = str(store.path)
+        elif isinstance(store, Path):
+            data["store"] = str(store)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EngineOptions":
+        """Inverse of :meth:`to_dict` (unknown keys are ignored)."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in known})
+
+
+def build_engine(
+    options: EngineOptions,
+    scale: float,
+    specs: Sequence[RunSpec] | None = None,
+    *,
+    campaign: str | None = None,
+    app: str | None = None,
+    metric: str = "snr",
+    progress=None,
+    profiler=None,
+) -> ParallelRunner:
+    """The :class:`~repro.experiments.parallel.ParallelRunner` *options*
+    spell, building apps at *scale*: every batch entry point's engine.
+
+    The engine uses the store :meth:`EngineOptions.batch_store` picks.
+    Given the grid's *specs* and a named ``options.store``, the grid is
+    registered there first as a resumable campaign — *campaign*, or the
+    id :func:`~repro.experiments.store.derive_campaign_id` derives from
+    the grid — with *app*, *metric* and these options as its document.
+    Registration is idempotent, so a rerun (or ``--resume``) of the grid
+    lands in the same campaign.  Without *specs* the caller owns the
+    registration and *campaign* stamps the rows as given.  The engine's
+    ``campaign`` attribute is the id in use (``None`` without a named
+    store).  *progress* and *profiler* pass through to the engine.
+    """
+    store = options.batch_store()
+    if store is None or options.store is None:
+        campaign = None
+    elif specs is not None:
+        campaign = campaign or derive_campaign_id(specs, scale)
+        store.begin_campaign(
+            campaign, specs, scale, app=app, metric=metric, options=options.to_dict()
+        )
+    return ParallelRunner(
+        scale=scale,
+        jobs=options.jobs,
+        progress=progress,
+        trace_dir=options.trace_dir,
+        retries=options.retries,
+        run_timeout=options.run_timeout,
+        retry_backoff=options.retry_backoff,
+        strict=not options.keep_going,
+        profiler=profiler,
+        store=store,
+        campaign=campaign,
+    )

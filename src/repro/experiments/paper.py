@@ -35,12 +35,10 @@ from __future__ import annotations
 import json
 import math
 import platform
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.experiments.aggregate import CellStats
 from repro.experiments.fidelity import (
     PaperTarget,
     ScaleTier,
@@ -50,10 +48,9 @@ from repro.experiments.fidelity import (
     evaluate_target,
     resolve_tier,
     result_from_dict,
-    targets_by_figure,
 )
-from repro.experiments.options import EngineOptions
-from repro.experiments.parallel import ParallelRunner, RunSpec, SweepStats
+from repro.experiments.options import EngineOptions, build_engine
+from repro.experiments.parallel import RunSpec, SweepStats
 from repro.experiments.plotting import ascii_chart
 from repro.experiments.registry import figure_specs, resolve_figure
 from repro.experiments.report import format_table
@@ -280,12 +277,12 @@ def run_paper(
     verdicts.
 
     *options* carries the engine knobs (``jobs``, ``retries``,
-    ``run_timeout``, ``store``, ``exec_mode``); ``options.store=None``
-    selects the default store whatever ``options.cache`` says — the
-    pipeline always records a campaign, that is what makes it
-    resumable.  ``options.scale`` is ignored: the tier owns the scale.
-    The grid runs keep-going (a failed spec SKIPs its targets instead of
-    aborting the reproduction).
+    ``run_timeout``, ``retry_backoff``, ``trace_dir``, ``store``);
+    ``options.store=None`` selects the default store whatever
+    ``options.cache`` says — the pipeline always records a campaign, that
+    is what makes it resumable.  ``options.scale`` is ignored: the tier
+    owns the scale.  The grid runs keep-going (a failed spec SKIPs its
+    targets instead of aborting the reproduction).
     """
     import time
 
@@ -306,16 +303,11 @@ def run_paper(
         metric="fidelity",
         options={"tier": tier.name, "seeds": tier.seeds},
     )
-    runner = ParallelRunner(
-        scale=tier.app_scale,
-        jobs=opts.jobs,
-        retries=opts.retries,
-        run_timeout=opts.run_timeout,
-        retry_backoff=opts.retry_backoff,
-        strict=False,
-        progress=progress,
-        store=store,
+    runner = build_engine(
+        replace(opts, store=store, keep_going=True),
+        tier.app_scale,
         campaign=campaign,
+        progress=progress,
     )
     start = time.time()
     records = runner.run_specs(specs)
@@ -323,7 +315,8 @@ def run_paper(
 
     results = [
         evaluate_target(
-            target, tier, [records[i] for i in needs[target.name]], runner
+            target, tier, [records[i] for i in needs[target.name]],
+            runner.executor,
         )
         for target in targets
     ]

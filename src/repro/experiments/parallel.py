@@ -8,14 +8,13 @@ points out:
 * :class:`RunSpec` — a frozen, hashable description of one simulated run
   (app, protection, MTBE, seed, frame scale, the CommGuard design knobs,
   and optional error-model overrides) with a deterministic content key.
-* :class:`ParallelRunner` — a :class:`SimulationRunner` whose
-  :meth:`run_specs` dispatches specs over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker process
-  builds its apps once (the pool initializer installs a per-worker
-  :class:`SimulationRunner`, whose app cache amortizes codec encoding and
-  graph construction across every spec the worker receives).  ``jobs=1``
-  falls back to the exact in-process serial path, so results are
-  bit-identical at any worker count.
+* :class:`ParallelRunner` — the dispatcher: its :meth:`run_specs` fans
+  specs out over a :class:`~concurrent.futures.ProcessPoolExecutor`.  It
+  is not an executor but holds one, as each worker process does (the pool
+  initializer installs a per-worker :class:`SimulationRunner`, whose app
+  cache amortizes codec encoding and graph construction across every spec
+  the worker receives).  ``jobs=1`` runs the specs on the dispatcher's own
+  executor, in-process, so results are bit-identical at any worker count.
 * An optional :class:`~repro.experiments.store.RunStore` — the SQLite
   result cache: re-running a figure, or resuming an interrupted
   campaign, skips every already-completed point; executed runs land as
@@ -48,11 +47,7 @@ from typing import Callable, Sequence
 from repro.core.config import CommGuardConfig
 from repro.experiments.cache import spec_key
 from repro.experiments.store import RunStore
-from repro.experiments.runner import (
-    RunRecord,
-    SimulationRunner,
-    mean_stdev,
-)
+from repro.experiments.runner import RunRecord, SimulationRunner
 from repro.machine.errors import ErrorModel
 from repro.machine.faults import FaultModelSpec, default_error_model
 from repro.machine.protection import ProtectionLevel
@@ -64,7 +59,6 @@ from repro.observability.events import (
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profile import engine_span
-from repro.quality.metrics import QUALITY_CAP_DB
 
 ENV_JOBS = "REPRO_JOBS"
 
@@ -363,9 +357,13 @@ def _run_in_worker(
         )
 
 
-class ParallelRunner(SimulationRunner):
-    """A :class:`SimulationRunner` that fans sweeps out over processes.
+class ParallelRunner:
+    """The sweep dispatcher: fans specs out over processes and a store.
 
+    ``scale``
+        App-build input scale of every run.  ``executor`` is the
+        :class:`SimulationRunner` at that scale that runs the serial path
+        and builds the apps grading needs in this process.
     ``jobs``
         Default worker count for :meth:`run_specs` (``None`` resolves via
         ``REPRO_JOBS`` / ``os.cpu_count()`` at call time).  ``1`` runs the
@@ -447,11 +445,12 @@ class ParallelRunner(SimulationRunner):
         campaign: str | None = None,
         profiler=None,
     ) -> None:
-        super().__init__(scale=scale)
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError(f"run_timeout must be positive, got {run_timeout}")
+        self.scale = scale
+        self.executor = SimulationRunner(scale=scale)
         self.jobs = jobs
         self.progress = progress
         self.trace_dir = trace_dir
@@ -562,7 +561,7 @@ class ParallelRunner(SimulationRunner):
                 with _deadline(self.run_timeout):
                     if hook is not None:
                         hook(spec, attempt)
-                    record = self.execute_spec(spec)
+                    record = self.executor.execute_spec(spec)
             except RunTimeoutError as exc:
                 stats.cpu_seconds += time.process_time() - cpu_before
                 if self._dispose(item, "timeout", str(exc), stats, exc):
@@ -821,36 +820,3 @@ class ParallelRunner(SimulationRunner):
                 failures=stats.failed,
             )
         )
-
-    # -- sweep-shaped conveniences ---------------------------------------------
-
-    def spec(self, app_name: str, **kwargs) -> RunSpec:
-        """Build a :class:`RunSpec` for this runner (thin sugar)."""
-        return RunSpec(app=app_name, **kwargs)
-
-    def quality_stats(
-        self,
-        app_name: str,
-        mtbe: float,
-        seeds: list[int],
-        protection: ProtectionLevel = ProtectionLevel.COMMGUARD,
-        frame_scale: int = 1,
-        quality_cap_db: float = QUALITY_CAP_DB,
-    ) -> tuple[float, float]:
-        """Mean/stdev quality over *seeds*, fanned out over the engine.
-
-        Matches :meth:`SimulationRunner.quality_stats` bit-for-bit: the
-        same records aggregated with the same arithmetic, in seed order.
-        """
-        specs = [
-            RunSpec(
-                app=app_name,
-                protection=protection,
-                mtbe=mtbe,
-                seed=seed,
-                frame_scale=frame_scale,
-            )
-            for seed in seeds
-        ]
-        records = self.run_specs(specs)
-        return mean_stdev([min(r.quality_db, quality_cap_db) for r in records])

@@ -23,10 +23,6 @@ Concurrency: the database is opened in WAL mode with a generous busy
 timeout, connections are per-thread, and every write is a single
 transaction — many writer processes (or threads) can share one store
 without ``database is locked`` failures.
-
-Results written by repro 1.x into the flat ``.repro_cache/`` directory are
-never read on lookup; :meth:`RunStore.import_cache` (``repro store
-import``) migrates such a directory in one shot.
 """
 
 from __future__ import annotations
@@ -61,13 +57,6 @@ STORE_SCHEMA_VERSION = 1
 DEFAULT_STORE_PATH = ".repro_store.sqlite"
 
 ENV_STORE_PATH = "REPRO_STORE"
-
-#: Where repro 1.x kept its flat result cache (``<key[:2]>/<key>.json``
-#: files), and the variable that moved it: the default source of ``repro
-#: store import``.
-LEGACY_CACHE_DIR = ".repro_cache"
-
-ENV_LEGACY_CACHE_DIR = "REPRO_CACHE_DIR"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -718,39 +707,9 @@ class RunStore:
             pass
         return stats
 
-    def import_cache(self, root: str | Path) -> int:
-        """One-shot migration of a repro 1.x flat result cache.
-
-        Walks the ``<key[:2]>/<key>.json`` files under *root*, each
-        holding ``{"spec", "scale", "record"}``, and stores every
-        readable entry.  Unreadable files are skipped and entries already
-        in the store are left untouched (their provenance is preserved);
-        returns how many rows were imported.
-        """
-        imported = 0
-        for path in sorted(Path(root).glob("*/*.json")):
-            key = path.stem
-            if key in self:
-                continue
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-                spec = spec_from_dict(payload["spec"])
-                record = record_from_dict(payload["record"])
-                scale = float(payload["scale"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-            self.store(
-                key, spec, scale, record,
-                provenance={"imported_from": str(path)},
-            )
-            imported += 1
-        return imported
-
     def export(self, stream) -> int:
         """Dump every run row as one JSON object per line; returns the
-        row count.  Exports are for external tooling (``repro store
-        import`` reads only the repro 1.x flat cache layout)."""
+        row count (for external tooling)."""
         count = 0
         for row in self.query():
             stream.write(
@@ -797,10 +756,8 @@ class RunStore:
 __all__ = [
     "CampaignStatus",
     "DEFAULT_STORE_PATH",
-    "ENV_LEGACY_CACHE_DIR",
     "ENV_STORE_PATH",
     "GcStats",
-    "LEGACY_CACHE_DIR",
     "RunStore",
     "STORE_SCHEMA_VERSION",
     "StoreStats",

@@ -109,7 +109,7 @@ class TestMaskingSensitivity:
         (record,) = runner.run_specs(
             [RunSpec(app="jpeg", mtbe=1e9, seed=0, p_masked=0.99)]
         )
-        baseline = runner.app("jpeg").baseline_quality()
+        baseline = runner.executor.app("jpeg").baseline_quality()
         assert min(record.quality_db, QUALITY_CAP_DB) >= baseline - 0.1
 
 

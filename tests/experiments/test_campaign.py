@@ -61,7 +61,9 @@ def mean_capped_quality(records) -> float:
 
 def outcomes(runner, records) -> list[Outcome]:
     """Classify records the way the campaign target does."""
-    baseline = min(runner.app(records[0].app).baseline_quality(), QUALITY_CAP_DB)
+    baseline = min(
+        runner.executor.app(records[0].app).baseline_quality(), QUALITY_CAP_DB
+    )
     return [
         classify_outcome(
             min(r.quality_db, QUALITY_CAP_DB), baseline, r.hung, OutcomeThresholds()

@@ -8,7 +8,6 @@ a report byte-identical to an uninterrupted run of the same grid.
 """
 
 import os
-import shutil
 import signal
 import subprocess
 import sys
@@ -128,9 +127,7 @@ class TestSigkillResume:
         pythonpath = os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
         )
-        env = {**os.environ, "PYTHONPATH": pythonpath}
-        env.pop("REPRO_CACHE_DIR", None)  # `store import` reads ./.repro_cache
-        return env
+        return {**os.environ, "PYTHONPATH": pythonpath}
 
     def _repro(self, cwd, *argv, check=True):
         result = subprocess.run(
@@ -200,16 +197,3 @@ class TestSigkillResume:
             (kill_dir / "report.json").read_bytes()
             == (ref_dir / "report.json").read_bytes()
         )
-
-    def test_store_import_makes_legacy_cache_visible(self, tmp_path, legacy_cache):
-        # A pre-existing repro 1.x flat cache in the working directory...
-        shutil.copytree(legacy_cache, tmp_path / ".repro_cache")
-        # ...is migrated wholesale by `repro store import`...
-        result = self._repro(tmp_path, "store", "import", "--db", "db.sqlite")
-        assert "imported 4 run(s)" in result.stdout
-        # ...after which the store-backed rerun is all hits, zero executes.
-        rerun = self._repro(
-            tmp_path, "sweep", "fft", "--mtbe", "64k", "--seeds", "4",
-            "--scale", str(SCALE), "--store", "db.sqlite",
-        )
-        assert "(4 cached)" in rerun.stdout

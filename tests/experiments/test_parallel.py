@@ -91,10 +91,12 @@ class TestJobsResolution:
 
 class TestDeterminism:
     def test_serial_matches_base_runner(self):
+        """The serial engine returns exactly what its executor computes
+        spec by spec."""
         specs = specs_grid(n_seeds=1)
         base = SimulationRunner(scale=SCALE)
         engine = ParallelRunner(scale=SCALE, jobs=1)
-        assert base.run_specs(specs) == engine.run_specs(specs)
+        assert engine.run_specs(specs) == [base.execute_spec(s) for s in specs]
 
     def test_parallel_bit_identical_to_serial(self):
         """The acceptance bar: jobs=4 reproduces jobs=1 exactly."""
@@ -111,11 +113,15 @@ class TestDeterminism:
         ]
 
     def test_quality_stats_matches_serial_runner(self):
-        serial = SimulationRunner(scale=SCALE).quality_stats(
-            "fft", mtbe=100_000, seeds=[0, 1]
-        )
-        engine = ParallelRunner(scale=SCALE, jobs=2).quality_stats(
-            "fft", mtbe=100_000, seeds=[0, 1]
+        """A sweep's quality stats are the same at any worker count."""
+        from repro.api import EngineOptions, sweep
+
+        serial, engine = (
+            sweep(
+                "fft", mtbes=100_000, seeds=[0, 1],
+                options=EngineOptions(scale=SCALE, jobs=jobs, cache=False),
+            ).quality_stats()
+            for jobs in (1, 2)
         )
         assert serial == engine
 

@@ -4,14 +4,10 @@ import math
 
 import pytest
 
+from repro.experiments.aggregate import summarize
 from repro.experiments.parallel import RunSpec
 from repro.experiments.report import db_or_errorfree, format_table
-from repro.experiments.runner import (
-    RunRecord,
-    SimulationRunner,
-    geometric_mean,
-    mean_stdev,
-)
+from repro.experiments.runner import RunRecord, SimulationRunner, geometric_mean
 from repro.machine.protection import ProtectionLevel
 
 SCALE = 0.05
@@ -49,11 +45,15 @@ class TestRunner:
         assert record.errors_injected == 0
 
     def test_quality_stats_caps_infinite(self, runner):
-        mean, stdev = runner.quality_stats(
-            "fft", mtbe=1e12, seeds=[0, 1], quality_cap_db=50.0
-        )
-        assert mean == 50.0
-        assert stdev == 0.0
+        """Runs no error reaches reproduce the error-free output (infinite
+        quality); the multi-seed summary caps them."""
+        records = [
+            runner.execute_spec(RunSpec(app="fft", mtbe=1e12, seed=seed))
+            for seed in (0, 1)
+        ]
+        assert all(math.isinf(r.quality_db) for r in records)
+        stats = summarize([r.quality_db for r in records], cap=50.0)
+        assert (stats.mean, stats.stdev) == (50.0, 0.0)
 
     def test_frame_scale_passed_through(self, runner):
         r1 = runner.execute_spec(RunSpec(app="fft", mtbe=None, frame_scale=1))
@@ -71,14 +71,6 @@ class TestHelpers:
 
     def test_geometric_mean_empty_is_nan(self):
         assert math.isnan(geometric_mean([]))
-
-    def test_mean_stdev(self):
-        mean, stdev = mean_stdev([2.0, 4.0])
-        assert mean == 3.0
-        assert stdev == 1.0
-
-    def test_mean_stdev_single_value(self):
-        assert mean_stdev([7.0]) == (7.0, 0.0)
 
     def test_format_table_alignment(self):
         text = format_table(["name", "value"], [["a", 1.5], ["bb", 22.25]])

@@ -1,4 +1,4 @@
-"""RunStore: roundtrips, legacy migration, campaigns, multi-writer safety."""
+"""RunStore: roundtrips, maintenance, campaigns, multi-writer safety."""
 
 import json
 import sqlite3
@@ -48,17 +48,6 @@ class TestStoreBasics:
     def test_load_miss_without_fallback(self, store):
         assert store.load("no-such-key") is None
 
-    def test_load_never_reads_a_legacy_cache(
-        self, tmp_path, monkeypatch, legacy_cache
-    ):
-        """A flat cache in the default location is invisible to lookups:
-        only ``repro store import`` reads that layout."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(legacy_cache))
-        store = RunStore(tmp_path / "store.sqlite")
-        for entry in legacy_cache.glob("*/*.json"):
-            assert store.load(entry.stem) is None
-        assert len(store) == 0
-
     def test_provenance_is_stamped(self, store, executed):
         spec, record = executed
         key = spec.content_key(SCALE)
@@ -90,22 +79,7 @@ class TestStoreBasics:
 
 
 class TestLegacyFallback:
-    def test_import_cache_migrates_once(self, store, runner, legacy_cache):
-        assert store.import_cache(legacy_cache) == 4
-        assert len(store) == 4
-        assert store.import_cache(legacy_cache) == 0  # existing rows are skipped
-        for row in store.query():
-            assert row.key == row.spec.content_key(SCALE)
-            assert row.provenance["imported_from"].endswith(f"{row.key}.json")
-            # The imported record is exactly what the run computes today.
-            assert row.record == runner.execute_spec(row.spec)
-
-    def test_import_skips_unreadable_entries(self, tmp_path, store):
-        shard = tmp_path / "cache" / "ab"
-        shard.mkdir(parents=True)
-        (shard / ("ab" * 32 + ".json")).write_text("{not json")
-        assert store.import_cache(tmp_path / "cache") == 0
-        assert store.import_cache(tmp_path / "missing") == 0
+    """Store maintenance: export, query and stats."""
 
     def test_export_jsonl(self, tmp_path, store, executed):
         import io
@@ -325,56 +299,32 @@ class TestEngineIntegration:
         assert all(wall >= 0 for wall in walls)
         assert sum(walls) <= engine.last_stats.wall_seconds + 0.005
 
-    def test_run_error_model_override_bypasses_store(self, tmp_path):
+    def test_run_error_model_override_is_keyed(self, tmp_path):
+        """An ``error_model`` override is part of the spec: it gets its
+        own store row, leaves the baseline row alone, reruns as a store
+        hit, and an explicit MTBE that disagrees with it is an error."""
         from repro.api import EngineOptions, run
         from repro.machine.errors import ErrorModel
 
         store = RunStore(tmp_path / "store.sqlite")
         options = EngineOptions(scale=SCALE, store=store)
         baseline = run("fft", mtbe=100_000.0, seed=0, options=options)
-        key = baseline.spec.content_key(SCALE)
-        assert store.load(key) == baseline.record
-        assert len(store) == 1
-        overridden = run(
-            "fft", mtbe=100_000.0, seed=0,
-            error_model=ErrorModel(mtbe=1_000.0),
-            options=options,
+        model = ErrorModel(mtbe=1_000.0)
+        overridden = run("fft", seed=0, error_model=model, options=options)
+        assert overridden.result is not None  # executed, not a store hit
+        assert overridden.record.mtbe == 1_000.0
+        assert overridden.spec.error_model() == model
+        assert overridden.record.errors_injected > baseline.record.errors_injected
+        assert len(store) == 2
+        assert store.load(baseline.spec.content_key(SCALE)) == baseline.record
+        again = run(
+            "fft", mtbe="1k", seed=0, error_model=model, options=options
         )
-        # Executed (not served from the store: a hit carries result=None)
-        # and the baseline row was not overwritten or duplicated.
-        assert overridden.result is not None
-        assert len(store) == 1
-        assert store.load(key) == baseline.record
-
-    def test_run_with_named_store_ignores_legacy_cache(
-        self, tmp_path, monkeypatch
-    ):
-        """A doctored record in the old flat layout under REPRO_CACHE_DIR
-        must neither be returned by ``api.run`` nor copied into its store."""
-        from repro.api import EngineOptions, run
-        from repro.experiments.cache import record_to_dict, spec_to_dict
-
-        fresh = run("fft", mtbe=100_000, options=EngineOptions(scale=SCALE))
-        key = fresh.spec.content_key(SCALE)
-        legacy = tmp_path / "legacy"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(legacy))
-        entry = legacy / key[:2] / f"{key}.json"
-        entry.parent.mkdir(parents=True)
-        doctored = {**record_to_dict(fresh.record), "quality_db": -123.0}
-        entry.write_text(json.dumps(
-            {"spec": spec_to_dict(fresh.spec), "scale": SCALE, "record": doctored}
-        ))
-
-        store = RunStore(tmp_path / "store.sqlite")
-        report = run(
-            "fft", mtbe=100_000,
-            options=EngineOptions(scale=SCALE, cache=False, store=store),
-        )
-        assert report.result is not None  # executed, not a store hit
-        assert report.record == fresh.record
-        (row,) = store.query()
-        assert row.record == fresh.record
-        assert "imported_from" not in row.provenance
+        assert again.result is None  # a store hit
+        assert again.record == overridden.record
+        with pytest.raises(ValueError, match="conflicting MTBEs"):
+            run("fft", mtbe=100_000.0, error_model=model, options=options)
+        assert len(store) == 2
 
 
 class TestCampaignRegistration:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import _parse_mtbe, build_parser, main
@@ -208,17 +210,17 @@ class TestFaultToleranceFlags:
     @pytest.fixture
     def faulty_runner(self, monkeypatch):
         # The CLI has no fault flag of its own (the hook is a test seam),
-        # so wedge one into the runner it constructs.
+        # so wedge one into the runner the engine builder constructs.
         import functools
 
-        from repro import cli
+        from repro.experiments import options as builder
         from tests.experiments import _fault_hooks as hooks
 
         monkeypatch.setattr(
-            cli,
+            builder,
             "ParallelRunner",
             functools.partial(
-                cli.ParallelRunner, fault_hook=hooks.fail_everything
+                builder.ParallelRunner, fault_hook=hooks.fail_everything
             ),
         )
 
@@ -335,24 +337,6 @@ class TestStoreCommand:
         assert len(lines) == 2
         assert all(line["spec"]["app"] == "fft" for line in lines)
 
-    def test_import_migrates_legacy_cache(
-        self, capsys, tmp_path, monkeypatch, legacy_cache
-    ):
-        argv = ["sweep", "fft", "--mtbe", "64k", "--seeds", "4",
-                "--scale", "0.05", "--jobs", "1", "--no-cache"]
-        db = str(tmp_path / "db.sqlite")
-        assert main(
-            ["store", "import", "--db", db, "--cache", str(legacy_cache)]
-        ) == 0
-        assert "imported 4 run(s)" in capsys.readouterr().out
-        assert main([*argv, "--store", db]) == 0
-        assert "(4 cached)" in capsys.readouterr().out
-        # REPRO_CACHE_DIR still names the default import source.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(legacy_cache))
-        other = str(tmp_path / "other.sqlite")
-        assert main(["store", "import", "--db", other]) == 0
-        assert "imported 4 run(s)" in capsys.readouterr().out
-
     def test_resume_unknown_campaign_is_clean_error(
         self, capsys, populated_db
     ):
@@ -376,3 +360,82 @@ class TestStoreCommand:
         captured = capsys.readouterr()
         assert "[sweep] resuming" in captured.err
         assert "(2 cached)" in captured.out
+
+
+class TestSweepPaths:
+    """Every way of sweeping one grid prints the same summary: a live
+    sweep, a stored campaign, its resume and ``repro report`` of the
+    campaign's document."""
+
+    GRID = ["sweep", "fft", "--mtbe", "64k", "256k", "--seeds", "2",
+            "--scale", "0.05"]
+
+    @staticmethod
+    def _summary(out: str) -> str:
+        """*out* without the engine stats line and the output notice."""
+        return "".join(
+            line for line in out.splitlines(keepends=True)
+            if not re.match(r"\[sweep\] \d+/\d+ runs ", line)
+            and not line.startswith("report written to")
+        )
+
+    def test_live_stored_resumed_and_reported_sweeps_agree(
+        self, capsys, tmp_path
+    ):
+        db = str(tmp_path / "db.sqlite")
+        first, second = tmp_path / "A.json", tmp_path / "B.json"
+        assert main([*self.GRID, "--jobs", "1"]) == 0
+        live = capsys.readouterr().out
+        assert main(
+            [*self.GRID, "--jobs", "1", "--store", db, "--output", str(first)]
+        ) == 0
+        stored = capsys.readouterr().out
+        (campaign,) = RunStore(db).campaign_ids()
+        assert main(
+            ["sweep", "--store", db, "--resume", campaign, "--jobs", "2",
+             "--output", str(second)]
+        ) == 0
+        resumed = capsys.readouterr().out
+        assert main(["report", str(first)]) == 0
+        reported = capsys.readouterr().out
+        summaries = [
+            self._summary(out) for out in (live, stored, resumed, reported)
+        ]
+        assert "64k" in summaries[0] and "256k" in summaries[0]
+        assert summaries == [summaries[0]] * 4
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_error_free_sweep_is_one_point(self, capsys):
+        assert main(
+            [*self.GRID, "--protection", "error-free", "--jobs", "1",
+             "--no-cache"]
+        ) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        (row, stats) = lines[lines.index("-" * len(lines[1])) + 1:]
+        assert row.split()[0] == "-"
+        assert stats.startswith("[sweep] 1/1 runs ")
+
+
+class TestSweepGridArguments:
+    """Bad grid arguments are usage errors caught while parsing: exit 2,
+    one line, nothing run and no store written."""
+
+    @pytest.mark.parametrize(
+        "bad", [["--mtbe", "abc"], ["--seeds", "0"]], ids=["mtbe", "seeds"]
+    )
+    def test_rejected_at_parse_time(self, bad, capsys, tmp_path):
+        db = tmp_path / "db.sqlite"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "fft", *bad, "--scale", "0.05", "--store", str(db)])
+        assert exit_info.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not db.exists()
+        assert not (tmp_path / "default-store.sqlite").exists()
+
+    def test_default_ladder_is_parsed(self):
+        args = build_parser().parse_args(["sweep", "fft"])
+        assert args.mtbe == [64_000.0, 256_000.0, 1_000_000.0, 4_000_000.0]
+        assert build_parser().parse_args(
+            ["sweep", "fft", "--mtbe", "1M"]
+        ).mtbe == [1_000_000.0]

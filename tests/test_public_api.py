@@ -94,6 +94,40 @@ class TestRemovedIn2:
         assert "ResultCache" not in experiments.__all__
 
 
+class TestRemovedIn3:
+    """The 1.x cache migration and the test-only engine helpers are gone."""
+
+    def test_store_import(self):
+        from repro.cli import build_parser
+        from repro.experiments import store
+
+        assert not hasattr(store.RunStore, "import_cache")
+        assert not hasattr(store, "LEGACY_CACHE_DIR")
+        assert not hasattr(store, "ENV_LEGACY_CACHE_DIR")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["store", "import"])
+
+    def test_engine_helpers(self):
+        from repro.experiments import runner
+        from repro.experiments.parallel import ParallelRunner
+        from repro.experiments.runner import SimulationRunner
+
+        assert not hasattr(SimulationRunner, "quality_stats")
+        assert not hasattr(SimulationRunner, "run_specs")
+        assert not hasattr(runner, "mean_stdev")
+        assert not hasattr(ParallelRunner, "quality_stats")
+        assert not hasattr(ParallelRunner, "spec")
+
+    def test_engine_is_not_an_executor(self):
+        from repro.experiments.parallel import ParallelRunner
+        from repro.experiments.runner import SimulationRunner
+
+        engine = ParallelRunner(scale=0.05, jobs=1)
+        assert not isinstance(engine, SimulationRunner)
+        assert isinstance(engine.executor, SimulationRunner)
+        assert engine.executor.scale == engine.scale
+
+
 class TestExampleScripts:
     """The fastest example scripts must run end to end."""
 

@@ -89,12 +89,15 @@ class TestSweepReportRoundTrip:
         assert loaded.protections == report.protections
 
     def test_failures_round_trip(self, monkeypatch):
+        from repro.experiments import options as builder
         from tests.experiments import _fault_hooks as hooks
 
         monkeypatch.setattr(
-            api,
+            builder,
             "ParallelRunner",
-            functools.partial(api.ParallelRunner, fault_hook=hooks.always_fail),
+            functools.partial(
+                builder.ParallelRunner, fault_hook=hooks.always_fail
+            ),
         )
         report = sweep(
             "fft", mtbes="50k", seeds=2,

@@ -144,14 +144,14 @@ class TestFaultTolerantSweeps:
     def test_parallel_keep_going_marks_failed_points(self, monkeypatch):
         import functools
 
-        from repro import api
+        from repro.experiments import options as builder
         from tests.experiments import _fault_hooks as hooks
 
         monkeypatch.setattr(
-            api,
+            builder,
             "ParallelRunner",
             functools.partial(
-                api.ParallelRunner, fault_hook=hooks.always_fail
+                builder.ParallelRunner, fault_hook=hooks.always_fail
             ),
         )
         report = sweep(
@@ -177,15 +177,15 @@ class TestFaultTolerantSweeps:
     def test_parallel_strict_raises(self, monkeypatch):
         import functools
 
-        from repro import api
+        from repro.experiments import options as builder
         from repro.experiments.parallel import SweepRunError
         from tests.experiments import _fault_hooks as hooks
 
         monkeypatch.setattr(
-            api,
+            builder,
             "ParallelRunner",
             functools.partial(
-                api.ParallelRunner, fault_hook=hooks.always_fail
+                builder.ParallelRunner, fault_hook=hooks.always_fail
             ),
         )
         with pytest.raises(SweepRunError, match="injected fault"):
