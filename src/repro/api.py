@@ -319,11 +319,9 @@ def run(
 
     Engine knobs come through *options*, the same
     :class:`~repro.experiments.EngineOptions` every entry point shares:
-    ``options.scale`` is the app-build input scale, ``options.trace``
+    ``options.scale`` is the app-build input scale and ``options.trace``
     the trace destination (anything
-    :func:`~repro.observability.coerce_tracer` understands), and
-    ``options.exec_mode`` the execution mode (``"fast"`` quiet-span
-    bulk path vs the bit-identical ``"precise"`` per-word oracle).
+    :func:`~repro.observability.coerce_tracer` understands).
 
     ``options.store`` points the run at a
     :class:`~repro.experiments.store.RunStore`: an untraced run whose
@@ -383,12 +381,8 @@ def run(
         frame_scale=config.frame_scale,
         workset_units=config.workset_units,
         pad_word=config.pad_word,
-        push_timeout=config.push_timeout,
-        pop_timeout=config.pop_timeout,
         **({} if error_free else mix),
         fault_model=fault.canonical(),
-        trace=str(owned.path) if owned is not None and owned.path else None,
-        exec_mode=opts.exec_mode,
     )
     runner = _runner_for(scale)
     runner.adopt_app(bench)
@@ -760,7 +754,6 @@ def sweep_grid(
     *,
     frame_scale: int = 1,
     fault_model: FaultModelSpec | str | None = None,
-    exec_mode: str = "fast",
 ) -> list[RunSpec]:
     """The specs of a ``protections x mtbes x seeds`` grid of *app*, in
     grid order (``protection``-major, then ``mtbe``, then ``seed``).
@@ -789,7 +782,6 @@ def sweep_grid(
                         fault_model=(
                             DEFAULT_FAULT_MODEL if rate is None else fault
                         ),
-                        exec_mode=exec_mode,
                     )
                 )
     return specs
@@ -871,7 +863,6 @@ def sweep(
         seeds,
         frame_scale=frame_scale,
         fault_model=fault_model,
-        exec_mode=options.exec_mode,
     )
 
     engine = profile.engine if profile is not None else None
@@ -951,14 +942,11 @@ def _sweep_in_process(
     runner.adopt_app(bench)
     points: list[SweepPoint] = []
     for index, spec in enumerate(specs):
-        traced = spec
-        if options.trace_dir is not None and spec.trace is None:
-            key = spec.content_key(scale)
-            traced = replace(
-                spec, trace=str(Path(options.trace_dir) / f"{key}.jsonl")
-            )
+        trace = None
+        if options.trace_dir is not None:
+            trace = Path(options.trace_dir) / f"{spec.content_key(scale)}.jsonl"
         try:
-            record, result = runner.run_spec(traced)
+            record, result = runner.run_spec(spec, tracer=trace)
         except KeyboardInterrupt:
             raise
         except Exception as exc:

@@ -23,49 +23,73 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.apps.base import ints_to_words
+from repro.apps.jpeg.bitio import BitReader
+from repro.apps.mp3 import bitstream as bs
 from repro.apps.mp3.codec import FrameDecoder, _round_f32, dequantize_sample
 from repro.apps.mp3.filterbank import N_BANDS, SynthesisWindow, synthesis_matrix
 from repro.apps.mp3.quantize import SAMPLES_PER_BAND
 from repro.streamit.filters import Batch, Filter, FloatSink
 from repro.streamit.graph import StreamGraph
-from repro.words import float_to_word, int_to_word, word_to_float, word_to_uint
+from repro.words import float_to_word, word_to_float, word_to_uint
 
 FRAME_WORDS = N_BANDS + N_BANDS * SAMPLES_PER_BAND  # 32 scalefactors + 384 codes
 
 
 class Mp3Parser(Filter):
-    """G0: frame unpacker (source node)."""
+    """G0: frame unpacker (source node), one frame period per firing.
+
+    The container is read reliably and the injector never reaches the
+    parser's state (it has no :meth:`state_words`), so firing *i* hands
+    out the same words in every run: the parser decodes the whole
+    container once, on its first :meth:`reset` (never at construction, so
+    building an app decodes nothing), and each firing hands out a copy of
+    the next period's words.
+    """
+
+    #: Codec frames per frame period (one per channel).
+    channels = 1
 
     def __init__(self, name: str, data: bytes) -> None:
-        super().__init__(name, input_rates=(), output_rates=(FRAME_WORDS,))
+        self.header = bs.read_header(BitReader(data))
+        super().__init__(
+            name, input_rates=(), output_rates=(self.channels * FRAME_WORDS,)
+        )
         self._data = data
-        self.header = FrameDecoder(data).header
-        self._decoder: FrameDecoder | None = None
-        self._frames_decoded = 0
+        self._periods: list[list[int]] | None = None
+        self._periods_decoded = 0
 
     def reset(self) -> None:
-        self._decoder = FrameDecoder(self._data)
-        self._frames_decoded = 0
+        if self._periods is None:
+            decoder = FrameDecoder(self._data)
+            periods = []
+            for _ in range(self.header.n_frames):
+                period: list[int] = []
+                for _channel in range(self.channels):
+                    scalefactors, codes = decoder.next_frame_raw()
+                    period += scalefactors
+                    period += codes
+                periods.append(period)
+            self._periods = ints_to_words(np.array(periods, dtype=np.int64))
+        self._periods_decoded = 0
 
     @property
     def total_firings(self) -> int:
         return self.header.n_frames
 
     def instruction_cost(self) -> int:
-        # Bit-field extraction for 384 codes + 32 scalefactors.
-        return 200 + 12 * FRAME_WORDS
+        # Bit-field extraction for 384 codes + 32 scalefactors per frame.
+        return 200 + 12 * self.output_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        if self._decoder is None:
+        if self._periods is None:
             self.reset()
-        assert self._decoder is not None
-        if self._frames_decoded >= self.header.n_frames:
-            return [[0] * FRAME_WORDS]
-        scalefactors, codes = self._decoder.next_frame_raw()
-        self._frames_decoded += 1
-        words = [int_to_word(v) for v in scalefactors]
-        words.extend(int_to_word(c) for c in codes)
-        return [words]
+        assert self._periods is not None
+        if self._periods_decoded >= len(self._periods):
+            return [[0] * self.output_rates[0]]
+        words = self._periods[self._periods_decoded]
+        self._periods_decoded += 1
+        return [words.copy()]
 
 
 class Mp3Dequantizer(Filter):
@@ -142,28 +166,12 @@ class Mp3Window(Filter):
 class Mp3StereoParser(Mp3Parser):
     """G0 for stereo streams: unpacks one frame period (L + R) per firing."""
 
+    channels = 2
+
     def __init__(self, name: str, data: bytes) -> None:
         super().__init__(name, data)
         if self.header.n_channels != 2:
             raise ValueError("stream is not stereo")
-        self.output_rates = (2 * FRAME_WORDS,)
-
-    def instruction_cost(self) -> int:
-        return 200 + 12 * 2 * FRAME_WORDS
-
-    def work(self, inputs: Batch) -> Batch:
-        if self._decoder is None:
-            self.reset()
-        assert self._decoder is not None
-        if self._frames_decoded >= self.header.n_frames:
-            return [[0] * (2 * FRAME_WORDS)]
-        words: list[int] = []
-        for _ch in range(2):
-            scalefactors, codes = self._decoder.next_frame_raw()
-            words.extend(int_to_word(v) for v in scalefactors)
-            words.extend(int_to_word(c) for c in codes)
-        self._frames_decoded += 1
-        return [words]
 
 
 def build_mp3_stereo_graph(encoded: bytes) -> StreamGraph:

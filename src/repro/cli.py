@@ -30,7 +30,7 @@ Commands:
   with the simulated-time timeline recorder and engine span profiler
   attached and exports a Chrome trace-event JSON for Perfetto /
   ``chrome://tracing`` (``--timeline-out`` additionally writes the
-  canonical timeline bytes, byte-identical across exec modes);
+  canonical timeline bytes, deterministic for a given command line);
   ``profile trace`` renders an existing JSONL trace the same way.
 * ``top`` — store-backed campaign health: done/failed/pending,
   executed-vs-hit split, run wall seconds, throughput and an ETA for
@@ -45,10 +45,6 @@ crash or Ctrl-C ``sweep --store PATH --resume CAMPAIGN`` (the campaign id
 is printed, and derived deterministically from the grid) re-runs only
 what is missing — at any ``--jobs`` value — and renders the same report
 the uninterrupted sweep would have.
-
-``run`` and ``sweep`` take ``--exec-mode {fast,precise}``: the quiet-span
-fast path (default) or the per-word precise oracle — bit-identical by
-contract, so the choice only affects wall-clock time.
 
 ``figure``, ``paper`` and ``sweep`` execute through the parallel sweep
 engine: ``--jobs N`` (or the ``REPRO_JOBS`` environment variable) fans
@@ -161,9 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         frame_scale=args.frame_scale,
         fault_model=args.fault_model,
-        options=EngineOptions(
-            scale=args.scale, trace=args.trace, exec_mode=args.exec_mode
-        ),
+        options=EngineOptions(scale=args.scale, trace=args.trace),
     )
     elapsed = time.time() - start
     app = report.app
@@ -262,7 +256,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             args.mtbe,
             args.seeds,
             fault_model=args.fault_model,
-            exec_mode=args.exec_mode,
         )
     runner = build_engine(
         options,
@@ -348,7 +341,6 @@ def _sweep_options(args: argparse.Namespace) -> EngineOptions:
         jobs=args.jobs,
         cache=not args.no_cache,
         trace_dir=args.trace_dir,
-        exec_mode=args.exec_mode,
         retries=args.retries,
         run_timeout=args.run_timeout,
         keep_going=args.keep_going,
@@ -361,16 +353,16 @@ def _render_report(report: "api.SweepReport") -> None:
     engine stats — what ``repro sweep`` prints for the sweep it ran and
     ``repro report`` for a serialized one, byte for byte.
 
-    Each block is a header line plus the per-MTBE table: mean ±95% CI of
-    each MTBE point's completed records (an empty cell — every run
-    failed — renders as dashes)."""
+    Each block is a header line, counting the block's own seeds, plus
+    the per-MTBE table: mean ±95% CI of each MTBE point's completed
+    records (an empty cell — every run failed — renders as dashes)."""
     if not report.points:
         print("empty report: no sweep points")
         return
-    seeds = len({point.spec.seed for point in report.points})
     metric = report.app.metric
     for level in report.protections:
         points = [p for p in report.points if p.spec.protection is level]
+        seeds = len({p.spec.seed for p in points})
         rows = []
         for mtbe in dict.fromkeys(p.spec.mtbe for p in points):
             label = "-" if mtbe is None else f"{mtbe / 1000:.0f}k"
@@ -543,7 +535,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         seed=args.seed,
         frame_scale=args.frame_scale,
         fault_model=args.fault_model,
-        options=EngineOptions(scale=args.scale, exec_mode=args.exec_mode),
+        options=EngineOptions(scale=args.scale),
         profile=session,
     ).result
     try:
@@ -795,16 +787,6 @@ def _add_tier_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_exec_mode_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--exec-mode",
-        choices=["fast", "precise"],
-        default="fast",
-        help="simulation execution mode: the quiet-span fast path "
-        "(default) or the bit-identical per-word precise oracle",
-    )
-
-
 def _add_fault_tolerance_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--retries",
@@ -860,7 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="PATH",
         help="stream the run's structured events to a JSONL file",
     )
-    _add_exec_mode_option(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     figure_parser = sub.add_parser(
@@ -937,7 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume a stored campaign: re-run only its missing points "
         "and render the canonical report; implies --store",
     )
-    _add_exec_mode_option(sweep_parser)
     _add_engine_options(sweep_parser)
     _add_fault_tolerance_options(sweep_parser)
     sweep_parser.set_defaults(func=cmd_sweep)
@@ -998,7 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the canonical simulated-time timeline JSON "
         "(the deterministic, byte-comparable artifact)",
     )
-    _add_exec_mode_option(profile_run)
     profile_run.set_defaults(func=cmd_profile)
     profile_trace = profile_sub.add_parser(
         "trace",

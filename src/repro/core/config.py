@@ -23,32 +23,19 @@ class CommGuardConfig:
         size is a free design knob.
     ``pad_word``
         The word the AM answers pops with while padding (Table 2: 0).
-    ``push_timeout`` / ``pop_timeout``
-        Blocked-operation timeouts, in scheduler no-progress sweeps
-        (Section 5.1).  A timed-out pop returns ``pad_word``; a timed-out
-        push drops the item.  The paper observed no timeouts in its
-        experiments and neither do ours; the mechanism exists to guarantee
-        progress under queue-state corruption.
+
+    The Queue Manager's blocked-operation timeouts (Section 5.1) are a
+    machine parameter, :attr:`repro.machine.system.SystemConfig.timeout_sweeps`:
+    a timed-out pop returns ``pad_word`` and a timed-out push drops the
+    item.
     """
 
     frame_scale: int = 1
     workset_units: int = 256
     pad_word: int = 0
-    push_timeout: int = 100_000
-    pop_timeout: int = 100_000
 
     def __post_init__(self) -> None:
         if self.frame_scale < 1:
             raise ValueError("frame_scale must be >= 1")
         if self.workset_units < 1:
             raise ValueError("workset_units must be >= 1")
-
-    def scaled(self, frame_scale: int) -> "CommGuardConfig":
-        """Copy of this config with a different frame-size scale."""
-        return CommGuardConfig(
-            frame_scale=frame_scale,
-            workset_units=self.workset_units,
-            pad_word=self.pad_word,
-            push_timeout=self.push_timeout,
-            pop_timeout=self.pop_timeout,
-        )

@@ -26,22 +26,25 @@ from repro.machine.protection import ProtectionLevel
 CACHE_VERSION = 1
 
 
+#: RunSpec fields retired in repro 4.0.  The two Queue Manager timeouts
+#: never reached the simulator, yet every key ever stored hashes them at
+#: their one value; ``trace`` and ``exec_mode`` never entered a key.
+_RETIRED_TIMEOUTS = {"push_timeout": 100_000, "pop_timeout": 100_000}
+_RETIRED_FIELDS = frozenset({*_RETIRED_TIMEOUTS, "trace", "exec_mode"})
+
+
 def spec_key(spec, scale: float) -> str:
     """Deterministic content key of one (spec, app-build scale) point.
 
-    The ``trace`` side-output path is excluded: where a run's events are
-    streamed does not change what the run computes.  ``exec_mode`` is
-    excluded because fast and precise execution are bit-identical by
-    contract (the equivalence suite enforces it), so both modes share one
-    cache entry and pre-existing keys stay valid.  The default
-    ``bit_flip`` fault model is also excluded — it is the process every
-    pre-registry run used, so omitting it keeps every existing cache key
-    (and entry) valid; non-default models key on their canonical spec
-    string.
+    The payload still carries the retired ``push_timeout`` and
+    ``pop_timeout`` at their constant 100,000, so every stored key,
+    campaign id and trace file name stays valid.  The default
+    ``bit_flip`` fault model is excluded — it is the process every
+    pre-registry run used, so omitting it keeps every existing key (and
+    entry) valid; non-default models key on their canonical spec string.
     """
     payload = dataclasses.asdict(spec)
-    payload.pop("trace", None)
-    payload.pop("exec_mode", None)
+    payload.update(_RETIRED_TIMEOUTS)
     if payload.get("fault_model") == "bit_flip":
         del payload["fault_model"]
     payload["protection"] = spec.protection.value
@@ -71,10 +74,11 @@ def spec_to_dict(spec) -> dict:
 
 
 def spec_from_dict(data: dict):
-    """Inverse of :func:`spec_to_dict`."""
+    """Inverse of :func:`spec_to_dict`.  A 3.x document's retired fields
+    are dropped; any other unknown key is an error."""
     from repro.experiments.parallel import RunSpec
 
-    fields = dict(data)
+    fields = {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
     fields["protection"] = ProtectionLevel(fields["protection"])
     return RunSpec(**fields)
 

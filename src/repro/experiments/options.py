@@ -36,12 +36,6 @@ class EngineOptions:
     path, ``True`` for in-memory event collection, or a ready tracer.
     Batch entry points ignore ``trace`` in favour of ``trace_dir``.
 
-    ``exec_mode`` selects the simulation execution mode: ``"fast"`` (the
-    quiet-span bulk path, the default) or ``"precise"`` (the per-word
-    oracle).  The two are bit-identical by contract — same records, same
-    cache keys, byte-identical traces — so this knob trades nothing but
-    wall-clock time.
-
     The fault-tolerance knobs mirror
     :class:`~repro.experiments.parallel.ParallelRunner`: ``retries`` is
     the bounded per-spec retry budget, ``run_timeout`` the per-run
@@ -64,7 +58,6 @@ class EngineOptions:
     cache: bool = True
     trace_dir: str | None = None
     trace: object | None = None
-    exec_mode: str = "fast"
     retries: int = 0
     run_timeout: float | None = None
     retry_backoff: float = 0.0

@@ -40,7 +40,7 @@ from concurrent.futures import (
     wait,
 )
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -84,20 +84,9 @@ class RunSpec:
 
     The app-build ``scale`` is deliberately *not* part of the spec: it is a
     property of the runner executing it (and of the worker pool), and it is
-    mixed into the cache key separately.
-
-    ``trace`` is a side-output destination, not a sweep axis: when set, the
-    run streams its structured events to that JSONL path.  It is excluded
-    from the content key (a traced and an untraced run of the same point
-    produce the same record), so requesting a trace never invalidates
-    cached results.
-
-    ``exec_mode`` selects the simulation execution mode (``"fast"``, the
-    quiet-span bulk path, or ``"precise"``, the per-word oracle — see
-    :class:`~repro.machine.system.SystemConfig`).  Both modes are
-    bit-identical by contract, so ``exec_mode`` is excluded from the
-    content key: fast and precise runs of the same point share one cache
-    entry, and every pre-existing key stays valid.
+    mixed into the cache key separately.  Every field is something the run
+    computes from; side outputs (a trace destination) travel beside the
+    spec, never in it.
     """
 
     app: str
@@ -107,25 +96,17 @@ class RunSpec:
     frame_scale: int = 1
     workset_units: int = _CONFIG_DEFAULTS.workset_units
     pad_word: int = _CONFIG_DEFAULTS.pad_word
-    push_timeout: int = _CONFIG_DEFAULTS.push_timeout
-    pop_timeout: int = _CONFIG_DEFAULTS.pop_timeout
     p_masked: float | None = None
     p_data: float | None = None
     p_control: float | None = None
     p_address: float | None = None
     fault_model: str = "bit_flip"
-    #: Optional JSONL trace destination (side output; not part of the key).
-    trace: str | None = None
-    #: Simulation execution mode (bit-identical modes; not part of the key).
-    exec_mode: str = "fast"
 
     def commguard_config(self) -> CommGuardConfig:
         return CommGuardConfig(
             frame_scale=self.frame_scale,
             workset_units=self.workset_units,
             pad_word=self.pad_word,
-            push_timeout=self.push_timeout,
-            pop_timeout=self.pop_timeout,
         )
 
     def error_model(self) -> ErrorModel | None:
@@ -317,8 +298,10 @@ def _run_in_worker(
     attempt: int = 0,
     run_timeout: float | None = None,
     fault_hook=None,
+    trace: str | None = None,
 ) -> tuple[int, str, RunRecord | str, float, float]:
-    """Execute one attempt in a pool worker.
+    """Execute one attempt in a pool worker (streaming its events to the
+    JSONL path *trace*, when given).
 
     Never raises for per-run faults: the outcome travels back as
     ``(index, status, payload, cpu_seconds, wall_seconds)`` where
@@ -336,7 +319,7 @@ def _run_in_worker(
             hook = _resolve_fault_hook(fault_hook)
             if hook is not None:
                 hook(spec, attempt)
-            record = _WORKER_RUNNER.execute_spec(spec)
+            record = _WORKER_RUNNER.execute_spec(spec, tracer=trace)
         return (
             index, "ok", record,
             time.process_time() - cpu_before,
@@ -373,9 +356,10 @@ class ParallelRunner:
         completed run (cache hits included) — the CLI uses it for
         progress lines.
     ``trace_dir``
-        Optional directory: every spec without an explicit ``trace`` path
-        gets one at ``<trace_dir>/<content_key>.jsonl``, shipping a JSONL
-        trace named by the stored key of each executed run.
+        Optional directory: every executed run streams its JSONL trace to
+        ``<trace_dir>/<content_key>.jsonl``.  A stored record stands in
+        for a run only when that file already exists (a store hit would
+        otherwise silently skip the requested side output).
     ``tracer``
         Optional sweep-level event sink; receives one
         :class:`~repro.observability.events.SweepProgress` per completed
@@ -497,17 +481,13 @@ class ParallelRunner:
             self.store.set_context(jobs=jobs, campaign=self.campaign)
 
         pending: list[tuple[int, RunSpec, str | None]] = []
+        keyed = self.store is not None or self.trace_dir is not None
         with engine_span(self.profiler, "cache-scan", total=len(specs)):
             for index, spec in enumerate(specs):
-                key = spec.content_key(self.scale) if self.store is not None else None
-                if self.trace_dir is not None and spec.trace is None:
-                    trace_key = key if key is not None else spec.content_key(self.scale)
-                    spec = replace(
-                        spec,
-                        trace=str(Path(self.trace_dir) / f"{trace_key}.jsonl"),
-                    )
-                cached = self.store.load(key) if key is not None else None
-                if cached is not None and self._trace_satisfied(spec):
+                key = spec.content_key(self.scale) if keyed else None
+                cached = self.store.load(key) if self.store is not None else None
+                trace = self._trace_path(key)
+                if cached is not None and (trace is None or Path(trace).exists()):
                     records[index] = cached
                     stats.cache_hits += 1
                     self.metrics.inc("sweep_cache_hits", app=spec.app)
@@ -546,9 +526,10 @@ class ParallelRunner:
 
     # -- fault-tolerant execution loops ----------------------------------------
     #
-    # Work items travel as (index, spec, key, attempt) tuples.  Both loops
-    # funnel failed attempts through _dispose, which owns the retry/raise/
-    # record decision, so serial and pool sweeps share one failure policy.
+    # Work items travel as (index, spec, key, attempt) tuples; each attempt
+    # ships its trace to the path the key names.  Both loops funnel failed
+    # attempts through _dispose, which owns the retry/raise/record
+    # decision, so serial and pool sweeps share one failure policy.
 
     def _run_serial(self, pending, records, stats, wall_before) -> None:
         queue = deque((index, spec, key, 0) for index, spec, key in pending)
@@ -561,7 +542,9 @@ class ParallelRunner:
                 with _deadline(self.run_timeout):
                     if hook is not None:
                         hook(spec, attempt)
-                    record = self.executor.execute_spec(spec)
+                    record = self.executor.execute_spec(
+                        spec, tracer=self._trace_path(key)
+                    )
             except RunTimeoutError as exc:
                 stats.cpu_seconds += time.process_time() - cpu_before
                 if self._dispose(item, "timeout", str(exc), stats, exc):
@@ -611,6 +594,7 @@ class ParallelRunner:
                             item[3],
                             self.run_timeout,
                             self.fault_hook,
+                            self._trace_path(item[2]),
                         )
                         outstanding[future] = item
                 if not outstanding:
@@ -700,7 +684,7 @@ class ParallelRunner:
         try:
             future = solo.submit(
                 _run_in_worker, index, spec, attempt,
-                self.run_timeout, self.fault_hook,
+                self.run_timeout, self.fault_hook, self._trace_path(key),
             )
             crashed = self._consume(
                 future, item, quarantine, records, stats, wall_before
@@ -781,7 +765,7 @@ class ParallelRunner:
             self.profiler.record(
                 "run", run_wall, app=spec.app, seed=spec.seed, index=index
             )
-        if self.store is not None and key is not None:
+        if self.store is not None:
             # run_wall is this run's own elapsed time in its executing
             # process — not the sweep's cumulative wall clock.
             provenance = (
@@ -793,12 +777,12 @@ class ParallelRunner:
             )
         self._tick(stats, wall_before)
 
-    @staticmethod
-    def _trace_satisfied(spec: RunSpec) -> bool:
-        """A stored record may stand in for a traced spec only when its
-        trace file already exists (a store hit would otherwise silently
-        skip producing the requested side output)."""
-        return spec.trace is None or Path(spec.trace).exists()
+    def _trace_path(self, key: str | None) -> str | None:
+        """Where the run keyed *key* ships its trace (``None``: no
+        ``trace_dir``, so runs are untraced)."""
+        if self.trace_dir is None:
+            return None
+        return str(Path(self.trace_dir) / f"{key}.jsonl")
 
     def _emit(self, event) -> None:
         if self.tracer is not None:

@@ -21,7 +21,7 @@ from repro.apps.base import BenchmarkApp
 from repro.apps.registry import build_app
 from repro.machine.protection import ProtectionLevel
 from repro.machine.runstats import RunResult
-from repro.machine.system import SystemConfig, run_program
+from repro.machine.system import run_program
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +75,8 @@ class SimulationRunner:
         """Run one frozen :class:`~repro.experiments.parallel.RunSpec`;
         returns the flat record plus the raw result.
 
-        When *tracer* is ``None`` and the spec carries a ``trace`` path, a
+        *tracer* is anything :func:`~repro.observability.coerce_tracer`
+        understands: given a JSONL path, a
         :class:`~repro.observability.JsonlTracer` streaming there is opened
         for the run and closed afterwards.  ``profiler`` optionally records
         the run's simulated-time timeline
@@ -84,9 +85,7 @@ class SimulationRunner:
         from repro.observability.tracer import coerce_tracer
 
         app = self.app(spec.app)
-        owned = None
-        if tracer is None:
-            tracer, owned = coerce_tracer(spec.trace)
+        tracer, owned = coerce_tracer(tracer)
         try:
             result = run_program(
                 app.program,
@@ -94,7 +93,6 @@ class SimulationRunner:
                 mtbe=spec.mtbe,
                 seed=spec.seed,
                 commguard_config=spec.commguard_config(),
-                system_config=SystemConfig(exec_mode=spec.exec_mode),
                 error_model=spec.error_model(),
                 tracer=tracer,
                 fault_model=spec.fault_model,
@@ -128,9 +126,9 @@ class SimulationRunner:
         )
         return record, result
 
-    def execute_spec(self, spec) -> RunRecord:
+    def execute_spec(self, spec, tracer=None) -> RunRecord:
         """Run one frozen spec, returning just the flat record."""
-        return self.run_spec(spec)[0]
+        return self.run_spec(spec, tracer=tracer)[0]
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -28,6 +28,3 @@ class SimCore:
     def clock(self) -> int:
         """Committed instructions + spin time observed by this core."""
         return self.injector.clock
-
-    def all_done(self) -> bool:
-        return all(t.done for t in self.threads)

@@ -49,7 +49,8 @@ class SystemConfig:
     transferred through a queue in the Fig. 13 execution-time estimate.
     ``spin_instructions`` is the cost a blocked thread burns per
     fruitless sweep.  ``timeout_sweeps`` is how many consecutive no-progress
-    sweeps arm the QM timeout.  ``max_sweeps`` is a hard safety stop.
+    sweeps arm the QM timeout (Section 5.1's blocked-operation timeouts).
+    ``max_sweeps`` is a hard safety stop.
 
     ``exec_mode`` selects the simulation execution mode: ``"fast"`` (the
     default) lets each thread execute whole steady-state firings in bulk
@@ -58,16 +59,15 @@ class SystemConfig:
     certify it cannot block or transition any alignment FSM, dropping to
     the precise per-word machinery around every injected error; the words
     of a per-word firing that cannot block also move through bulk queue
-    operations.  ``"precise"`` runs the per-word path unconditionally (the
-    oracle).  Both are bit-identical — same :class:`RunResult`, same cache
-    keys, byte-identical traces — and both reproduce the golden run digests
-    in ``tests/fixtures/golden_runs.json``.
+    operations.  ``"precise"`` runs the per-word path unconditionally: it
+    is the oracle, which the golden tests and ``scripts/record_bench.py``
+    select.  Both are bit-identical — same :class:`RunResult`,
+    byte-identical traces — and both reproduce the golden run digests in
+    ``tests/fixtures/golden_runs.json``.
 
-    ``fault_model`` selects the error process from the registry in
-    :mod:`repro.machine.faults`, in ``name[:param=val,...]`` spec syntax.
-    The default ``bit_flip`` is bit-identical to the pre-registry
-    injector.  An explicit ``fault_model`` argument to
-    :meth:`MulticoreSystem.build` / :func:`run_program` overrides it.
+    The error process is not a machine parameter: the ``fault_model``
+    argument of :meth:`MulticoreSystem.build` / :func:`run_program`
+    selects it.
     """
 
     n_cores: int = 10
@@ -76,7 +76,6 @@ class SystemConfig:
     spin_instructions: int = 50
     timeout_sweeps: int = 3
     max_sweeps: int = 50_000_000
-    fault_model: str = "bit_flip"
     exec_mode: str = "fast"
 
 
@@ -132,8 +131,7 @@ class MulticoreSystem:
         given, every module (injectors, AMs, HI, queues, threads) emits
         structured events into it.  ``None`` keeps the hot paths untouched.
         ``fault_model`` selects the error process from the registry in
-        :mod:`repro.machine.faults` (``None`` defers to
-        ``system_config.fault_model``, itself defaulting to ``bit_flip``).
+        :mod:`repro.machine.faults` (``None`` is the default ``bit_flip``).
         ``profiler`` is an optional
         :class:`~repro.observability.profile.SimProfiler`; when given,
         threads record simulated-time segments and queues sample their
@@ -145,9 +143,7 @@ class MulticoreSystem:
         cg_config = commguard_config or CommGuardConfig()
         edge_frame_scales = edge_frame_scales or {}
         ppu = ppu or PPUModel()
-        fault = FaultModelSpec.coerce(
-            fault_model if fault_model is not None else config.fault_model
-        )
+        fault = FaultModelSpec.coerce(fault_model)
         if protection is ProtectionLevel.ERROR_FREE:
             error_model = ErrorModel.error_free()
         elif error_model is None:
@@ -350,11 +346,7 @@ def run_program(
     structured events from every module; ``profiler`` optionally records
     the simulated-time timeline (see :meth:`MulticoreSystem.build`).
     """
-    fault = FaultModelSpec.coerce(
-        fault_model
-        if fault_model is not None
-        else (system_config.fault_model if system_config is not None else None)
-    )
+    fault = FaultModelSpec.coerce(fault_model)
     if error_model is None and protection.injects_errors:
         error_model = default_error_model(fault, mtbe)
     system = MulticoreSystem.build(

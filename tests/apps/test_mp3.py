@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.apps.jpeg.bitio import BitReader, BitWriter
 from repro.apps.mp3 import bitstream as bs
-from repro.apps.mp3.codec import decode_audio, dequantize_sample, encode_audio
+from repro.apps.mp3 import build_mp3_app
+from repro.apps.mp3.codec import (
+    FrameDecoder,
+    decode_audio,
+    dequantize_sample,
+    encode_audio,
+)
 from repro.apps.mp3.filterbank import (
     N_BANDS,
     PROTOTYPE_TAPS,
@@ -27,6 +33,9 @@ from repro.apps.mp3.quantize import (
     scalefactor_index,
     scalefactor_value,
 )
+from repro.machine.errors import ErrorModel
+from repro.machine.protection import ProtectionLevel
+from repro.machine.system import run_program
 from repro.quality.audio import multitone_signal
 from repro.quality.metrics import snr_db
 
@@ -176,3 +185,41 @@ class TestFullCodec:
         assert snr_db(raw, decode_audio(rich, length=3000)) > snr_db(
             raw, decode_audio(poor, length=3000)
         )
+
+
+class TestDecodeOnce:
+    """G0 unpacks its container on the first run, never at build."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        counts = {"decoders": 0, "frames": 0}
+        init, next_frame_raw = FrameDecoder.__init__, FrameDecoder.next_frame_raw
+
+        def counting_init(self, data):
+            counts["decoders"] += 1
+            init(self, data)
+
+        def counting_next_frame_raw(self):
+            counts["frames"] += 1
+            return next_frame_raw(self)
+
+        monkeypatch.setattr(FrameDecoder, "__init__", counting_init)
+        monkeypatch.setattr(FrameDecoder, "next_frame_raw", counting_next_frame_raw)
+        return counts
+
+    @pytest.mark.parametrize("stereo", [False, True], ids=["mono", "stereo"])
+    def test_runs_of_one_app_decode_the_container_once(self, decoded, stereo):
+        app = build_mp3_app(n_samples=2_000, stereo=stereo)
+        assert decoded == {"decoders": 0, "frames": 0}
+        (parser,) = (n for n in app.program.graph.nodes if n.name == "G0_parser")
+        first = run_program(app.program, ProtectionLevel.ERROR_FREE)
+        frames = parser.header.n_frames * (2 if stereo else 1)
+        assert decoded == {"decoders": 1, "frames": frames}
+        # Data errors flip bits of the words G0 hands out, never of its cache.
+        flips = ErrorModel(
+            mtbe=5_000, p_masked=0.0, p_data=1.0, p_control=0.0, p_address=0.0
+        )
+        run_program(app.program, ProtectionLevel.PPU_ONLY, error_model=flips, seed=1)
+        second = run_program(app.program, ProtectionLevel.ERROR_FREE)
+        assert decoded == {"decoders": 1, "frames": frames}
+        assert second.outputs == first.outputs

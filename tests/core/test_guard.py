@@ -110,9 +110,3 @@ class TestConfigValidation:
     def test_rejects_bad_workset(self):
         with pytest.raises(ValueError):
             CommGuardConfig(workset_units=0)
-
-    def test_scaled_copy(self):
-        config = CommGuardConfig(workset_units=17)
-        scaled = config.scaled(8)
-        assert scaled.frame_scale == 8
-        assert scaled.workset_units == 17

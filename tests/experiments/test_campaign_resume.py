@@ -7,8 +7,10 @@ resumed campaign must (a) re-execute zero completed specs, and (b) produce
 a report byte-identical to an uninterrupted run of the same grid.
 """
 
+import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -16,8 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import SweepReport
-from repro.experiments.parallel import ParallelRunner, RunSpec
+from repro import api
+from repro.api import EngineOptions, SweepReport
+from repro.cli import main
+from repro.experiments.parallel import FailureRecord, ParallelRunner, RunSpec
 from repro.experiments.store import RunStore, derive_campaign_id
 
 SCALE = 0.05
@@ -112,6 +116,97 @@ class TestInProcessResume:
             engine.run_specs(specs)
         assert engine.last_stats.cache_hits == 4
         assert engine.last_stats.executed == 0
+
+
+#: The four RunSpec fields repro 4.0 retired, as a 3.x writer serialized
+#: them: the engine stored each traced run's spec with its trace path, and
+#: the Queue Manager timeouts always at their default.
+RETIRED_3X = {
+    "trace": "traces/run.jsonl",
+    "exec_mode": "precise",
+    "push_timeout": 100_000,
+    "pop_timeout": 100_000,
+}
+
+
+def age_to_3x(path) -> None:
+    """Rewrite every spec document of a store as a 3.x writer left it."""
+    conn = sqlite3.connect(path)
+    with conn:
+        for table in ("runs", "failures", "campaign_specs"):
+            rows = conn.execute(f"SELECT rowid, spec FROM {table}").fetchall()
+            assert rows, table
+            for rowid, spec in rows:
+                doc = {**json.loads(spec), **RETIRED_3X}
+                conn.execute(
+                    f"UPDATE {table} SET spec=? WHERE rowid=?",
+                    (json.dumps(doc, sort_keys=True), rowid),
+                )
+    conn.close()
+
+
+class TestLoads3xData:
+    """Stores and ``sweep --output`` documents written by repro 3.x, whose
+    specs carry the retired fields, still load."""
+
+    def test_campaign_resumes_with_zero_executions(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        options = EngineOptions(scale=SCALE, jobs=1, store=path)
+        api.sweep("fft", mtbes="100k", seeds=3, options=options)
+        specs = api.sweep_grid("fft", "commguard", "100k", 3)
+        campaign = derive_campaign_id(specs, SCALE)
+        reference = SweepReport.from_store(path, campaign)
+        lost = RunSpec(app="fft", mtbe=50_000.0, seed=9)
+        RunStore(path).record_failure(
+            FailureRecord(
+                index=0, spec=lost, failure="exception", message="boom",
+                attempts=1,
+            ),
+            scale=SCALE,
+        )
+        age_to_3x(path)
+
+        store = RunStore(path)
+        assert [row.spec for row in store.query()] == specs
+        assert store.failure_for(lost.content_key(SCALE)).spec == lost
+        assert store.campaign(campaign).specs == tuple(specs)
+        assert SweepReport.from_store(store, campaign).to_json() == (
+            reference.to_json()
+        )
+        engine = ParallelRunner(
+            scale=SCALE, jobs=1, store=store, campaign=campaign
+        )
+        engine.run_specs(store.campaign(campaign).specs)
+        assert engine.last_stats.executed == 0
+        assert engine.last_stats.cache_hits == len(specs)
+
+    def test_report_renders_a_3x_sweep_document(self, tmp_path, capsys):
+        report = api.sweep(
+            "fft", ["error-free", "commguard"], mtbes="100k", seeds=2,
+            options=EngineOptions(scale=SCALE, jobs=1, cache=False),
+        )
+        current, aged = tmp_path / "current.json", tmp_path / "aged.json"
+        current.write_text(report.to_json())
+        doc = report.to_dict()
+        doc["options"]["exec_mode"] = "fast"
+        for point in doc["points"]:
+            point["spec"].update(RETIRED_3X)
+        aged.write_text(json.dumps(doc))
+        assert main(["report", str(current)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["report", str(aged)]) == 0
+        assert capsys.readouterr().out == expected
+        assert SweepReport.from_json(aged.read_text()).to_json() == (
+            report.to_json()
+        )
+
+    def test_other_unknown_spec_keys_still_fail(self):
+        from repro.experiments.cache import spec_from_dict, spec_to_dict
+
+        doc = spec_to_dict(RunSpec(app="fft", mtbe=100_000.0))
+        assert spec_from_dict({**doc, **RETIRED_3X}) == spec_from_dict(doc)
+        with pytest.raises(TypeError):
+            spec_from_dict({**doc, "turbo": True})
 
 
 @pytest.mark.slow

@@ -299,6 +299,34 @@ class TestEngineIntegration:
         assert all(wall >= 0 for wall in walls)
         assert sum(walls) <= engine.last_stats.wall_seconds + 0.005
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_hit_stands_in_for_a_traced_run_only_with_its_trace(
+        self, tmp_path, jobs
+    ):
+        """``trace_dir`` names each run's trace by its content key; a
+        stored record replaces a run only when that trace exists."""
+        specs = [make_spec(seed) for seed in range(3)]
+        path, traces = tmp_path / "store.sqlite", tmp_path / "traces"
+
+        def engine():
+            return ParallelRunner(
+                scale=SCALE, jobs=jobs, store=RunStore(path), trace_dir=traces
+            )
+
+        first = engine()
+        records = first.run_specs(specs)
+        names = sorted(p.name for p in traces.iterdir())
+        assert names == sorted(f"{s.content_key(SCALE)}.jsonl" for s in specs)
+        lost = [traces / f"{s.content_key(SCALE)}.jsonl" for s in specs[1:]]
+        expected = [trace.read_bytes() for trace in lost]
+        for trace in lost:
+            trace.unlink()
+        second = engine()
+        assert second.run_specs(specs) == records
+        assert second.last_stats.cache_hits == 1
+        assert second.last_stats.executed == 2
+        assert [trace.read_bytes() for trace in lost] == expected
+
     def test_run_error_model_override_is_keyed(self, tmp_path):
         """An ``error_model`` override is part of the spec: it gets its
         own store row, leaves the baseline row alone, reruns as a store

@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 
 from repro.apps import build_app
 from repro.core.config import CommGuardConfig
-from repro.experiments.cache import spec_key
-from repro.experiments.parallel import RunSpec
 from repro.machine.errors import ErrorInjector, ErrorModel
 from repro.machine.protection import ProtectionLevel
 from repro.machine.system import SystemConfig, run_program
@@ -180,18 +178,6 @@ class TestByteIdenticalTraces:
             return buffer.getvalue()
 
         assert trace_bytes(FAST) == trace_bytes(PRECISE)
-
-
-class TestSharedCacheKeys:
-    """fast and precise runs are interchangeable, so they share one cache
-    entry — and specs predating the ``exec_mode`` field keep their keys."""
-
-    def test_modes_share_cache_key(self):
-        fast = RunSpec(app="fft", mtbe=100_000.0, seed=3, exec_mode="fast")
-        precise = RunSpec(app="fft", mtbe=100_000.0, seed=3, exec_mode="precise")
-        default = RunSpec(app="fft", mtbe=100_000.0, seed=3)
-        keys = {spec_key(s, 0.1) for s in (fast, precise, default)}
-        assert len(keys) == 1
 
 
 class TestQuietSpanContract:

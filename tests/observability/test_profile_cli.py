@@ -27,18 +27,22 @@ class TestProfileRunCommand:
         assert {e["ph"] for e in doc["traceEvents"]} <= {"X", "C", "i", "M"}
         assert "profile written to" in capsys.readouterr().out
 
-    def test_timeline_bytes_exec_mode_invariant(self, tmp_path):
-        timelines = []
-        for name, mode_args in (("fast", []), ("precise", ["--exec-mode", "precise"])):
-            timeline = tmp_path / f"{name}.json"
-            assert main([
-                "profile", "run", "fft", *ARGS, *mode_args,
-                "--out", str(tmp_path / f"{name}-profile.json"),
-                "--timeline-out", str(timeline),
-            ]) == 0
-            timelines.append(timeline.read_bytes())
-        assert timelines[0] == timelines[1]
-        assert json.loads(timelines[0])["version"] == 1
+    def test_timeline_bytes_match_api_profile(self, tmp_path):
+        """``--timeline-out`` writes exactly the canonical timeline that
+        ``api.run(..., profile=)`` records for the same point."""
+        timeline = tmp_path / "timeline.json"
+        assert main([
+            "profile", "run", "fft", *ARGS,
+            "--out", str(tmp_path / "profile.json"),
+            "--timeline-out", str(timeline),
+        ]) == 0
+        session = ProfileSession()
+        api.run(
+            "fft", mtbe="100k", seed=3,
+            options=EngineOptions(scale=SCALE), profile=session,
+        )
+        assert timeline.read_bytes() == session.sim.to_json_bytes()
+        assert json.loads(timeline.read_bytes())["version"] == 1
 
     def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
         assert main([

@@ -128,6 +128,66 @@ class TestRemovedIn3:
         assert engine.executor.scale == engine.scale
 
 
+class TestRemovedIn4:
+    """The values nothing read are gone; ``RunSpec`` holds only what a run
+    computes.  ``SystemConfig.exec_mode`` stays: it selects the precise
+    oracle the golden and equivalence tests run."""
+
+    @staticmethod
+    def field_names(cls) -> set[str]:
+        import dataclasses
+
+        return {f.name for f in dataclasses.fields(cls)}
+
+    def test_queue_manager_timeouts(self):
+        from repro.core.config import CommGuardConfig
+        from repro.experiments.parallel import RunSpec
+
+        for cls in (RunSpec, CommGuardConfig):
+            assert not {"push_timeout", "pop_timeout"} & self.field_names(cls)
+        assert not hasattr(CommGuardConfig, "scaled")
+
+    def test_exec_mode_outside_the_machine(self):
+        import inspect
+
+        from repro import api
+        from repro.cli import build_parser
+        from repro.experiments.options import EngineOptions
+        from repro.experiments.parallel import RunSpec
+        from repro.machine.system import SystemConfig
+
+        assert "exec_mode" not in self.field_names(RunSpec)
+        assert "exec_mode" not in self.field_names(EngineOptions)
+        assert "exec_mode" not in inspect.signature(api.sweep_grid).parameters
+        assert "exec_mode" in self.field_names(SystemConfig)
+        parser = build_parser()
+        for argv in (["run", "fft"], ["sweep", "fft"], ["profile", "run", "fft"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*argv, "--exec-mode", "precise"])
+
+    def test_spec_trace(self):
+        from repro.experiments.parallel import ParallelRunner, RunSpec
+
+        assert "trace" not in self.field_names(RunSpec)
+        assert not hasattr(ParallelRunner, "_trace_satisfied")
+
+    def test_duplicate_fault_model_and_dead_code(self):
+        from repro.machine.core import SimCore
+        from repro.machine.system import SystemConfig
+
+        assert "fault_model" not in self.field_names(SystemConfig)
+        assert not hasattr(SimCore, "all_done")
+
+    def test_spec_is_what_a_run_computes(self):
+        from repro.experiments.parallel import RunSpec
+
+        assert self.field_names(RunSpec) == {
+            "app", "protection", "mtbe", "seed", "frame_scale",
+            "workset_units", "pad_word", "p_masked", "p_data", "p_control",
+            "p_address", "fault_model",
+        }
+
+
 class TestExampleScripts:
     """The fastest example scripts must run end to end."""
 

@@ -220,6 +220,24 @@ class TestCliReportGolden:
         )
         assert report_out == expected
 
+    def test_each_block_counts_its_own_seeds(self, tmp_path, capsys):
+        """The error-free block holds one point, however many seeds the
+        error-prone blocks sweep."""
+        report = sweep(
+            "fft", ["error-free", "commguard"], mtbes="50k", seeds=3,
+            options=FAST,
+        )
+        path = tmp_path / "sweep.json"
+        path.write_text(report.to_json())
+        assert main(["report", str(path)]) == 0
+        headers = [
+            line for line in capsys.readouterr().out.splitlines()
+            if " seeds/point" in line
+        ]
+        assert [line.split("(")[1].split(",")[0] for line in headers] == [
+            "1 seeds/point", "3 seeds/point",
+        ]
+
     def test_report_rejects_run_documents(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         report = api.run("fft", "commguard", mtbe="50k", options=FAST)
