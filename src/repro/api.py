@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.apps.base import BenchmarkApp
-from repro.apps.registry import APP_BUILDERS, build_app
+from repro.apps.registry import APP_BUILDERS, APP_GRADING, build_app
 from repro.core.config import CommGuardConfig
 from repro.experiments.aggregate import CellStats, summarize
 from repro.experiments.cache import (
@@ -49,7 +49,12 @@ from repro.experiments.cache import (
     spec_to_dict,
 )
 from repro.experiments.options import EngineOptions, build_engine
-from repro.experiments.parallel import FailureRecord, RunSpec, SweepStats
+from repro.experiments.parallel import (
+    FailureRecord,
+    RunSpec,
+    SweepStats,
+    error_free_first,
+)
 from repro.experiments.store import RunStore
 from repro.experiments.runner import RunRecord, SimulationRunner
 from repro.machine.errors import ErrorModel
@@ -64,6 +69,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.observability.events import TraceEvent
 
 
+def _check_app_name(name: str) -> None:
+    if name not in APP_BUILDERS:
+        raise ValueError(
+            f"unknown app {name!r}; valid choices: {', '.join(sorted(APP_BUILDERS))}"
+        )
+
+
 def resolve_app(app: str | BenchmarkApp, scale: float = 1.0) -> BenchmarkApp:
     """Normalize an app argument: a registry name or a prebuilt app.
 
@@ -71,10 +83,7 @@ def resolve_app(app: str | BenchmarkApp, scale: float = 1.0) -> BenchmarkApp:
     """
     if isinstance(app, BenchmarkApp):
         return app
-    if app not in APP_BUILDERS:
-        raise ValueError(
-            f"unknown app {app!r}; valid choices: {', '.join(sorted(APP_BUILDERS))}"
-        )
+    _check_app_name(app)
     return build_app(app, scale=scale)
 
 
@@ -119,25 +128,34 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class AppInfo:
-    """Lightweight app identity carried by deserialized reports.
+    """Lightweight app identity: a name and a quality metric.
 
-    A serialized report stores only the app's name and quality metric —
-    not its compiled program or reference signal — so a report loaded
-    with :meth:`RunReport.from_json` / :meth:`SweepReport.from_json`
-    carries this stand-in where a live :class:`BenchmarkApp` would be.
-    Every aggregation view works; anything needing the actual program
-    (e.g. :meth:`BenchmarkApp.baseline_quality`) requires rebuilding the
-    app via :func:`resolve_app`.
+    It stands in for a :class:`BenchmarkApp` wherever the app was never
+    built in this process: in a report loaded with
+    :meth:`RunReport.from_json` / :meth:`SweepReport.from_json` or rebuilt
+    from the store, and in an engine :func:`sweep`'s report, whose
+    workers build the app.  Every aggregation view works; anything
+    needing the actual program (e.g.
+    :meth:`BenchmarkApp.baseline_quality`) requires rebuilding the app
+    via :func:`resolve_app`.
     """
 
     name: str
     metric: str = "snr"
 
+    @classmethod
+    def of(cls, name: str) -> "AppInfo":
+        """The identity of registry app *name*, read from
+        :data:`~repro.apps.registry.APP_GRADING` without building it.
+        Raises ``ValueError`` listing the valid names for unknown ones."""
+        _check_app_name(name)
+        return cls(name=name, metric=APP_GRADING[name].metric)
+
     def baseline_quality(self) -> float:
         raise ValueError(
-            f"app {self.name!r} came from a deserialized report and has no "
-            "compiled program; rebuild it with repro.api.resolve_app(name) "
-            "to compute baseline quality"
+            f"app {self.name!r} is an identity only, with no compiled "
+            "program; rebuild it with repro.api.resolve_app(name) to "
+            "compute baseline quality"
         )
 
 
@@ -855,7 +873,10 @@ def sweep(
     """
     options = options or EngineOptions()
     scale = options.scale if options.scale is not None else 1.0
-    bench = resolve_app(app, scale=scale)
+    in_process = collect_results or isinstance(app, BenchmarkApp)
+    # The engine's workers build the app; this process only needs its name
+    # and metric.
+    bench = resolve_app(app, scale=scale) if in_process else AppInfo.of(app)
     specs = sweep_grid(
         bench.name,
         protections,
@@ -866,7 +887,6 @@ def sweep(
     )
 
     engine = profile.engine if profile is not None else None
-    in_process = collect_results or isinstance(app, BenchmarkApp)
     if in_process:
         with engine_span(
             engine, "sweep", app=bench.name, points=len(specs), mode="in-process"
@@ -937,11 +957,14 @@ def _sweep_in_process(
     """Serial sweep through the shared per-scale runner (same app cache as
     :func:`run`), keeping each raw result when asked.  ``trace_dir`` still
     ships one JSONL trace per run, named by content key as the parallel
-    engine does."""
+    engine does.  Error-free points run first, as in the engine, so the
+    runs after them score against their output."""
     runner = _runner_for(scale)
     runner.adopt_app(bench)
-    points: list[SweepPoint] = []
-    for index, spec in enumerate(specs):
+    points: list[SweepPoint | None] = [None] * len(specs)
+    order = sorted(range(len(specs)), key=lambda i: error_free_first(specs[i]))
+    for index in order:
+        spec = specs[index]
         trace = None
         if options.trace_dir is not None:
             trace = Path(options.trace_dir) / f"{spec.content_key(scale)}.jsonl"
@@ -952,25 +975,21 @@ def _sweep_in_process(
         except Exception as exc:
             if not options.keep_going:
                 raise
-            points.append(
-                SweepPoint(
+            points[index] = SweepPoint(
+                spec=spec,
+                record=None,
+                failure=FailureRecord(
+                    index=index,
                     spec=spec,
-                    record=None,
-                    failure=FailureRecord(
-                        index=index,
-                        spec=spec,
-                        failure="exception",
-                        message=f"{type(exc).__name__}: {exc}",
-                        attempts=1,
-                    ),
-                )
+                    failure="exception",
+                    message=f"{type(exc).__name__}: {exc}",
+                    attempts=1,
+                ),
             )
             continue
-        points.append(
-            SweepPoint(
-                spec=spec,
-                record=record,
-                result=result if collect_results else None,
-            )
+        points[index] = SweepPoint(
+            spec=spec,
+            record=record,
+            result=result if collect_results else None,
         )
     return points

@@ -92,6 +92,14 @@ class BenchmarkApp:
             self._error_free_output = self.output_signal(result)
         return self._error_free_output
 
+    def adopt_error_free_output(self, output: np.ndarray) -> None:
+        """Cache *output*, the decoded output of an ``ERROR_FREE`` run of
+        this program simulated elsewhere, unless one is cached already.
+        No error is injected in such a run, so its output is the one
+        :meth:`error_free_output` would simulate, bit for bit."""
+        if self._error_free_output is None:
+            self._error_free_output = output
+
     def reference_signal(self) -> np.ndarray:
         return self.reference if self.reference is not None else self.error_free_output()
 

@@ -7,7 +7,7 @@ is the experiment-harness default size.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.apps.audiobeamformer import build_audiobeamformer_app
 from repro.apps.base import BenchmarkApp
@@ -61,6 +61,30 @@ APP_BUILDERS: dict[str, Callable[..., BenchmarkApp]] = {
 
 #: The order the paper lists its benchmarks in (Figs. 8 and 11-14).
 APP_ORDER = tuple(APP_BUILDERS)
+
+
+class Grading(NamedTuple):
+    """How an app's quality is graded, known without building it.
+
+    ``metric`` is the built app's ``metric``.  A ``self_referenced`` app
+    is graded against its own error-free output (its ``reference`` is
+    ``None``); the lossy codecs are graded against their raw media.
+    """
+
+    metric: str
+    self_referenced: bool
+
+
+#: Each registered app's :class:`Grading`; a test pins it against the
+#: built apps.
+APP_GRADING: dict[str, Grading] = {
+    "audiobeamformer": Grading("snr", True),
+    "channelvocoder": Grading("snr", True),
+    "complex-fir": Grading("snr", True),
+    "fft": Grading("snr", True),
+    "jpeg": Grading("psnr", False),
+    "mp3": Grading("snr", False),
+}
 
 
 def build_app(name: str, scale: float = 1.0) -> BenchmarkApp:

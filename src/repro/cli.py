@@ -249,7 +249,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     else:
-        app = api.resolve_app(args.app, scale=args.scale)
+        app = api.AppInfo.of(args.app)
         specs = api.sweep_grid(
             args.app,
             args.protection,

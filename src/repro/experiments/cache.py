@@ -43,20 +43,25 @@ def spec_key(spec, scale: float) -> str:
     pre-registry run used, so omitting it keeps every existing key (and
     entry) valid; non-default models key on their canonical spec string.
     """
-    payload = dataclasses.asdict(spec)
+    payload = spec_to_dict(spec)
     payload.update(_RETIRED_TIMEOUTS)
-    if payload.get("fault_model") == "bit_flip":
+    if payload["fault_model"] == "bit_flip":
         del payload["fault_model"]
-    payload["protection"] = spec.protection.value
     payload["scale"] = repr(float(scale))
     payload["version"] = CACHE_VERSION
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# The serializers read fields one by one: ``dataclasses.asdict`` would
+# deep-copy every value.  Each dict keeps the declaration order asdict
+# gives, so documents written without ``sort_keys`` keep their bytes.
+
+
 def record_to_dict(record: RunRecord) -> dict:
-    data = dataclasses.asdict(record)
+    data = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
     data["protection"] = record.protection.value
+    data["subop_ratios"] = dict(record.subop_ratios)
     return data
 
 
@@ -68,7 +73,7 @@ def record_from_dict(data: dict) -> RunRecord:
 
 def spec_to_dict(spec) -> dict:
     """JSON-safe document of a :class:`~repro.experiments.parallel.RunSpec`."""
-    data = dataclasses.asdict(spec)
+    data = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
     data["protection"] = spec.protection.value
     return data
 

@@ -44,6 +44,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
+from repro.apps.registry import APP_GRADING
 from repro.core.config import CommGuardConfig
 from repro.experiments.cache import spec_key
 from repro.experiments.store import RunStore
@@ -299,45 +302,121 @@ def _run_in_worker(
     run_timeout: float | None = None,
     fault_hook=None,
     trace: str | None = None,
-) -> tuple[int, str, RunRecord | str, float, float]:
+    reference: np.ndarray | None = None,
+) -> tuple[int, str, RunRecord | str, float, float, np.ndarray | None]:
     """Execute one attempt in a pool worker (streaming its events to the
     JSONL path *trace*, when given).
 
+    *reference* is the app's error-free output, simulated elsewhere: the
+    worker adopts it instead of simulating its own.
+
     Never raises for per-run faults: the outcome travels back as
-    ``(index, status, payload, cpu_seconds, wall_seconds)`` where
+    ``(index, status, payload, cpu_seconds, wall_seconds, output)`` where
     *status* is ``"ok"`` (payload = the record) or a failure kind
     (payload = the message), so the parent can account retries without
     tearing the pool down.  ``wall_seconds`` is this attempt's own
     elapsed time, measured in the executing process (queue wait
-    excluded) — it feeds the per-row store provenance.
+    excluded) — it feeds the per-row store provenance.  ``output`` is
+    the app's error-free output when *spec* is a successful
+    ``ERROR_FREE`` point, else ``None``.
     """
     assert _WORKER_RUNNER is not None, "worker initializer did not run"
     cpu_before = time.process_time()
     wall_before = time.perf_counter()
+    output = None
     try:
         with _deadline(run_timeout):
             hook = _resolve_fault_hook(fault_hook)
             if hook is not None:
                 hook(spec, attempt)
+            if reference is not None:
+                _WORKER_RUNNER.adopt_reference(spec.app, reference)
             record = _WORKER_RUNNER.execute_spec(spec, tracer=trace)
-        return (
-            index, "ok", record,
-            time.process_time() - cpu_before,
-            time.perf_counter() - wall_before,
-        )
+        if spec.protection is ProtectionLevel.ERROR_FREE:
+            # The run adopted its own output as the app's reference (or
+            # scored against an equal one), so this simulates nothing.
+            output = _WORKER_RUNNER.app(spec.app).error_free_output()
+        status, payload = "ok", record
     except RunTimeoutError as exc:
-        return (
-            index, "timeout", str(exc),
-            time.process_time() - cpu_before,
-            time.perf_counter() - wall_before,
-        )
+        status, payload = "timeout", str(exc)
     except Exception as exc:
-        message = f"{type(exc).__name__}: {exc}"
-        return (
-            index, "exception", message,
-            time.process_time() - cpu_before,
-            time.perf_counter() - wall_before,
-        )
+        status, payload = "exception", f"{type(exc).__name__}: {exc}"
+    return (
+        index, status, payload,
+        time.process_time() - cpu_before,
+        time.perf_counter() - wall_before,
+        output,
+    )
+
+
+def error_free_first(spec: RunSpec) -> bool:
+    """Sort key running ``ERROR_FREE`` points first (a stable sort keeps
+    grid order otherwise): an error-free run's output is the reference
+    its app's later runs are scored against."""
+    return spec.protection is not ProtectionLevel.ERROR_FREE
+
+
+def _self_referenced(app: str) -> bool:
+    grading = APP_GRADING.get(app)
+    return grading is not None and grading.self_referenced
+
+
+class _ReferenceRelay:
+    """The pool's hand-off of each app's error-free output.
+
+    A worker's reply to an ``ERROR_FREE`` point carries its app's output.
+    The first to reach the dispatcher is adopted by the dispatcher's
+    executor, which grading uses, and shipped with every later task of a
+    self-referenced app (:data:`~repro.apps.registry.APP_GRADING`), whose
+    worker then simulates no reference of its own.  While such an app
+    has an error-free point in flight, its other specs are held.  With
+    none in flight (none pending, or each one failed), they go out at
+    once and each worker computes the reference itself.  The dispatcher
+    settles every task however it ends, so a held spec is always
+    released.
+    """
+
+    def __init__(self, executor: SimulationRunner) -> None:
+        self.executor = executor
+        self.outputs: dict[str, np.ndarray] = {}
+        #: App -> indices of its error-free points in flight.
+        self.producing: dict[str, set[int]] = {}
+        self.held: dict[str, list] = {}
+
+    def admit(self, item) -> bool:
+        """Whether *item* is dispatched now; if not, it is held here until
+        :meth:`settle` releases it."""
+        index, spec = item[0], item[1]
+        if spec.protection is ProtectionLevel.ERROR_FREE:
+            self.producing.setdefault(spec.app, set()).add(index)
+            return True
+        if (
+            self.producing.get(spec.app)
+            and spec.app not in self.outputs
+            and _self_referenced(spec.app)
+        ):
+            self.held.setdefault(spec.app, []).append(item)
+            return False
+        return True
+
+    def reference(self, spec: RunSpec) -> np.ndarray | None:
+        """The error-free output to ship with *spec*'s task, if any."""
+        return self.outputs.get(spec.app) if _self_referenced(spec.app) else None
+
+    def settle(self, item, output: np.ndarray | None = None) -> list:
+        """*item*'s task ended, carrying *output* when it was a successful
+        error-free point; returns the held items to dispatch now."""
+        index, spec = item[0], item[1]
+        if spec.protection is not ProtectionLevel.ERROR_FREE:
+            return []
+        producing = self.producing.get(spec.app, set())
+        producing.discard(index)
+        if output is not None and spec.app not in self.outputs:
+            self.outputs[spec.app] = output
+            self.executor.adopt_reference(spec.app, output)
+        if producing and spec.app not in self.outputs:
+            return []
+        return self.held.pop(spec.app, [])
 
 
 class ParallelRunner:
@@ -499,6 +578,7 @@ class ParallelRunner:
                 else:
                     pending.append((index, spec, key))
 
+        pending.sort(key=lambda item: error_free_first(item[1]))
         try:
             if pending:
                 with engine_span(
@@ -577,6 +657,7 @@ class ParallelRunner:
         """
         queue = deque((index, spec, key, 0) for index, spec, key in pending)
         quarantine: deque = deque()
+        relay = _ReferenceRelay(self.executor)
         workers = min(jobs, len(pending))
         pool: ProcessPoolExecutor | None = None
         outstanding: dict = {}
@@ -587,20 +668,12 @@ class ParallelRunner:
                         pool = self._spawn_pool(min(workers, len(queue)))
                     while queue:
                         item = queue.popleft()
-                        future = pool.submit(
-                            _run_in_worker,
-                            item[0],
-                            item[1],
-                            item[3],
-                            self.run_timeout,
-                            self.fault_hook,
-                            self._trace_path(item[2]),
-                        )
-                        outstanding[future] = item
+                        if relay.admit(item):
+                            outstanding[self._submit(pool, item, relay)] = item
                 if not outstanding:
                     # Main grid drained: attribute crashes one spec at a time.
                     self._run_quarantined(
-                        quarantine, records, stats, wall_before
+                        quarantine, relay, records, stats, wall_before
                     )
                     continue
                 done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
@@ -608,7 +681,7 @@ class ParallelRunner:
                     item
                     for future in done
                     if (item := self._consume(
-                        future, outstanding.pop(future), queue,
+                        future, outstanding.pop(future), queue, relay,
                         records, stats, wall_before,
                     )) is not None
                 ]
@@ -618,13 +691,15 @@ class ParallelRunner:
                     done, _ = wait(outstanding)
                     for future in done:
                         item = self._consume(
-                            future, outstanding.pop(future), queue,
+                            future, outstanding.pop(future), queue, relay,
                             records, stats, wall_before,
                         )
                         if item is not None:
                             lost.append(item)
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = None
+                    for item in lost:
+                        queue.extend(relay.settle(item))
                     quarantine.extend(lost)
                     stats.worker_crashes += 1
                     self.metrics.inc("sweep_worker_crashes")
@@ -640,6 +715,13 @@ class ParallelRunner:
         if pool is not None:
             pool.shutdown(wait=True)
 
+    def _submit(self, pool, item, relay):
+        index, spec, key, attempt = item
+        return pool.submit(
+            _run_in_worker, index, spec, attempt, self.run_timeout,
+            self.fault_hook, self._trace_path(key), relay.reference(spec),
+        )
+
     def _spawn_pool(self, workers: int) -> ProcessPoolExecutor:
         if self.profiler is not None:
             self.profiler.event("pool-spawn", workers=max(workers, 1))
@@ -650,21 +732,24 @@ class ParallelRunner:
         )
 
     def _consume(
-        self, future, item, requeue, records, stats, wall_before
+        self, future, item, requeue, relay, records, stats, wall_before
     ):
-        """Settle one future.  Returns the item when it was lost to a pool
+        """Settle one future, releasing into *requeue* the specs *relay*
+        held for its output.  Returns the item when it was lost to a pool
         crash (the caller quarantines it), ``None`` otherwise."""
         index, spec, key, attempt = item
         try:
-            _, status, payload, cpu, wall = future.result()
+            _, status, payload, cpu, wall, output = future.result()
         except (BrokenExecutor, CancelledError):
             return item
         except Exception as exc:  # e.g. an unpicklable payload
+            requeue.extend(relay.settle(item))
             message = f"{type(exc).__name__}: {exc}"
             if self._dispose(item, "exception", message, stats, exc):
                 requeue.append((index, spec, key, attempt + 1))
             return None
         stats.cpu_seconds += cpu
+        requeue.extend(relay.settle(item, output))
         if status == "ok":
             self._finish(
                 records, stats, wall_before, index, spec, key, payload,
@@ -675,19 +760,17 @@ class ParallelRunner:
         return None
 
     def _run_quarantined(
-        self, quarantine, records, stats, wall_before
+        self, quarantine, relay, records, stats, wall_before
     ) -> None:
         """Re-run one quarantined spec in a single-worker pool of its own,
         so a repeat crash is attributable to this spec alone."""
         item = index, spec, key, attempt = quarantine.popleft()
         solo = self._spawn_pool(1)
         try:
-            future = solo.submit(
-                _run_in_worker, index, spec, attempt,
-                self.run_timeout, self.fault_hook, self._trace_path(key),
-            )
+            # Nothing else is in flight, so nothing waits for this spec.
+            future = self._submit(solo, item, relay)
             crashed = self._consume(
-                future, item, quarantine, records, stats, wall_before
+                future, item, quarantine, relay, records, stats, wall_before
             )
             if crashed is not None:
                 stats.worker_crashes += 1

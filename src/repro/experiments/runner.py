@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.apps.base import BenchmarkApp
 from repro.apps.registry import build_app
 from repro.machine.protection import ProtectionLevel
@@ -60,16 +62,30 @@ class SimulationRunner:
     def __init__(self, scale: float = 1.0) -> None:
         self.scale = scale
         self._apps: dict[str, BenchmarkApp] = {}
+        #: Error-free outputs adopted before their app was built here.
+        self._references: dict[str, np.ndarray] = {}
 
     def app(self, name: str) -> BenchmarkApp:
         if name not in self._apps:
-            self._apps[name] = build_app(name, scale=self.scale)
+            app = build_app(name, scale=self.scale)
+            if name in self._references:
+                app.adopt_error_free_output(self._references.pop(name))
+            self._apps[name] = app
         return self._apps[name]
 
     def adopt_app(self, app: BenchmarkApp) -> BenchmarkApp:
         """Register a prebuilt app in the cache (its build scale must match
         this runner's, or worker processes would rebuild it differently)."""
         return self._apps.setdefault(app.name, app)
+
+    def adopt_reference(self, name: str, output: np.ndarray) -> None:
+        """Adopt *output*, the error-free output of registry app *name* at
+        this runner's scale that another process simulated, without
+        building the app: an app this runner builds later takes it."""
+        if name in self._apps:
+            self._apps[name].adopt_error_free_output(output)
+        else:
+            self._references.setdefault(name, output)
 
     def run_spec(self, spec, tracer=None, profiler=None) -> tuple[RunRecord, RunResult]:
         """Run one frozen :class:`~repro.experiments.parallel.RunSpec`;
@@ -81,6 +97,10 @@ class SimulationRunner:
         for the run and closed afterwards.  ``profiler`` optionally records
         the run's simulated-time timeline
         (:class:`~repro.observability.profile.SimProfiler`).
+
+        An ``ERROR_FREE`` run's decoded output becomes its app's cached
+        error-free output when none is cached yet, so the grid's own
+        error-free point is the SNR reference of every later run here.
         """
         from repro.observability.tracer import coerce_tracer
 
@@ -101,6 +121,8 @@ class SimulationRunner:
         finally:
             if owned is not None:
                 owned.close()
+        if spec.protection is ProtectionLevel.ERROR_FREE:
+            app.adopt_error_free_output(app.output_signal(result))
         stats = result.commguard_stats()
         load_ratio, store_ratio = result.header_memory_ratios()
         record = RunRecord(

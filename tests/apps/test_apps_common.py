@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.apps import build_app
-from repro.apps.registry import APP_BUILDERS, APP_ORDER
+from repro.apps.registry import APP_BUILDERS, APP_GRADING, APP_ORDER
 from repro.machine.protection import ProtectionLevel
 from repro.machine.system import run_program
 
@@ -43,6 +43,12 @@ class TestRegistry:
             assert app.name == name
             assert app.metric in ("snr", "psnr")
             assert app.sink_name in app.program.expected_output_lengths()
+
+    def test_grading_fact_matches_the_built_apps(self, apps):
+        # The engine reads APP_GRADING instead of building apps.
+        assert set(APP_GRADING) == set(APP_BUILDERS)
+        for name, app in apps.items():
+            assert APP_GRADING[name] == (app.metric, app.reference is None)
 
 
 @pytest.mark.parametrize("name", APP_ORDER)

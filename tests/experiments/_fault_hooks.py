@@ -2,12 +2,15 @@
 
 The underscore prefix keeps pytest from collecting this module; the hooks
 are plain module-level functions so they pickle by reference into pool
-workers.  Every hook keys off ``(spec.seed, attempt)`` alone — no clocks,
-no randomness — so the faults they inject are bit-reproducible.
+workers.  Every hook keys off ``(spec.seed, attempt)`` or the spec's
+protection alone — no clocks, no randomness — so the faults they inject
+are bit-reproducible.
 """
 
 import os
 import time
+
+from repro.machine.protection import ProtectionLevel
 
 VICTIM_SEED = 1
 
@@ -45,3 +48,15 @@ def always_fail(spec, attempt):
 def fail_everything(spec, attempt):
     """Raise on every attempt at every spec."""
     raise RuntimeError("injected fault")
+
+
+def error_free_always_fails(spec, attempt):
+    """Raise on every attempt at an error-free point (a reference producer)."""
+    if spec.protection is ProtectionLevel.ERROR_FREE:
+        raise RuntimeError("injected fault")
+
+
+def error_free_always_crashes(spec, attempt):
+    """Kill the executing process on every attempt at an error-free point."""
+    if spec.protection is ProtectionLevel.ERROR_FREE:
+        os._exit(17)

@@ -1,14 +1,23 @@
 """RunStore: roundtrips, maintenance, campaigns, multi-writer safety."""
 
+import dataclasses
+import hashlib
 import json
 import sqlite3
 import threading
 
 import pytest
 
+from repro.experiments.cache import (
+    CACHE_VERSION,
+    record_to_dict,
+    spec_key,
+    spec_to_dict,
+)
 from repro.experiments.parallel import FailureRecord, ParallelRunner, RunSpec
 from repro.experiments.runner import SimulationRunner
 from repro.experiments.store import RunStore, derive_campaign_id
+from repro.machine.protection import ProtectionLevel
 
 SCALE = 0.05
 
@@ -31,6 +40,44 @@ def make_spec(seed: int = 0, mtbe: float = 100_000.0) -> RunSpec:
 def executed(runner):
     spec = make_spec()
     return spec, runner.execute_spec(spec)
+
+
+class TestSerializers:
+    def test_direct_serializers_match_asdict(self, runner, executed):
+        # The serializers read fields one by one; documents, keys and
+        # stored rows must stay what dataclasses.asdict made them.
+        def asdict_doc(obj):
+            data = dataclasses.asdict(obj)
+            data["protection"] = obj.protection.value
+            return data
+
+        def asdict_key(spec, scale):
+            payload = asdict_doc(spec)
+            payload.update(push_timeout=100_000, pop_timeout=100_000)
+            if payload["fault_model"] == "bit_flip":
+                del payload["fault_model"]
+            payload["scale"] = repr(float(scale))
+            payload["version"] = CACHE_VERSION
+            canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(canonical.encode()).hexdigest()
+
+        specs = [
+            make_spec(),
+            RunSpec(app="jpeg", protection=ProtectionLevel.ERROR_FREE),
+            RunSpec(app="mp3", protection=ProtectionLevel.PPU_ONLY, mtbe=5e4,
+                    seed=3, frame_scale=4, workset_units=8, pad_word=7),
+            RunSpec(app="fft", mtbe=64_000.0, p_masked=0.5, p_address=0.1),
+            RunSpec(app="fft", mtbe=64_000.0, fault_model="burst:max_len=4"),
+        ]
+        for spec in specs:
+            assert json.dumps(spec_to_dict(spec)) == json.dumps(asdict_doc(spec))
+            for scale in (SCALE, 1.0):
+                assert spec_key(spec, scale) == asdict_key(spec, scale)
+        records = [executed[1], runner.execute_spec(specs[1])]
+        for record in records:
+            data = record_to_dict(record)
+            assert json.dumps(data) == json.dumps(asdict_doc(record))
+            assert data["subop_ratios"] is not record.subop_ratios
 
 
 class TestStoreBasics:

@@ -1,10 +1,12 @@
 """repro.api.sweep: grid construction, both engine paths, report views."""
 
+import os
+
 import pytest
 
 import repro
 from repro import EngineOptions, ProtectionLevel, SweepReport, sweep
-from repro.api import RunSpec, run
+from repro.api import AppInfo, RunSpec, run
 from repro.apps import build_app
 
 SCALE = 0.05
@@ -125,6 +127,65 @@ class TestInProcessPath:
         assert traces[0].stem == RunSpec(
             app="fft", mtbe=50_000.0, seed=0
         ).content_key(SCALE)
+
+
+class TestNoParentBuild:
+    """An engine sweep's workers build the app; the parent reads its name
+    and metric from the registry."""
+
+    @pytest.fixture
+    def parent_builds(self, monkeypatch):
+        import repro.api
+        import repro.experiments.runner
+
+        builds, parent = [], os.getpid()
+
+        def spied(build):
+            def build_app(name, scale=1.0):
+                if os.getpid() == parent:
+                    builds.append(name)
+                return build(name, scale=scale)
+
+            return build_app
+
+        for module in (repro.api, repro.experiments.runner):
+            monkeypatch.setattr(module, "build_app", spied(module.build_app))
+        return builds
+
+    def test_parallel_api_sweep(self, parent_builds):
+        report = sweep(
+            "fft", mtbes="50k", seeds=2,
+            options=EngineOptions(scale=SCALE, jobs=2, cache=False),
+        )
+        assert report.stats.executed == 2
+        assert report.app == AppInfo(name="fft", metric="snr")
+        assert parent_builds == []
+        with pytest.raises(ValueError, match="identity only"):
+            report.app.baseline_quality()
+
+    def test_fresh_cli_sweep(self, parent_builds, capsys):
+        from repro.cli import main
+
+        assert main(["sweep", "jpeg", "--mtbe", "50k", "--seeds", "2",
+                     "--scale", str(SCALE), "--jobs", "2", "--no-cache"]) == 0
+        assert "PSNR (dB)" in capsys.readouterr().out
+        assert parent_builds == []
+
+    def test_in_process_sweep_builds_and_keeps_grid_order(self, parent_builds):
+        report = sweep(
+            "fft", ["commguard", "error-free"], mtbes="50k", seeds=2,
+            options=FAST, collect_results=True,
+        )
+        assert parent_builds == ["fft"]
+        assert [p.spec.protection for p in report] == [
+            ProtectionLevel.COMMGUARD, ProtectionLevel.COMMGUARD,
+            ProtectionLevel.ERROR_FREE,
+        ]
+        engine = sweep(
+            "fft", ["commguard", "error-free"], mtbes="50k", seeds=2,
+            options=FAST,
+        )
+        assert report.records == engine.records
 
 
 class TestPublicSurface:
