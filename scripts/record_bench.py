@@ -5,7 +5,11 @@ Times the quiet-span fast path (``exec_mode="fast"``, the default) against
 the per-word precise oracle (``exec_mode="precise"``) on the high-MTBE
 rungs of the reduced Figure 10 quality campaign — jpeg plus mp3 at two
 frame sizes, CommGuard, one seed — the sparse-error regime the fast path
-is built for.  Writes one machine-readable report at the repo root.
+is built for.  Also records absolute fast and precise seconds per DSP app
+(the apps whose quiet spans run the span kernels of ``Filter.work_many``),
+guarded on the same high-MTBE rungs and error-free; those rows are
+recorded, not checked.  Writes one machine-readable report at the repo
+root.
 
 Usage::
 
@@ -51,6 +55,10 @@ HIGH_MTBE_FLOOR = 1_024_000
 #: Minimum fast-over-precise campaign speedup ``--check`` accepts.
 FAST_PATH_CHECK_FLOOR = 1.2
 
+#: The DSP apps: one firing per frame on many threads, so their quiet
+#: spans are where the span kernels run.
+DSP_APPS = ("audiobeamformer", "channelvocoder", "complex-fir", "fft")
+
 
 def campaign_points() -> list[tuple[str, int, int]]:
     """The high-MTBE rungs of the reduced Figure 10 grid: jpeg plus mp3
@@ -62,6 +70,47 @@ def campaign_points() -> list[tuple[str, int, int]]:
         for mtbe in MTBE_LADDER_QUALITY
     ]
     return [point for point in points if point[2] >= HIGH_MTBE_FLOOR]
+
+
+def dsp_rows(runner: SimulationRunner, repeats: int) -> list[dict]:
+    """Fast and precise seconds per DSP app: CommGuard on the high-MTBE
+    rungs, and the error-free run, seed 0."""
+    rows = []
+    for app_name in DSP_APPS:
+        program = runner.app(app_name).program
+        for protection, mtbes in (
+            (ProtectionLevel.COMMGUARD, high_mtbes()),
+            (ProtectionLevel.ERROR_FREE, [None]),
+        ):
+            def runs(config, protection=protection, mtbes=mtbes):
+                for mtbe in mtbes:
+                    run_program(
+                        program, protection, mtbe=mtbe, seed=0, system_config=config
+                    )
+
+            seconds = {
+                name: time_call(lambda: runs(config), repeats)
+                for name, config in EXEC_CONFIGS.items()
+            }
+            rows.append(
+                {
+                    "app": app_name,
+                    "protection": protection.value,
+                    "runs": len(mtbes),
+                    "precise_s": round(seconds["precise"], 4),
+                    "fast_s": round(seconds["fast"], 4),
+                    "speedup": round(seconds["precise"] / seconds["fast"], 3),
+                }
+            )
+            print(
+                f"  {app_name:16s} {protection.value:10s} ({len(mtbes)} runs): "
+                f"precise {seconds['precise']:.3f}s  fast {seconds['fast']:.3f}s"
+            )
+    return rows
+
+
+def high_mtbes() -> list[int]:
+    return [mtbe for mtbe in MTBE_LADDER_QUALITY if mtbe >= HIGH_MTBE_FLOOR]
 
 
 def time_call(fn, repeats: int) -> float:
@@ -90,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runner = SimulationRunner(scale=args.scale)
     points = campaign_points()
-    for app_name, _, _ in points:
+    for app_name in {name for name, _, _ in points} | set(DSP_APPS):
         runner.app(app_name)  # build once, outside the timed region
 
     def campaign(config: SystemConfig) -> None:
@@ -115,6 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         f"precise {seconds['precise']:.3f}s  "
         f"fast {seconds['fast']:.3f}s  {speedup:.2f}x"
     )
+    print(f"DSP apps, CommGuard at MTBE >= {HIGH_MTBE_FLOOR // 1000}k and error-free:")
+    dsp = dsp_rows(runner, args.repeats)
 
     report = {
         "benchmark": "simulator-fast-path",
@@ -132,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         "precise_s": round(seconds["precise"], 4),
         "fast_s": round(seconds["fast"], 4),
         "speedup": round(speedup, 3),
+        "dsp": dsp,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -309,6 +309,25 @@ def _runner_for(scale: float) -> SimulationRunner:
     return _RUNNERS[scale]
 
 
+def _runner_holding(
+    app: str | BenchmarkApp, scale: float
+) -> tuple[SimulationRunner, BenchmarkApp]:
+    """The runner that simulates *app*, and the app it simulates.
+
+    A registry name shares the per-scale runner, which keeps the first
+    build of each name.  A prebuilt app gets a runner of its own, so the
+    app handed is the app simulated, even when the shared runner holds
+    another app of the same name.
+    """
+    bench = resolve_app(app, scale=scale)
+    runner = (
+        SimulationRunner(scale=scale)
+        if isinstance(app, BenchmarkApp)
+        else _runner_for(scale)
+    )
+    return runner, runner.adopt_app(bench)
+
+
 def run(
     app: str | BenchmarkApp,
     protection: ProtectionLevel | str = ProtectionLevel.COMMGUARD,
@@ -361,7 +380,7 @@ def run(
     opts = options or EngineOptions()
     scale = opts.scale if opts.scale is not None else 1.0
     trace = opts.trace
-    bench = resolve_app(app, scale=scale)
+    runner, bench = _runner_holding(app, scale)
     level = (
         protection
         if isinstance(protection, ProtectionLevel)
@@ -402,8 +421,6 @@ def run(
         **({} if error_free else mix),
         fault_model=fault.canonical(),
     )
-    runner = _runner_for(scale)
-    runner.adopt_app(bench)
     store = RunStore.coerce(opts.store)
     # A store hit has no trace and no timeline: traced and profiled runs
     # always execute.
@@ -414,7 +431,7 @@ def run(
                 spec=spec,
                 record=cached,
                 result=None,
-                app=runner.app(bench.name),
+                app=bench,
             )
     engine = profile.engine if profile is not None else None
     try:
@@ -438,7 +455,7 @@ def run(
         spec=spec,
         record=record,
         result=result,
-        app=runner.app(bench.name),
+        app=bench,
         trace_path=owned.path if isinstance(owned, JsonlTracer) else None,
         events=list(tracer.events) if isinstance(tracer, InMemoryTracer) else None,
         profile=profile,
@@ -874,9 +891,12 @@ def sweep(
     options = options or EngineOptions()
     scale = options.scale if options.scale is not None else 1.0
     in_process = collect_results or isinstance(app, BenchmarkApp)
-    # The engine's workers build the app; this process only needs its name
-    # and metric.
-    bench = resolve_app(app, scale=scale) if in_process else AppInfo.of(app)
+    if in_process:
+        runner, bench = _runner_holding(app, scale)
+    else:
+        # The engine's workers build the app; this process only needs its
+        # name and metric.
+        bench = AppInfo.of(app)
     specs = sweep_grid(
         bench.name,
         protections,
@@ -892,7 +912,7 @@ def sweep(
             engine, "sweep", app=bench.name, points=len(specs), mode="in-process"
         ):
             points = _sweep_in_process(
-                bench, specs, scale, options, collect_results
+                runner, specs, scale, options, collect_results
             )
         return SweepReport(app=bench, points=points, options=options)
 
@@ -948,19 +968,17 @@ def reproduce(
 
 
 def _sweep_in_process(
-    bench: BenchmarkApp,
+    runner: SimulationRunner,
     specs: Sequence[RunSpec],
     scale: float,
     options: EngineOptions,
     collect_results: bool,
 ) -> list[SweepPoint]:
-    """Serial sweep through the shared per-scale runner (same app cache as
-    :func:`run`), keeping each raw result when asked.  ``trace_dir`` still
+    """Serial sweep through *runner* (the one :func:`run` would use for the
+    app), keeping each raw result when asked.  ``trace_dir`` still
     ships one JSONL trace per run, named by content key as the parallel
     engine does.  Error-free points run first, as in the engine, so the
     runs after them score against their output."""
-    runner = _runner_for(scale)
-    runner.adopt_app(bench)
     points: list[SweepPoint | None] = [None] * len(specs)
     order = sorted(range(len(specs)), key=lambda i: error_free_first(specs[i]))
     for index in order:

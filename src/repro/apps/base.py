@@ -12,14 +12,14 @@ from repro.machine.runstats import RunResult
 from repro.machine.system import run_program
 from repro.quality.metrics import psnr_db, snr_db
 from repro.streamit.program import StreamProgram
-from repro.words import WORD_MASK, word_to_float
+from repro.words import WORD_MASK, words_to_float_array
 
 _SIGN_BIT = 1 << 31
 
 
 def words_to_floats(words: Sequence[int]) -> np.ndarray:
     """Decode a sink's word stream as float32 samples."""
-    return np.array([word_to_float(w) for w in words], dtype=np.float64)
+    return words_to_float_array(words)
 
 
 def words_to_ints(words: Sequence[int]) -> np.ndarray:

@@ -28,7 +28,12 @@ from repro.streamit.filters import (
 )
 from repro.streamit.graph import StreamGraph
 from repro.streamit.program import StreamProgram
-from repro.words import float_to_word, word_to_float
+from repro.words import (
+    float_array_to_words,
+    float_to_word,
+    word_to_float,
+    words_to_float_array,
+)
 
 
 class VocoderBand(Filter):
@@ -62,6 +67,29 @@ class VocoderBand(Filter):
         self._history = extended[1:]
         self._envelope += self.smoothing * (abs(acc) - self._envelope)
         return [[float_to_word(self._envelope)]]
+
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        n_state = len(self._history)
+        extended = np.concatenate(
+            (np.asarray(self._history, dtype=np.float64),
+             words_to_float_array(inputs[0]))
+        )
+        taps = self._taps_arr
+        dot = np.dot
+        width = len(taps)
+        # Each window a fresh array, as np.asarray gives ``work``: its
+        # alignment can steer the BLAS kernel (see repro.apps.dsp).
+        accs = [dot(taps, extended[k : k + width].copy()) for k in range(firings)]
+        # The envelope recurrence runs over Python floats, as in ``work``.
+        envelope = self._envelope
+        smoothing = self.smoothing
+        envelopes = []
+        for acc in accs:
+            envelope += smoothing * (abs(float(acc)) - envelope)
+            envelopes.append(envelope)
+        self._envelope = envelope
+        self._history = extended[len(extended) - n_state :].tolist()
+        return [float_array_to_words(np.array(envelopes))]
 
     def state_words(self) -> list[int]:
         return [float_to_word(v) for v in self._history] + [

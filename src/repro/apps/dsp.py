@@ -6,17 +6,34 @@ the filter-state hooks), gains, magnitude stages and FFT butterfly stages.
 Instruction costs are derived from the filters' actual arithmetic (about two
 instructions per multiply-accumulate plus loop overhead), which is what
 anchors the MTBE axis and the overhead figures to something physical.
+
+The float filters override
+:meth:`~repro.streamit.filters.Filter.work_many` with span kernels: a
+span's words are converted once (:func:`repro.words.words_to_float_array`,
+:func:`repro.words.float_array_to_words`), while every output keeps the
+arithmetic ``work`` gives it: the same ``np.dot`` call per output, on
+operands of the same length, element order and 16-byte alignment.  A
+stacked matrix-vector product would call ``dgemv`` and may round
+differently, and some BLAS kernels (OpenBLAS's Prescott ``ddot``) round
+differently on an operand that is not 16-byte aligned, as a slice at an
+odd offset is.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as _np
 
 from repro.streamit.filters import Batch, Filter
-from repro.words import float_to_word, word_to_float
+from repro.words import (
+    float_array_to_words,
+    float_to_word,
+    word_to_float,
+    words_to_float_array,
+)
 
 
 def lowpass_taps(n_taps: int, cutoff: float) -> list[float]:
@@ -86,6 +103,24 @@ class FirFilter(Filter):
             self._history = extended[-n_state:]
         return [[float_to_word(v) for v in outputs]]
 
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        n_state = len(self._history)
+        extended = _np.concatenate(
+            (_np.asarray(self._history, dtype=_np.float64),
+             words_to_float_array(inputs[0]))
+        )
+        n_taps = len(self.taps)
+        taps = self._taps_arr
+        dot = _np.dot
+        positions = range(n_state, len(extended), self.decimation)
+        outputs = _np.empty(len(positions))
+        for index, pos in enumerate(positions):
+            lo = max(0, pos - n_taps + 1)
+            outputs[index] = dot(taps[: pos + 1 - lo], extended[lo : pos + 1][::-1])
+        if n_state:
+            self._history = extended[-n_state:].tolist()
+        return [float_array_to_words(outputs)]
+
     def state_words(self) -> list[int]:
         return [float_to_word(v) for v in self._history]
 
@@ -132,6 +167,29 @@ class ComplexFirFilter(Filter):
             self._history = extended[-n_state:]
         return [out_words]
 
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        n_state = len(self._history)
+        parts = words_to_float_array(inputs[0])
+        extended = _np.empty(n_state + len(parts) // 2, dtype=_np.complex128)
+        extended[:n_state] = self._history
+        # Assigned part by part, as complex(re, im) builds each sample:
+        # re + 1j * im would turn an infinite imaginary part into a NaN
+        # real part.
+        extended.real[n_state:] = parts[0::2]
+        extended.imag[n_state:] = parts[1::2]
+        n_taps = len(self.taps)
+        taps = self._taps_arr
+        dot = _np.dot
+        outputs = _np.empty(len(extended) - n_state, dtype=_np.complex128)
+        for index, pos in enumerate(range(n_state, len(extended))):
+            lo = max(0, pos - n_taps + 1)
+            outputs[index] = dot(taps[: pos + 1 - lo], extended[lo : pos + 1][::-1])
+        if n_state:
+            self._history = extended[-n_state:].tolist()
+        # A complex array viewed as floats interleaves (re, im), as the
+        # output port does.
+        return [float_array_to_words(outputs.view(_np.float64))]
+
     def state_words(self) -> list[int]:
         words: list[int] = []
         for value in self._history:
@@ -162,6 +220,12 @@ class Gain(Filter):
             [float_to_word(self.gain * word_to_float(w)) for w in inputs[0]]
         ]
 
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        samples = words_to_float_array(inputs[0])
+        with _np.errstate(over="ignore", invalid="ignore"):  # floats never warn
+            scaled = self.gain * samples
+        return [float_array_to_words(scaled)]
+
 
 class WeightedCombiner(Filter):
     """Weighted sum of n interleaved channels: pops n, pushes 1."""
@@ -169,6 +233,7 @@ class WeightedCombiner(Filter):
     def __init__(self, name: str, weights: Sequence[float]) -> None:
         super().__init__(name, input_rates=(len(weights),), output_rates=(1,))
         self.weights = list(weights)
+        self._weights_arr = _np.asarray(self.weights, dtype=_np.float64)
 
     def instruction_cost(self) -> int:
         return 25 + 6 * len(self.weights)
@@ -179,6 +244,15 @@ class WeightedCombiner(Filter):
             for weight, word in zip(self.weights, inputs[0])
         )
         return [[float_to_word(acc)]]
+
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        samples = words_to_float_array(inputs[0])
+        with _np.errstate(over="ignore", invalid="ignore"):  # floats never warn
+            products = (samples.reshape(firings, -1) * self._weights_arr).tolist()
+        # The built-in sum over each firing's Python floats, as ``work``
+        # sums them (its rounding is the interpreter's, not numpy's).
+        sums = _np.array([sum(row) for row in products])
+        return [float_array_to_words(sums)]
 
 
 class BitReverseReorder(Filter):
@@ -191,21 +265,18 @@ class BitReverseReorder(Filter):
         super().__init__(name, input_rates=(rate,), output_rates=(rate,))
         self.n_points = n_points
         bits = n_points.bit_length() - 1
-        self._permutation = [
-            int(format(i, f"0{bits}b")[::-1], 2) for i in range(n_points)
-        ]
+        permutation = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(n_points)]
+        #: Output word i is input word gather[i] (re and im of each point).
+        self._gather = itemgetter(
+            *[2 * j + part for j in permutation for part in (0, 1)]
+        )
 
     def instruction_cost(self) -> int:
         # Table-driven permutation: index load, two element moves per point.
         return 40 + 16 * self.n_points
 
     def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        out = [0] * len(words)
-        for i, j in enumerate(self._permutation):
-            out[2 * i] = words[2 * j]
-            out[2 * i + 1] = words[2 * j + 1]
-        return [out]
+        return [list(self._gather(inputs[0]))]
 
 
 class ButterflyStage(Filter):
@@ -219,10 +290,11 @@ class ButterflyStage(Filter):
         span = 1 << stage  # butterfly group size at this stage
         self.span = span
         half = span // 2
-        self._twiddles = [
-            complex(math.cos(-2 * math.pi * k / span), math.sin(-2 * math.pi * k / span))
-            for k in range(half)
-        ]
+        #: The twiddles' real and imaginary parts.
+        self._twiddle_parts = (
+            _np.array([math.cos(-2 * math.pi * k / span) for k in range(half)]),
+            _np.array([math.sin(-2 * math.pi * k / span) for k in range(half)]),
+        )
 
     def instruction_cost(self) -> int:
         # N/2 butterflies, ~80 instructions each (complex multiply, two
@@ -230,21 +302,31 @@ class ButterflyStage(Filter):
         return 60 + 40 * self.n_points
 
     def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        values = [
-            complex(word_to_float(words[2 * i]), word_to_float(words[2 * i + 1]))
-            for i in range(self.n_points)
-        ]
+        return [self._transform(inputs[0], 1)]
+
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        return [self._transform(inputs[0], firings)]
+
+    def _transform(self, words: list[int], firings: int) -> list[int]:
+        """This stage's butterflies over *firings* firings' interleaved
+        (re, im) words, all points of a stage at once.
+
+        The complex multiply is spelled out in real float64 operations in
+        CPython's order (``re = tr*hr - ti*hi``, ``im = tr*hi + ti*hr``), so
+        every output rounds as the complex arithmetic of a per-point loop.
+        """
+        values = words_to_float_array(words).reshape(firings, -1, self.span, 2)
         half = self.span // 2
-        for base in range(0, self.n_points, self.span):
-            for k in range(half):
-                lo = base + k
-                hi = lo + half
-                twiddled = self._twiddles[k] * values[hi]
-                values[hi] = values[lo] - twiddled
-                values[lo] = values[lo] + twiddled
-        out: list[int] = []
-        for value in values:
-            out.append(float_to_word(value.real))
-            out.append(float_to_word(value.imag))
-        return [out]
+        lo_re, lo_im = values[..., :half, 0], values[..., :half, 1]
+        hi_re, hi_im = values[..., half:, 0], values[..., half:, 1]
+        tw_re, tw_im = self._twiddle_parts
+        out = _np.empty_like(values)
+        # Python's complex arithmetic never warns on inf or NaN.
+        with _np.errstate(over="ignore", invalid="ignore"):
+            twiddled_re = tw_re * hi_re - tw_im * hi_im
+            twiddled_im = tw_re * hi_im + tw_im * hi_re
+            out[..., half:, 0] = lo_re - twiddled_re
+            out[..., half:, 1] = lo_im - twiddled_im
+            out[..., :half, 0] = lo_re + twiddled_re
+            out[..., :half, 1] = lo_im + twiddled_im
+        return float_array_to_words(out.reshape(-1))

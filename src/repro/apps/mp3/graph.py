@@ -26,12 +26,16 @@ import numpy as np
 from repro.apps.base import ints_to_words
 from repro.apps.jpeg.bitio import BitReader
 from repro.apps.mp3 import bitstream as bs
-from repro.apps.mp3.codec import FrameDecoder, _round_f32, dequantize_sample
+from repro.apps.mp3.codec import FrameDecoder
 from repro.apps.mp3.filterbank import N_BANDS, SynthesisWindow, synthesis_matrix
-from repro.apps.mp3.quantize import SAMPLES_PER_BAND
+from repro.apps.mp3.quantize import (
+    N_SCALEFACTORS,
+    SAMPLES_PER_BAND,
+    scalefactor_value,
+)
 from repro.streamit.filters import Batch, Filter, FloatSink
 from repro.streamit.graph import StreamGraph
-from repro.words import float_to_word, word_to_float, word_to_uint
+from repro.words import float_array_to_words, word_to_float, words_to_float_array
 
 FRAME_WORDS = N_BANDS + N_BANDS * SAMPLES_PER_BAND  # 32 scalefactors + 384 codes
 
@@ -92,8 +96,18 @@ class Mp3Parser(Filter):
         return [words.copy()]
 
 
+#: Every scalefactor's magnitude, indexed by its 6-bit index.
+_SCALEFACTORS = np.array([scalefactor_value(i) for i in range(N_SCALEFACTORS)])
+
+
 class Mp3Dequantizer(Filter):
-    """G1: scalefactored uniform dequantisation (416 -> 384 floats)."""
+    """G1: scalefactored uniform dequantisation (416 -> 384 floats).
+
+    All 384 samples at once, each with the arithmetic of
+    :func:`~repro.apps.mp3.codec.dequantize_sample`: the code clamped to
+    its band's levels, ``(code * 2.0 / levels - 1.0) * scalefactor`` in
+    float64, then float32 rounding (a band without bits gives 0.0).
+    """
 
     def __init__(self, name: str, bit_allocation: tuple[int, ...]) -> None:
         super().__init__(
@@ -102,23 +116,24 @@ class Mp3Dequantizer(Filter):
             output_rates=(N_BANDS * SAMPLES_PER_BAND,),
         )
         self.bit_allocation = bit_allocation
+        levels = np.array([(1 << bits) - 1 for bits in bit_allocation])
+        self._levels = levels
+        #: Divisor per band; a band without bits divides by one and is
+        #: then zeroed by ``_coded``.
+        self._divisors = np.maximum(levels, 1).astype(np.float64)
+        self._coded = levels > 0
 
     def instruction_cost(self) -> int:
         # Scalefactor lookup, scale, clamp and store per sample.
         return 100 + 15 * N_BANDS * SAMPLES_PER_BAND
 
     def work(self, inputs: Batch) -> Batch:
-        words = inputs[0]
-        scalefactors = [word_to_uint(w) & 0x3F for w in words[:N_BANDS]]
-        out = []
-        for s in range(SAMPLES_PER_BAND):
-            for band in range(N_BANDS):
-                code = word_to_uint(words[N_BANDS + s * N_BANDS + band])
-                value = dequantize_sample(
-                    code, scalefactors[band], self.bit_allocation[band]
-                )
-                out.append(float_to_word(value))
-        return [out]
+        words = np.asarray(inputs[0], dtype=np.int64)
+        scalefactors = _SCALEFACTORS[words[:N_BANDS] & 0x3F]
+        codes = words[N_BANDS:].reshape(SAMPLES_PER_BAND, N_BANDS)
+        codes = np.minimum(codes, self._levels)
+        values = (codes * 2.0 / self._divisors - 1.0) * scalefactors
+        return [float_array_to_words(np.where(self._coded, values, 0.0).reshape(-1))]
 
 
 class Mp3Matrix(Filter):
@@ -132,9 +147,17 @@ class Mp3Matrix(Filter):
         return 100 + 3 * 64 * N_BANDS
 
     def work(self, inputs: Batch) -> Batch:
-        granule = np.array([word_to_float(w) for w in inputs[0]])
-        v64 = synthesis_matrix(granule)
-        return [[float_to_word(float(v)) for v in v64]]
+        v64 = synthesis_matrix(words_to_float_array(inputs[0]))
+        return [float_array_to_words(v64)]
+
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        granules = words_to_float_array(inputs[0])
+        # One matrix-vector product per granule, as in ``work``: a stacked
+        # product would round differently.
+        v64 = np.array(
+            [synthesis_matrix(granule) for granule in granules.reshape(firings, -1)]
+        )
+        return [float_array_to_words(v64.reshape(-1))]
 
 
 class Mp3Window(Filter):
@@ -152,12 +175,16 @@ class Mp3Window(Filter):
         return 200 + 6 * 512
 
     def work(self, inputs: Batch) -> Batch:
-        v64 = np.array([word_to_float(w) for w in inputs[0]])
-        pcm = self._window.process(v64)
-        return [[float_to_word(_round_f32(float(v))) for v in pcm]]
+        pcm = self._window.process(words_to_float_array(inputs[0]))
+        return [float_array_to_words(pcm)]
+
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        v64s = words_to_float_array(inputs[0])
+        pcm = np.array([self._window.process(v64) for v64 in v64s.reshape(firings, -1)])
+        return [float_array_to_words(pcm.reshape(-1))]
 
     def state_words(self) -> list[int]:
-        return [float_to_word(float(v)) for v in self._window.v_buffer]
+        return float_array_to_words(self._window.v_buffer)
 
     def write_state_word(self, index: int, word: int) -> None:
         self._window.v_buffer[index] = word_to_float(word)

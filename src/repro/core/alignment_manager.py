@@ -185,21 +185,21 @@ class AlignmentManager:
         # the units pass through without a per-word unit_word() transform.
         return units
 
-    def can_pop_block(self, count: int, active_fc: int) -> bool:
-        """True when :meth:`pop_block` would serve *count* words right now.
+    def block_units(self, active_fc: int) -> int:
+        """How many words :meth:`pop_block` would serve right now.
 
-        The quiet-span fast path's pop-eligibility check: the producer must
-        still be running and *count* plain units must be published ahead
-        of any further header — at the queue front in ``Rcv/Cmp``, or
-        behind the clean header of *active_fc* in ``ExpHdr``.  O(1).
+        The quiet-span fast path's pop-eligibility count: with the producer
+        still running, the plain units published ahead of any further
+        header — at the queue front in ``Rcv/Cmp``, or behind the clean
+        header of *active_fc* in ``ExpHdr``; ``0`` otherwise.  O(1).
         """
         if self.producer_finished:
-            return False
+            return 0
         if self.state is AlignmentState.RCV_CMP:
-            return self._queue.plain_visible_units() >= count
-        return self.state is AlignmentState.EXP_HDR and self._aligned_boundary(
-            active_fc, count
-        )
+            return self._queue.plain_visible_units()
+        if self.state is AlignmentState.EXP_HDR and self._aligned_boundary(active_fc, 1):
+            return self._queue.plain_units_behind_front_header()
+        return 0
 
     def whole_frames(self, first: int, limit: int, plain: int) -> int:
         """How many whole aligned frames, up to *limit*, the queue front

@@ -192,17 +192,17 @@ class CommGuard:
         """Bulk fast path: pop up to *limit* aligned plain items."""
         return self._ams[qid].pop_block(limit, self._domains[qid].active_fc)
 
-    def can_pop_quiet(self, qid: int, count: int) -> bool:
-        """True when *count* pops on *qid* would complete without blocking,
-        padding, discarding or any FSM transition other than an aligned
-        frame boundary's header match (quiet-span eligibility)."""
-        return self._ams[qid].can_pop_block(count, self._domains[qid].active_fc)
+    def quiet_pop_units(self, qid: int) -> int:
+        """How many pops on *qid* would complete without blocking, padding,
+        discarding or any FSM transition other than an aligned frame
+        boundary's header match (quiet-span eligibility)."""
+        return self._ams[qid].block_units(self._domains[qid].active_fc)
 
-    def can_push_quiet(self, qid: int, count: int) -> bool:
-        """True when *count* pushes on *qid* would complete without
-        blocking (quiet-span eligibility)."""
+    def quiet_push_units(self, qid: int) -> int:
+        """How many pushes on *qid* would complete without blocking
+        (quiet-span eligibility)."""
         queue = self.qm.outgoing[qid]
-        return queue.geometry.capacity_units - queue.total_units() >= count
+        return max(0, queue.geometry.capacity_units - queue.total_units())
 
     def advance_header_insertions(self) -> bool:
         """Drain pending HI work; ``True`` when no insertions are pending.

@@ -75,8 +75,11 @@ class CommGuardStats:
 
     def merge(self, other: "CommGuardStats") -> None:
         """Accumulate *other*'s counters into this object."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _COMMGUARD_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+_COMMGUARD_COUNTERS = tuple(f.name for f in fields(CommGuardStats))
 
 
 @dataclass(slots=True)

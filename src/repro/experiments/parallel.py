@@ -271,6 +271,42 @@ def _deadline(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
+@contextmanager
+def _sigterm_exits():
+    """While the body runs on the main thread, SIGTERM raises
+    :class:`SystemExit` (status 143) instead of killing the process at
+    once, so the sweep's cleanup runs first: completed records are already
+    in the store, and the pool's workers, which a killed parent would
+    orphan, are stopped.  Only the default disposition is replaced (an
+    ignored or handled SIGTERM is left alone), and it is restored
+    afterwards."""
+    if (
+        threading.current_thread() is not threading.main_thread()
+        or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+    ):
+        yield
+        return
+
+    def _exit(signum, _frame):
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, _exit)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _stop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut *pool* down and kill its workers now: a run in flight would
+    keep one alive, orphaned if this process is on its way out.  The
+    executor has no public accessor for them before 3.14."""
+    workers = list(pool._processes.values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        worker.kill()
+
+
 def _resolve_fault_hook(hook) -> Callable[[RunSpec, int], None] | None:
     """Normalize the fault-injection seam: a callable passes through, a
     ``"module:attr"`` string is imported (in whichever process runs the
@@ -292,6 +328,9 @@ _WORKER_RUNNER: SimulationRunner | None = None
 
 def _init_worker(scale: float) -> None:
     global _WORKER_RUNNER
+    # A forked worker inherits the parent's SIGTERM handler (see
+    # _sigterm_exits); a worker told to terminate just dies.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_RUNNER = SimulationRunner(scale=scale)
 
 
@@ -548,7 +587,9 @@ class ParallelRunner:
         appended to ``last_stats.failures`` while every other point still
         completes.  ``KeyboardInterrupt`` cancels the pending work,
         leaves every already-completed record flushed to the store, sets
-        partial ``last_stats`` (``interrupted=True``) and re-raises.
+        partial ``last_stats`` (``interrupted=True``) and re-raises.  On
+        the main thread, a SIGTERM does the same as a :class:`SystemExit`
+        (see :func:`_sigterm_exits`), stopping any pool workers first.
         """
         specs = list(specs)
         jobs = resolve_jobs(self.jobs)
@@ -581,14 +622,14 @@ class ParallelRunner:
         pending.sort(key=lambda item: error_free_first(item[1]))
         try:
             if pending:
-                with engine_span(
+                with _sigterm_exits(), engine_span(
                     self.profiler, "execute", pending=len(pending), jobs=jobs
                 ):
                     if jobs == 1 or len(pending) == 1:
                         self._run_serial(pending, records, stats, wall_before)
                     else:
                         self._run_pool(pending, records, stats, wall_before, jobs)
-        except KeyboardInterrupt:
+        except (KeyboardInterrupt, SystemExit):
             stats.interrupted = True
             raise
         finally:
@@ -710,7 +751,7 @@ class ParallelRunner:
             for future in outstanding:
                 future.cancel()
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                _stop_pool(pool)
             raise
         if pool is not None:
             pool.shutdown(wait=True)
@@ -779,8 +820,10 @@ class ParallelRunner:
                 message = "worker process died while executing this spec"
                 if self._dispose(item, "crash", message, stats):
                     quarantine.append((index, spec, key, attempt + 1))
-        finally:
-            solo.shutdown(wait=False, cancel_futures=True)
+        except BaseException:
+            _stop_pool(solo)
+            raise
+        solo.shutdown(wait=False, cancel_futures=True)
 
     def _dispose(
         self, item, failure: str, message: str, stats, exc=None

@@ -123,8 +123,9 @@ class SimulationRunner:
                 owned.close()
         if spec.protection is ProtectionLevel.ERROR_FREE:
             app.adopt_error_free_output(app.output_signal(result))
-        stats = result.commguard_stats()
-        load_ratio, store_ratio = result.header_memory_ratios()
+        total = result.aggregate_counters()
+        stats = total.commguard
+        load_ratio, store_ratio = result.header_memory_ratios(total)
         record = RunRecord(
             app=spec.app,
             protection=spec.protection,
@@ -132,18 +133,18 @@ class SimulationRunner:
             seed=spec.seed,
             frame_scale=spec.frame_scale,
             quality_db=app.quality(result),
-            data_loss_ratio=result.data_loss_ratio(),
+            data_loss_ratio=result.data_loss_ratio(total),
             pad_events=stats.pad_events,
             discard_events=stats.discard_events,
             padded_items=stats.pads,
             discarded_items=stats.discarded_items,
             errors_injected=result.errors_injected,
             timeouts=stats.timeouts,
-            committed_instructions=result.committed_instructions,
-            execution_time=result.execution_time(),
+            committed_instructions=total.committed_instructions,
+            execution_time=result.execution_time(total),
             header_load_ratio=load_ratio,
             header_store_ratio=store_ratio,
-            subop_ratios=result.subop_ratios(),
+            subop_ratios=result.subop_ratios(total),
             hung=result.hung,
         )
         return record, result

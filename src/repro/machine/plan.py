@@ -50,8 +50,6 @@ class FiringPlan:
         Sums of the rate tuples (the per-firing items/memory word charges).
     ``memory_loads`` / ``memory_stores``
         The node's own memory traffic beyond queue words.
-    ``n_outputs``
-        Output-port count, used for the work() shape check.
     """
 
     cost: int
@@ -61,7 +59,6 @@ class FiringPlan:
     total_outputs: int
     memory_loads: int
     memory_stores: int
-    n_outputs: int
 
     def describe(self) -> dict:
         """Static firing shape as plain JSON — the thread-track metadata
@@ -89,7 +86,6 @@ def compile_plan(node: Filter) -> FiringPlan:
         total_outputs=sum(output_rates),
         memory_loads=node.memory_loads(),
         memory_stores=node.memory_stores(),
-        n_outputs=node.n_outputs,
     )
 
 

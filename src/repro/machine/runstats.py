@@ -46,6 +46,9 @@ class RunResult:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     # -- aggregates -------------------------------------------------------------
+    #
+    # Each derived figure below merges every thread's counters, unless the
+    # caller passes *total*, this run's aggregate_counters() computed once.
 
     def aggregate_counters(self) -> ThreadCounters:
         total = ThreadCounters()
@@ -60,16 +63,18 @@ class RunResult:
     def committed_instructions(self) -> int:
         return self.aggregate_counters().committed_instructions
 
-    def data_loss_ratio(self) -> float:
+    def data_loss_ratio(self, total: ThreadCounters | None = None) -> float:
         """Fig. 8: (padded + discarded items) / accepted items."""
-        total = self.aggregate_counters()
+        total = total or self.aggregate_counters()
         lost = total.commguard.lost_data_units()
         accepted = total.items_popped
         return lost / accepted if accepted else 0.0
 
-    def header_memory_ratios(self) -> tuple[float, float]:
+    def header_memory_ratios(
+        self, total: ThreadCounters | None = None
+    ) -> tuple[float, float]:
         """Fig. 12: (header loads / all loads, header stores / all stores)."""
-        total = self.aggregate_counters()
+        total = total or self.aggregate_counters()
         cg = total.commguard
         all_loads = total.memory.loads + cg.header_loads
         all_stores = total.memory.stores + cg.header_stores
@@ -77,9 +82,9 @@ class RunResult:
         store_ratio = cg.header_stores / all_stores if all_stores else 0.0
         return load_ratio, store_ratio
 
-    def subop_ratios(self) -> dict[str, float]:
+    def subop_ratios(self, total: ThreadCounters | None = None) -> dict[str, float]:
         """Fig. 14: CommGuard suboperation classes / committed instructions."""
-        total = self.aggregate_counters()
+        total = total or self.aggregate_counters()
         cg = total.commguard
         committed = total.committed_instructions or 1
         return {
@@ -89,14 +94,14 @@ class RunResult:
             "total": cg.total_subops() / committed,
         }
 
-    def execution_time(self) -> int:
+    def execution_time(self, total: ThreadCounters | None = None) -> int:
         """Cycle estimate including CommGuard's serialization and header costs.
 
         The baseline (no CommGuard) spends only its committed instructions;
         CommGuard adds frame-boundary pipeline stalls and header transfers
         (Fig. 13's measured quantities).
         """
-        total = self.aggregate_counters()
+        total = total or self.aggregate_counters()
         cg = total.commguard
         header_cycles = (cg.header_loads + cg.header_stores) * self.header_transfer_cycles
         return total.committed_instructions + total.stall_cycles + header_cycles

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
 from typing import Iterator
 
 from repro.core.guard import CommGuard
@@ -66,15 +64,16 @@ class CommPath:
         back to per-word."""
         return []
 
-    def can_fire_quiet(
-        self, input_rates: tuple[int, ...], output_rates: tuple[int, ...]
-    ) -> bool:
-        """True when one whole steady-state firing (popping ``input_rates``
-        and pushing ``output_rates`` per port) is guaranteed to complete
-        without blocking or any guard-state transition — the quiet-span
-        fast path's communication-eligibility check.  Conservative ``False``
-        falls back to the precise per-word path."""
-        return False
+    def quiet_firings(
+        self, input_rates: tuple[int, ...], output_rates: tuple[int, ...], limit: int
+    ) -> int:
+        """How many whole steady-state firings, up to *limit*, each popping
+        ``input_rates`` and pushing ``output_rates`` words per port, are
+        guaranteed to complete back to back without blocking or any
+        guard-state transition — the quiet-span fast path's
+        communication-eligibility check.  Consumes nothing; a conservative
+        ``0`` falls back to the precise per-word path."""
+        return 0
 
     def on_end(self) -> None:
         """Outermost scope exited."""
@@ -111,22 +110,17 @@ class RawCommPath(CommPath):
     def pop_many(self, port: int, limit: int) -> list[int]:
         return self._incoming[port].pop_many(limit)
 
-    def can_fire_quiet(
-        self, input_rates: tuple[int, ...], output_rates: tuple[int, ...]
-    ) -> bool:
-        incoming = self._incoming
-        for port, rate in enumerate(input_rates):
-            if incoming[port].occupancy() < rate:
-                return False
-        outgoing = self._outgoing
-        for port, rate in enumerate(output_rates):
-            queue = outgoing[port]
+    def quiet_firings(
+        self, input_rates: tuple[int, ...], output_rates: tuple[int, ...], limit: int
+    ) -> int:
+        for queue, rate in zip(self._incoming, input_rates):
+            limit = min(limit, queue.occupancy() // rate)
+        for queue, rate in zip(self._outgoing, output_rates):
             # A corrupted software-queue pointer can make occupancy()
             # astronomical; the room then goes negative and the precise
             # path handles the apparent-full blocking semantics.
-            if queue.capacity - queue.occupancy() < rate:
-                return False
-        return True
+            limit = min(limit, max(0, queue.capacity - queue.occupancy()) // rate)
+        return limit
 
     def corrupt_management_state(self, rng: random.Random) -> bool:
         if not self._corruptible:
@@ -165,24 +159,20 @@ class GuardedCommPath(CommPath):
     def pop_many(self, port: int, limit: int) -> list[int]:
         return self.guard.pop_many(self.in_qids[port], limit)
 
-    def can_fire_quiet(
-        self, input_rates: tuple[int, ...], output_rates: tuple[int, ...]
-    ) -> bool:
+    def quiet_firings(
+        self, input_rates: tuple[int, ...], output_rates: tuple[int, ...], limit: int
+    ) -> int:
         guard = self.guard
         if not guard.hi.idle:
             # Pending header insertions serialize before queue traffic
             # (Section 5.3); defensive — the thread drains them at frame
             # boundaries before any firing runs.
-            return False
-        in_qids = self.in_qids
-        for port, rate in enumerate(input_rates):
-            if not guard.can_pop_quiet(in_qids[port], rate):
-                return False
-        out_qids = self.out_qids
-        for port, rate in enumerate(output_rates):
-            if not guard.can_push_quiet(out_qids[port], rate):
-                return False
-        return True
+            return 0
+        for qid, rate in zip(self.in_qids, input_rates):
+            limit = min(limit, guard.quiet_pop_units(qid) // rate)
+        for qid, rate in zip(self.out_qids, output_rates):
+            limit = min(limit, guard.quiet_push_units(qid) // rate)
+        return limit
 
     def on_end(self) -> None:
         self.guard.on_end_of_computation()
@@ -273,6 +263,10 @@ class NodeThread:
                 comm.out_qids,
                 frame_stall_cycles,
             )
+        #: A raw-queue thread's frame boundary does no work (no header, no
+        #: guard state), so its quiet spans run on across frames; a guarded
+        #: thread's spans end at its frame's end.
+        self._spans_cross_frames = isinstance(comm, RawCommPath)
         self.counters = ThreadCounters()
         if isinstance(comm, GuardedCommPath):
             # Share the guard's stats object so aggregation sees both.
@@ -323,32 +317,46 @@ class NodeThread:
 
     def _run(self) -> Iterator[None]:
         frame_plan = self.frame_plan
-        n_frames = self.n_frames
-        frame = 0
-        while frame < n_frames:
-            if frame_plan is not None:
-                ran = self._fire_quiet_frames(n_frames - frame)
+        per_frame = self.firings_per_frame
+        end = self.n_frames * per_frame
+        counters = self.counters
+        fast = self._fast
+        fired = 0
+        while fired < end:
+            if not fired % per_frame:
+                if frame_plan is not None:
+                    ran = self._fire_quiet_frames((end - fired) // per_frame)
+                    if ran:
+                        fired += ran * per_frame
+                        continue
+                self.comm.on_frame_start()
+                counters.frame_computations += 1
+                counters.stall_cycles += self.frame_stall_cycles
+                if self.profiler is not None and self.frame_stall_cycles:
+                    self.sim_now = self.profiler.segment(
+                        self.node.name, "stall", self.sim_now, self.frame_stall_cycles
+                    )
+                while not self.comm.advance_frame_start():
+                    if self._consume_force_unblock():
+                        break
+                    yield
+                self._timeout_mode = False
+            if fast:
+                if self._spans_cross_frames:
+                    stop = end
+                else:
+                    stop = fired - fired % per_frame + per_frame
+                ran = self._fire_quiet(stop - fired)
                 if ran:
-                    frame += ran
+                    # The frame boundaries the span ran across (a raw-queue
+                    # thread's charge only these counters).
+                    crossed = (fired + ran - 1) // per_frame - fired // per_frame
+                    counters.frame_computations += crossed
+                    counters.stall_cycles += crossed * self.frame_stall_cycles
+                    fired += ran
                     continue
-            frame += 1
-            self.comm.on_frame_start()
-            self.counters.frame_computations += 1
-            self.counters.stall_cycles += self.frame_stall_cycles
-            if self.profiler is not None and self.frame_stall_cycles:
-                self.sim_now = self.profiler.segment(
-                    self.node.name, "stall", self.sim_now, self.frame_stall_cycles
-                )
-            while not self.comm.advance_frame_start():
-                if self._consume_force_unblock():
-                    break
-                yield
-            self._timeout_mode = False
-            fast = self._fast
-            for _firing in range(self.firings_per_frame):
-                if fast and self._fire_quiet():
-                    continue
-                yield from self._fire()
+            yield from self._fire()
+            fired += 1
         self.comm.on_end()
         while not self.comm.advance_end():
             if self._consume_force_unblock():
@@ -371,69 +379,86 @@ class NodeThread:
             return True
         return False
 
-    def _fire_quiet(self) -> bool:
-        """One whole steady-state firing outside the error horizon.
+    def _fire_quiet(self, limit: int) -> int:
+        """Run up to *limit* whole steady-state firings outside the error
+        horizon as one span; return how many ran (``0``: the caller runs
+        the precise generator path for the next firing).
 
         Eligibility (checked first, consuming nothing on failure):
 
-        * the injector certifies the firing's instruction window as quiet
-          (no error arrival can land inside it), and
-        * the communication path certifies every pop and push of the firing
-          completes without blocking or any guard-state transition.
+        * the communication path certifies that n firings' pops and pushes
+          complete back to back without blocking or any guard-state
+          transition (:meth:`CommPath.quiet_firings`), and
+        * the injector certifies the n firings' instruction windows as
+          quiet (no error arrival can land inside them).
 
-        An eligible firing is, word for word, the firing the precise path
-        would execute with zero injected events and zero blocked retries —
-        so it can charge its counters in bulk and skip the per-word
-        machinery.  The injector consumes the window with the identical
-        countdown arithmetic ``advance()`` would use, keeping the RNG
-        stream (and therefore everything downstream) bit-identical.
-
-        Returns ``False`` when not provably quiet; the caller then runs
-        the precise generator path for this firing.
+        Each firing of the span is, word for word, the firing the precise
+        path would execute with zero injected events and zero blocked
+        retries, and the span never yields — so it pops each input port's
+        n firings of words at once, computes them with one
+        :meth:`~repro.streamit.filters.Filter.work_many` call (``work``
+        for a single firing), pushes each output port's words at once and
+        charges the counters n times.  The injector consumes the n windows
+        with the identical countdown arithmetic ``advance()`` would use,
+        keeping the RNG stream (and therefore everything downstream)
+        bit-identical.
         """
         plan = self.plan
-        if not self.injector.quiet_windows(plan.cost, 1):
-            return False
         comm = self.comm
-        if not comm.can_fire_quiet(plan.input_rates, plan.output_rates):
-            return False
-        self.injector.consume_quiet(plan.cost)
-        counters = self.counters
+        n = comm.quiet_firings(plan.input_rates, plan.output_rates, limit)
+        if n:
+            # Queue headroom bounds the span first, so the horizon check
+            # walks at most that many windows.
+            n = self.injector.quiet_windows(plan.cost, n)
+        if not n:
+            return 0
+        self.injector.consume_quiet(plan.cost, n)
         node = self.node
 
         inputs: list[list[int]] = []
         for port, rate in enumerate(plan.input_rates):
-            words = comm.pop_many(port, rate)
-            if len(words) != rate:
+            words = comm.pop_many(port, n * rate)
+            if len(words) != n * rate:
                 raise RuntimeError(
-                    f"quiet firing of {node.name} under-popped port {port}: "
-                    f"{len(words)} of {rate} words"
+                    f"quiet span of {node.name} under-popped port {port}: "
+                    f"{len(words)} of {n * rate} words"
                 )
             inputs.append(words)
-        counters.items_popped += plan.total_inputs
-        counters.memory.loads += plan.total_inputs + plan.memory_loads
+        for port, words in enumerate(self._work_span(inputs, n)):
+            if comm.push_many(port, words, 0) != len(words):
+                raise RuntimeError(f"quiet span of {node.name} under-pushed port {port}")
 
-        outputs = node.work(inputs)
-        if len(outputs) != plan.n_outputs or any(
-            len(port) != rate for port, rate in zip(outputs, plan.output_rates)
+        counters = self.counters
+        counters.items_popped += n * plan.total_inputs
+        counters.memory.loads += n * (plan.total_inputs + plan.memory_loads)
+        counters.items_pushed += n * plan.total_outputs
+        counters.memory.stores += n * (plan.total_outputs + plan.memory_stores)
+        counters.committed_instructions += n * plan.cost
+        counters.firings += n
+        self._timeout_mode = False
+        return n
+
+    def _work_span(self, inputs: list[list[int]], firings: int) -> list[list[int]]:
+        """Compute *firings* consecutive firings of the node: *inputs* holds
+        one list per input port with the firings' words back to back, and
+        the result one list per output port, likewise.  A single firing is
+        one ``work`` call, a longer span one ``work_many`` call; either
+        way each output port's length is checked."""
+        node = self.node
+        if firings == 1:
+            outputs = node.work(inputs)
+        else:
+            outputs = node.work_many(inputs, firings)
+        rates = self.plan.output_rates
+        if len(outputs) != len(rates) or any(
+            len(words) != firings * rate for words, rate in zip(outputs, rates)
         ):
             raise RuntimeError(
-                f"filter {node.name} produced wrong batch shape: "
-                f"{[len(p) for p in outputs]} vs rates {node.output_rates}"
+                f"filter {node.name} produced wrong batch shape for "
+                f"{firings} firing(s): {[len(p) for p in outputs]} vs rates "
+                f"{node.output_rates}"
             )
-
-        for port, rate in enumerate(plan.output_rates):
-            if comm.push_many(port, outputs[port], 0) != rate:
-                raise RuntimeError(
-                    f"quiet firing of {node.name} under-pushed port {port}"
-                )
-        counters.items_pushed += plan.total_outputs
-        counters.memory.stores += plan.total_outputs + plan.memory_stores
-
-        counters.committed_instructions += plan.cost
-        counters.firings += 1
-        self._timeout_mode = False
-        return True
+        return outputs
 
     def _fire_quiet_frames(self, remaining: int) -> int:
         """Run up to *remaining* whole quiet frame computations as one bulk
@@ -450,8 +475,9 @@ class NodeThread:
         Each such frame is, unit for unit, the frame the per-frame path
         would run without yielding — boundary, header match and F quiet
         firings — so the span pops each input queue's K frames as one
-        slice, calls ``work`` K × F times in order, appends each output
-        queue's K frames with their headers in place, and charges the
+        slice, computes the K × F firings with one ``work_many`` call
+        (``work`` for a single firing), appends each output queue's K
+        frames with their headers in place, and charges the
         thread counters K times from the frame plan (the guard charges the
         K boundaries, the queues their publishes).  The injector consumes
         the K × F windows with one countdown subtraction each.  The span
@@ -469,35 +495,12 @@ class NodeThread:
         if not k:
             return 0
         self.injector.consume_quiet(plan.cost, k * firings)
-        node = self.node
 
         ports = []
-        for units, plain, rate in zip(
-            guard.pop_frames(frame_plan, k), frame_plan.in_units, plan.input_rates
-        ):
+        for units, plain in zip(guard.pop_frames(frame_plan, k), frame_plan.in_units):
             del units[:: plain + 1]  # the K headers; the plain units are contiguous
-            ports.append(
-                [units[start : start + rate] for start in range(0, len(units), rate)]
-            )
-        if ports:
-            batches = map(list, zip(*ports))
-        else:
-            batches = [[] for _ in range(k * firings)]
-
-        work = node.work
-        results = [work(batch) for batch in batches]
-        output_rates = plan.output_rates
-        for outputs in results:
-            if tuple(map(len, outputs)) != output_rates:
-                raise RuntimeError(
-                    f"filter {node.name} produced wrong batch shape: "
-                    f"{[len(p) for p in outputs]} vs rates {node.output_rates}"
-                )
-        produced = [
-            list(chain.from_iterable(map(itemgetter(port), results)))
-            for port in range(len(output_rates))
-        ]
-        guard.push_frames(frame_plan, k, produced)
+            ports.append(units)
+        guard.push_frames(frame_plan, k, self._work_span(ports, k * firings))
 
         counters = self.counters
         counters.frame_computations += k

@@ -10,10 +10,18 @@ and inject architectural errors at the push/pop interface.
 
 Words are 32-bit integers (:mod:`repro.words`); :class:`FloatFilter` adds
 float32 conversion for signal-processing filters.
+
+The runtime's fast path computes a span of consecutive quiet firings with
+one :meth:`Filter.work_many` call, which takes and returns ``work``'s
+batches with the span's firings back to back on each port.  Its default
+loops :meth:`Filter.work`; a filter may override it with a kernel that
+handles the whole span at once.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 from repro.words import float_to_word, int_to_word, word_to_float
@@ -34,6 +42,14 @@ class Filter:
     #: as the paper reports for its benchmarks).
     cost_base: int = 20
     cost_per_item: int = 7
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A kernel computes the firings of the class that wrote it: a
+        # subclass with its own ``work`` and no kernel of its own gets the
+        # default span body, which loops that ``work``.
+        if "work" in cls.__dict__ and "work_many" not in cls.__dict__:
+            cls.work_many = Filter.work_many
 
     def __init__(
         self,
@@ -66,6 +82,40 @@ class Filter:
           they never run (a store replay builds one and executes nothing).
         """
         raise NotImplementedError
+
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        """Compute *firings* consecutive firings at once: ``inputs[p]``
+        holds the firings' ``input_rates[p]``-word inputs back to back,
+        and the result holds the firings' outputs likewise,
+        ``firings * output_rates[p]`` words per output port.
+
+        The contract a kernel that overrides this keeps:
+
+        * it equals the :meth:`work` calls of the same firings, run one by
+          one, in every output word and, afterwards, in
+          :meth:`state_words` and the effect of :meth:`write_state_word` —
+          the precise path flips state bits between firings, so the span
+          must leave exactly the state the same firings leave;
+        * it returns fresh lists, under :meth:`work`'s ownership rules;
+        * the runtime calls it only for spans of two or more firings, and
+          :meth:`work` for a single one.
+
+        The default splits each port's words per firing, loops
+        :meth:`work` and joins the outputs, so a filter without a kernel
+        has one body.  A subclass that overrides :meth:`work` and not this
+        gets the default again: a kernel never computes another class's
+        firings.
+        """
+        spans = [
+            [words[start : start + rate] for start in range(0, len(words), rate)]
+            for words, rate in zip(inputs, self.input_rates)
+        ]
+        batches = map(list, zip(*spans)) if spans else ([] for _ in range(firings))
+        results = [self.work(batch) for batch in batches]
+        return [
+            list(chain.from_iterable(map(itemgetter(port), results)))
+            for port in range(len(self.output_rates))
+        ]
 
     # -- cost model (Section 6: power proxy / instruction accounting) -----------
 

@@ -13,11 +13,16 @@ from __future__ import annotations
 import math
 import struct
 
+import numpy as np
+
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 
 _F32 = struct.Struct("<f")
 _U32 = struct.Struct("<I")
+
+#: The one NaN pattern :func:`float_to_word` encodes.
+_NAN_WORD = 0x7FC00000
 
 
 def float_to_word(value: float) -> int:
@@ -27,7 +32,7 @@ def float_to_word(value: float) -> int:
     unit would; NaNs are preserved.
     """
     if math.isnan(value):
-        return 0x7FC00000
+        return _NAN_WORD
     try:
         packed = _F32.pack(value)
     except OverflowError:
@@ -38,6 +43,34 @@ def float_to_word(value: float) -> int:
 def word_to_float(word: int) -> float:
     """Decode a 32-bit word as an IEEE-754 single-precision float."""
     return _F32.unpack(_U32.pack(word & WORD_MASK))[0]
+
+
+def words_to_float_array(words) -> np.ndarray:
+    """The batched :func:`word_to_float`: decode 32-bit words (each in
+    ``[0, 2**32)``, as every word a queue carries is) as float32 values,
+    returned as a float64 array holding exactly the floats the scalar
+    function returns (silencing numpy's warning on signalling NaNs)."""
+    single = np.asarray(words, dtype=np.uint32).view(np.float32)
+    with np.errstate(invalid="ignore"):
+        return single.astype(np.float64)
+
+
+def float_array_to_words(values: np.ndarray) -> list[int]:
+    """The batched :func:`float_to_word`: encode an array of floats as
+    float32 words, returned as Python ints of the array's shape (nested
+    lists for more than one dimension).
+
+    Bit for bit the scalar function: values beyond float32 range saturate
+    to +/-inf (silencing numpy's cast warning), and every NaN becomes the
+    one NaN pattern ``0x7FC00000``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        single = np.asarray(values, dtype=np.float64).astype(np.float32)
+    words = single.view(np.uint32)
+    nan = np.isnan(single)
+    if nan.any():
+        words = np.where(nan, np.uint32(_NAN_WORD), words)
+    return words.tolist()
 
 
 def int_to_word(value: int) -> int:

@@ -9,6 +9,14 @@ survives its faults returns records bit-identical to a fault-free serial
 sweep.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.parallel import (
@@ -284,6 +292,100 @@ class TestInterruption:
         resumed.run_specs(specs_grid())
         assert resumed.last_stats.cache_hits == 2
         assert resumed.last_stats.executed == 1
+
+
+def _pid_alive(pid: int) -> bool:
+    """A reaped pid is gone; so is a zombie nobody has reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="reads /proc")
+class TestSigterm:
+    """A SIGTERMed pool sweep stops its workers and leaves a resumable store."""
+
+    SWEEP = textwrap.dedent(
+        f"""
+        import sys
+        from repro.experiments.parallel import ParallelRunner, RunSpec
+        n_specs, hook = int(sys.argv[1]), sys.argv[2]
+        specs = [RunSpec(app="fft", mtbe=100_000, seed=seed) for seed in range(n_specs)]
+        ParallelRunner(
+            scale={SCALE}, jobs=2, store="store.sqlite",
+            fault_hook=f"tests.experiments._fault_hooks:{{hook}}",
+        ).run_specs(specs)
+        """
+    )
+
+    def terminate_stalled(self, tmp_path, n_specs, hook, stalled, stored=0):
+        """Sweep *n_specs* fft specs under the fault *hook* in a subprocess
+        and SIGTERM it once *stalled* runs are stalling and the store holds
+        *stored* records.  Returns the store and the stalled processes'
+        pids, after checking that the sweep exited on the signal and that
+        those processes are gone within seconds."""
+        root = Path(__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+        store = RunStore(tmp_path / "store.sqlite")
+        pid_log = tmp_path / hooks.PID_LOG
+        process = subprocess.Popen(
+            [sys.executable, "-c", self.SWEEP, str(n_specs), hook],
+            cwd=tmp_path, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.time() + 120
+            while True:
+                logged = pid_log.read_text().split() if pid_log.exists() else []
+                if len(logged) >= stalled and len(store) >= stored:
+                    break
+                assert process.poll() is None, process.stderr.read()
+                assert time.time() < deadline, "the sweep never stalled"
+                time.sleep(0.05)
+            process.send_signal(signal.SIGTERM)
+            process.wait(timeout=60)
+            assert process.returncode == 128 + signal.SIGTERM
+            stalled_pids = {int(pid) for pid in pid_log.read_text().split()}
+            deadline = time.time() + 10
+            while time.time() < deadline and any(map(_pid_alive, stalled_pids)):
+                time.sleep(0.05)
+            assert not any(map(_pid_alive, stalled_pids))
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the whole group is already gone
+        return store, stalled_pids
+
+    def test_workers_stop_and_resume_runs_the_rest(self, tmp_path):
+        # Seeds 0 and 1 complete; every later spec stalls in a worker.
+        store, workers = self.terminate_stalled(
+            tmp_path, 6, "record_pid_then_stall", stalled=2, stored=hooks.STALL_SEED
+        )
+        assert len(workers) == 2
+        assert len(store) == hooks.STALL_SEED
+        resumed = ParallelRunner(scale=SCALE, jobs=1, store=store)
+        resumed.run_specs(specs_grid(n_seeds=6))
+        assert resumed.last_stats.cache_hits == hooks.STALL_SEED
+        assert resumed.last_stats.executed == 6 - hooks.STALL_SEED
+
+    def test_a_quarantined_rerun_stops_its_worker(self, tmp_path):
+        # The victim's crash quarantines it; its re-run stalls in a
+        # one-worker pool of its own.
+        store, workers = self.terminate_stalled(
+            tmp_path, 3, "crash_then_stall", stalled=1
+        )
+        assert len(workers) == 1
+        done = len(store)
+        assert done < 3
+        resumed = ParallelRunner(scale=SCALE, jobs=1, store=store)
+        resumed.run_specs(specs_grid(n_seeds=3))
+        assert resumed.last_stats.cache_hits == done
+        assert resumed.last_stats.executed == 3 - done
 
 
 class TestStatsFreshness:

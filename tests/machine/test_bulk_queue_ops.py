@@ -235,8 +235,7 @@ class TestAlignmentManagerBoundaryBlock:
             assert am.pop(0) == 10 and am.pop(0) == 11
             am.on_new_frame_computation(1)
             assert am.state is AlignmentState.EXP_HDR
-        assert bulk.can_pop_block(min(limit, 3), 1)
-        assert not bulk.can_pop_block(4, 1)  # only 3 plain units follow
+        assert bulk.block_units(1) == 3  # only 3 plain units follow
         served = bulk.pop_block(limit, 1)
         assert served == [word.pop(1) for _ in served]
         assert served == [20, 21, 22][:limit]
@@ -264,7 +263,7 @@ class TestAlignmentManagerBoundaryBlock:
         am.on_new_frame_computation(1)
         stats = dataclasses.replace(am._stats)
         visible = am._queue.visible_units()
-        assert not am.can_pop_block(1, 1)
+        assert am.block_units(1) == 0
         assert am.pop_block(4, 1) == []
         assert am._stats == stats
         assert am._queue.visible_units() == visible
@@ -274,7 +273,7 @@ class TestAlignmentManagerBoundaryBlock:
         for state in (AlignmentState.DISC, AlignmentState.DISC_FR, AlignmentState.PDG):
             am = guarded_am(frame_units(1, [1]))
             am.state = state
-            assert not am.can_pop_block(1, 1)
+            assert am.block_units(1) == 0
             assert am.pop_block(1, 1) == []
             assert am._queue.visible_units() == 2
 

@@ -107,6 +107,22 @@ def grid() -> list[GoldenPoint]:
     points.append(
         GoldenPoint("channelvocoder", 0.05, COMMGUARD, 1_024_000.0, 0, frame_scale=4)
     )
+    # The DSP apps' multi-firing spans: audiobeamformer's guarded frames,
+    # and the raw-queue threads whose quiet spans run across frame
+    # boundaries (error-free runs are one span per thread wake).
+    for protection in (ProtectionLevel.ERROR_FREE, COMMGUARD):
+        for mtbe in _mtbes(protection, (10_000.0, 1_024_000.0)):
+            for seed in (0, 1):
+                points.append(GoldenPoint("audiobeamformer", 0.05, protection, mtbe, seed))
+    for app in ("complex-fir", "channelvocoder"):
+        for protection in (
+            ProtectionLevel.ERROR_FREE,
+            ProtectionLevel.PPU_ONLY,
+            ProtectionLevel.PPU_RELIABLE_QUEUE,
+        ):
+            for mtbe in _mtbes(protection, (10_000.0, 1_024_000.0)):
+                for seed in (0, 1):
+                    points.append(GoldenPoint(app, 0.05, protection, mtbe, seed))
     # Every registered error process, including sticky registers that
     # re-corrupt values between arrivals.
     for fault_model in (

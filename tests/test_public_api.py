@@ -43,6 +43,37 @@ class TestPublicApi:
 
 
 
+class TestPrebuiltApps:
+    """``run`` and ``sweep`` simulate the app they are handed, even after
+    the registry app of the same name ran at the same scale."""
+
+    REGISTRY_FFT = 297_856  # committed instructions, registry fft at 0.05
+    CUSTOM_FFT = 1_191_424  # build_fft_app(n_frames=64)
+
+    def test_run(self):
+        from repro.api import EngineOptions, run
+        from repro.apps.fft_app import build_fft_app
+
+        options = EngineOptions(scale=0.05)
+        registry = run("fft", "error-free", options=options)
+        assert registry.record.committed_instructions == self.REGISTRY_FFT
+        custom = run(build_fft_app(n_frames=64), "error-free", options=options)
+        assert custom.record.committed_instructions == self.CUSTOM_FFT
+        again = run("fft", "error-free", options=options)
+        assert again.record.committed_instructions == self.REGISTRY_FFT
+
+    def test_sweep(self):
+        from repro.api import EngineOptions, run, sweep
+        from repro.apps.fft_app import build_fft_app
+
+        options = EngineOptions(scale=0.05)
+        run("fft", "error-free", options=options)
+        report = sweep(build_fft_app(n_frames=64), "error-free", options=options)
+        assert [point.record.committed_instructions for point in report.points] == [
+            self.CUSTOM_FFT
+        ]
+
+
 class TestRemovedIn2:
     """The spellings deprecated in 1.x are gone, not silently accepted."""
 
