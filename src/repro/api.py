@@ -314,18 +314,17 @@ def _runner_holding(
 ) -> tuple[SimulationRunner, BenchmarkApp]:
     """The runner that simulates *app*, and the app it simulates.
 
-    A registry name shares the per-scale runner, which keeps the first
-    build of each name.  A prebuilt app gets a runner of its own, so the
-    app handed is the app simulated, even when the shared runner holds
-    another app of the same name.
+    A registry name shares the per-scale runner, which builds each name
+    once and keeps that build.  A prebuilt app gets a runner of its own,
+    so the app handed is the app simulated, even when the shared runner
+    holds another app of the same name.
     """
-    bench = resolve_app(app, scale=scale)
-    runner = (
-        SimulationRunner(scale=scale)
-        if isinstance(app, BenchmarkApp)
-        else _runner_for(scale)
-    )
-    return runner, runner.adopt_app(bench)
+    if isinstance(app, BenchmarkApp):
+        runner = SimulationRunner(scale=scale)
+        return runner, runner.adopt_app(app)
+    _check_app_name(app)
+    runner = _runner_for(scale)
+    return runner, runner.app(app)
 
 
 def run(
@@ -422,10 +421,11 @@ def run(
         fault_model=fault.canonical(),
     )
     store = RunStore.coerce(opts.store)
+    key = spec.content_key(scale) if store is not None else None
     # A store hit has no trace and no timeline: traced and profiled runs
     # always execute.
     if store is not None and trace is None and profile is None:
-        cached = store.load(spec.content_key(scale))
+        cached = store.load(key)
         if cached is not None:
             return RunReport(
                 spec=spec,
@@ -447,10 +447,7 @@ def run(
         if owned is not None:
             owned.close()
     if store is not None:
-        store.store(
-            spec.content_key(scale), spec, scale, record,
-            provenance={"entry": "api.run"},
-        )
+        store.store(key, spec, scale, record, provenance={"entry": "api.run"})
     return RunReport(
         spec=spec,
         record=record,
@@ -727,14 +724,16 @@ class SweepReport:
         """
         store = RunStore.coerce(store)
         status = store.campaign(campaign)
+        records = store.load_many(status.keys)
+        failures = store.failures_for(
+            key for key in status.keys if key not in records
+        )
         points = []
         for position, (spec, key) in enumerate(zip(status.specs, status.keys)):
-            record = store.load(key)
-            failure = None
-            if record is None:
-                failure = store.failure_for(key)
-                if failure is not None:
-                    failure = dataclasses.replace(failure, index=position)
+            record = records.get(key)
+            failure = None if record is not None else failures.get(key)
+            if failure is not None:
+                failure = dataclasses.replace(failure, index=position)
             points.append(SweepPoint(spec=spec, record=record, failure=failure))
         return cls(
             app=AppInfo(name=status.app, metric=status.metric),
@@ -916,10 +915,12 @@ def sweep(
             )
         return SweepReport(app=bench, points=points, options=options)
 
+    keys = [spec.content_key(scale) for spec in specs]
     runner = build_engine(
         options,
         scale,
         specs,
+        keys=keys,
         campaign=campaign,
         app=bench.name,
         metric=bench.metric,
@@ -928,7 +929,7 @@ def sweep(
     with engine_span(
         engine, "sweep", app=bench.name, points=len(specs), jobs=options.jobs
     ):
-        records = runner.run_specs(specs)
+        records = runner.run_specs(specs, keys)
     return SweepReport.from_records(
         bench, specs, records, runner.last_stats, options
     )

@@ -257,10 +257,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             args.seeds,
             fault_model=args.fault_model,
         )
+    keys = [spec.content_key(options.scale) for spec in specs]
     runner = build_engine(
         options,
         options.scale,
         specs,
+        keys=keys,
         campaign=args.resume or args.campaign,
         app=app.name,
         metric=app.metric,
@@ -272,7 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     try:
-        records = runner.run_specs(specs)
+        records = runner.run_specs(specs, keys)
     except KeyboardInterrupt:
         # Completed points are already flushed to the result store, so a
         # re-run resumes from here; report what survived, exit 130.
@@ -650,9 +652,10 @@ def cmd_top(args: argparse.Namespace) -> int:
         rows.append(["throughput", f"{len(stamps) / span:.2f} runs/s"])
     print(format_table(["metric", "value"], rows))
     if failed:
+        failures = store.failures_for(status.keys[i] for i in status.failed)
         for position in sorted(status.failed):
             spec = status.specs[position]
-            failure = store.failure_for(status.keys[position])
+            failure = failures.get(status.keys[position])
             detail = f": {failure.summary()}" if failure is not None else ""
             print(
                 f"  failed #{position} {spec.app} {spec.protection.value} "

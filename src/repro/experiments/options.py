@@ -104,6 +104,7 @@ def build_engine(
     scale: float,
     specs: Sequence[RunSpec] | None = None,
     *,
+    keys: Sequence[str] | None = None,
     campaign: str | None = None,
     app: str | None = None,
     metric: str = "snr",
@@ -119,7 +120,10 @@ def build_engine(
     id :func:`~repro.experiments.store.derive_campaign_id` derives from
     the grid — with *app*, *metric* and these options as its document.
     Registration is idempotent, so a rerun (or ``--resume``) of the grid
-    lands in the same campaign.  Without *specs* the caller owns the
+    lands in the same campaign.  *keys* are the specs' content keys at
+    *scale*, when the caller holds them: pass the same list on to
+    :meth:`~repro.experiments.parallel.ParallelRunner.run_specs`, so each
+    spec is hashed once.  Without *specs* the caller owns the
     registration and *campaign* stamps the rows as given.  The engine's
     ``campaign`` attribute is the id in use (``None`` without a named
     store).  *progress* and *profiler* pass through to the engine.
@@ -128,9 +132,10 @@ def build_engine(
     if store is None or options.store is None:
         campaign = None
     elif specs is not None:
-        campaign = campaign or derive_campaign_id(specs, scale)
+        campaign = campaign or derive_campaign_id(specs, scale, keys)
         store.begin_campaign(
-            campaign, specs, scale, app=app, metric=metric, options=options.to_dict()
+            campaign, specs, scale, app=app, metric=metric,
+            options=options.to_dict(), keys=keys,
         )
     return ParallelRunner(
         scale=scale,

@@ -294,7 +294,8 @@ def run_paper(
         name = resolve_figure(figure).name
         targets = tuple(t for t in targets if t.figure == name)
     specs, needs = _dedup_specs(targets, tier)
-    campaign = derive_campaign_id(specs, tier.app_scale)
+    keys = [spec.content_key(tier.app_scale) for spec in specs]
+    campaign = derive_campaign_id(specs, tier.app_scale, keys)
     store.begin_campaign(
         campaign,
         specs,
@@ -302,6 +303,7 @@ def run_paper(
         app="paper",
         metric="fidelity",
         options={"tier": tier.name, "seeds": tier.seeds},
+        keys=keys,
     )
     runner = build_engine(
         replace(opts, store=store, keep_going=True),
@@ -310,7 +312,7 @@ def run_paper(
         progress=progress,
     )
     start = time.time()
-    records = runner.run_specs(specs)
+    records = runner.run_specs(specs, keys)
     wall = time.time() - start
 
     results = [

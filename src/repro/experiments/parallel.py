@@ -15,6 +15,10 @@ points out:
   cache amortizes codec encoding and graph construction across every spec
   the worker receives).  ``jobs=1`` runs the specs on the dispatcher's own
   executor, in-process, so results are bit-identical at any worker count.
+  The pool holds a bounded window of tasks, :data:`TASKS_PER_WORKER` per
+  worker; a task carries one run, or several short ones packed to about
+  :data:`TASK_SECONDS` from the run times the workers report, and its
+  records are stored in one transaction.
 * An optional :class:`~repro.experiments.store.RunStore` — the SQLite
   result cache: re-running a figure, or resuming an interrupted
   campaign, skips every already-completed point; executed runs land as
@@ -26,7 +30,9 @@ Worker count resolution: an explicit ``jobs`` argument wins, then the
 
 from __future__ import annotations
 
+import heapq
 import importlib
+import itertools
 import os
 import signal
 import threading
@@ -64,6 +70,15 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.profile import engine_span
 
 ENV_JOBS = "REPRO_JOBS"
+
+#: Pool tasks in flight per worker: one running, one queued behind it, so
+#: a worker never idles waiting for the dispatcher.
+TASKS_PER_WORKER = 2
+
+#: Wall time a task of several short runs aims for: enough runs that the
+#: per-task dispatch and store transaction are small beside them, few
+#: enough that results arrive within tens of milliseconds.
+TASK_SECONDS = 0.05
 
 _CONFIG_DEFAULTS = CommGuardConfig()
 
@@ -136,7 +151,14 @@ class RunSpec:
         )
 
     def content_key(self, scale: float = 1.0) -> str:
-        """Deterministic hash identifying this point at an app-build scale."""
+        """Deterministic hash identifying this point at an app-build scale.
+
+        The key hashes each field's value as given, so specs that compare
+        equal can key differently: ``mtbe=64000`` and ``mtbe=64000.0``
+        are equal and hash alike as specs, yet their keys differ.  Derive
+        a grid's keys once and carry them to every consumer (campaign id,
+        store, trace names); never memoize keys by spec equality.
+        """
         return spec_key(self, scale)
 
 
@@ -334,6 +356,29 @@ def _init_worker(scale: float) -> None:
     _WORKER_RUNNER = SimulationRunner(scale=scale)
 
 
+def _run_task(
+    entries: list[tuple[int, RunSpec, int, str | None]],
+    run_timeout: float | None,
+    fault_hook,
+    references: dict[str, np.ndarray],
+) -> list[tuple[int, str, RunRecord | str, float, float, np.ndarray | None]]:
+    """Execute one pool task: its ``(index, spec, attempt, trace)``
+    entries in order, each attempt under its own deadline and fault hook
+    (see :func:`_run_in_worker`), returning one outcome per entry.
+
+    *references* maps each self-referenced app of the task to its
+    error-free output, simulated elsewhere: the worker adopts it instead
+    of simulating its own.
+    """
+    assert _WORKER_RUNNER is not None, "worker initializer did not run"
+    for app, output in references.items():
+        _WORKER_RUNNER.adopt_reference(app, output)
+    return [
+        _run_in_worker(index, spec, attempt, run_timeout, fault_hook, trace)
+        for index, spec, attempt, trace in entries
+    ]
+
+
 def _run_in_worker(
     index: int,
     spec: RunSpec,
@@ -341,13 +386,9 @@ def _run_in_worker(
     run_timeout: float | None = None,
     fault_hook=None,
     trace: str | None = None,
-    reference: np.ndarray | None = None,
 ) -> tuple[int, str, RunRecord | str, float, float, np.ndarray | None]:
     """Execute one attempt in a pool worker (streaming its events to the
     JSONL path *trace*, when given).
-
-    *reference* is the app's error-free output, simulated elsewhere: the
-    worker adopts it instead of simulating its own.
 
     Never raises for per-run faults: the outcome travels back as
     ``(index, status, payload, cpu_seconds, wall_seconds, output)`` where
@@ -368,8 +409,6 @@ def _run_in_worker(
             hook = _resolve_fault_hook(fault_hook)
             if hook is not None:
                 hook(spec, attempt)
-            if reference is not None:
-                _WORKER_RUNNER.adopt_reference(spec.app, reference)
             record = _WORKER_RUNNER.execute_spec(spec, tracer=trace)
         if spec.protection is ProtectionLevel.ERROR_FREE:
             # The run adopted its own output as the app's reference (or
@@ -458,6 +497,83 @@ class _ReferenceRelay:
         return self.held.pop(spec.app, [])
 
 
+class _Backoffs:
+    """Retried work items waiting out their backoff.
+
+    Each item waits for its not-before time and then returns to the end of
+    the queue it is bound for, while the loop that owns the queue goes on
+    dispatching and collecting other runs.
+    """
+
+    def __init__(self) -> None:
+        self._waiting: list = []
+        self._order = itertools.count()
+
+    def __bool__(self) -> bool:
+        return bool(self._waiting)
+
+    def add(self, item, seconds: float, queue: deque) -> None:
+        heapq.heappush(
+            self._waiting,
+            (time.monotonic() + seconds, next(self._order), item, queue),
+        )
+
+    def release(self) -> float | None:
+        """Requeue every item whose time has come; returns the seconds
+        until the next one is due (``None``: nothing waits)."""
+        now = time.monotonic()
+        while self._waiting and self._waiting[0][0] <= now:
+            *_, item, queue = heapq.heappop(self._waiting)
+            queue.append(item)
+        return self._waiting[0][0] - now if self._waiting else None
+
+
+class _TaskPacker:
+    """Packs the pool's queue into tasks.
+
+    A run's wall time is estimated per (app, protection) from the wall
+    times the workers report for completed runs.  A task takes runs off
+    the front of the queue while their estimates fit in
+    :data:`TASK_SECONDS`, so long runs travel alone.  A run with no
+    estimate yet (the first of its app and protection level) travels
+    alone, as does every error-free point, so a reference reaches the
+    runs held for it as soon as it exists.  No task takes more than
+    1 / (:data:`TASKS_PER_WORKER` x workers) of the queue, so the tail of
+    the grid stays short.
+    """
+
+    def __init__(self) -> None:
+        self.walls: dict[tuple[str, ProtectionLevel], float] = {}
+
+    def observe(self, spec: RunSpec, wall: float) -> None:
+        kind = (spec.app, spec.protection)
+        last = self.walls.get(kind)
+        self.walls[kind] = wall if last is None else (last + wall) / 2
+
+    def take(self, queue: deque, relay: _ReferenceRelay, workers: int) -> list:
+        """Pop the next task's items off *queue*; the items *relay* holds
+        on the way stay held there."""
+        limit = max(1, len(queue) // (TASKS_PER_WORKER * workers))
+        task, budget = [], TASK_SECONDS
+        while queue and len(task) < limit:
+            spec = queue[0][1]
+            wall = (
+                None
+                if spec.protection is ProtectionLevel.ERROR_FREE
+                else self.walls.get((spec.app, spec.protection))
+            )
+            if task and (wall is None or wall > budget):
+                break
+            item = queue.popleft()
+            if not relay.admit(item):
+                continue
+            task.append(item)
+            if wall is None:
+                break
+            budget -= wall
+        return task
+
+
 class ParallelRunner:
     """The sweep dispatcher: fans specs out over processes and a store.
 
@@ -471,8 +587,8 @@ class ParallelRunner:
         exact in-process serial path.
     ``progress``
         Optional ``callable(stats: SweepStats)`` invoked after every
-        completed run (cache hits included) — the CLI uses it for
-        progress lines.
+        completed run (cache hits included), once the run's record is in
+        the store — the CLI uses it for progress lines.
     ``trace_dir``
         Optional directory: every executed run streams its JSONL trace to
         ``<trace_dir>/<content_key>.jsonl``.  A stored record stands in
@@ -494,11 +610,12 @@ class ParallelRunner:
         Enforced with SIGALRM in whichever process executes the spec, so
         a hung simulation is preempted without killing its worker.
     ``retry_backoff``
-        Deterministic backoff base: attempt *n* sleeps
-        ``retry_backoff * 2**n`` seconds before re-dispatch.  No random or
-        time-seeded jitter — results stay bit-reproducible.  Default 0
-        (immediate retry; the simulator is deterministic, so backoff only
-        matters for environmental faults like disk pressure).
+        Deterministic backoff base: attempt *n* waits
+        ``retry_backoff * 2**n`` seconds before re-dispatch, while the
+        other runs go on.  No random or time-seeded jitter — results stay
+        bit-reproducible.  Default 0 (immediate retry; the simulator is
+        deterministic, so backoff only matters for environmental faults
+        like disk pressure).
     ``strict``
         ``True`` (default, today's semantics): the first spec to exhaust
         its retries raises :class:`SweepRunError`.  ``False`` (keep-going
@@ -570,14 +687,19 @@ class ParallelRunner:
 
     # -- sweep execution -------------------------------------------------------
 
-    def run_specs(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
+    def run_specs(
+        self, specs: Sequence[RunSpec], keys: Sequence[str] | None = None
+    ) -> list[RunRecord]:
         """Run every spec, in order, returning one record per spec.
 
         Completed points found in the store are not re-run.  The remainder
         execute in-process (``jobs == 1``) or on a process pool whose
         workers build apps once via the pool initializer.  Results are
         bit-identical across worker counts because every run is seeded by
-        its spec alone.
+        its spec alone.  *keys* are the specs' content keys at this
+        engine's scale when the caller holds them (registering a campaign
+        derives them); otherwise they are derived here, once per spec,
+        when the store or ``trace_dir`` needs them.
 
         Failed attempts (exceptions, per-run timeouts, worker crashes) are
         retried up to ``retries`` times with deterministic backoff.  A
@@ -586,7 +708,7 @@ class ParallelRunner:
         the returned list is ``None`` and a :class:`FailureRecord` is
         appended to ``last_stats.failures`` while every other point still
         completes.  ``KeyboardInterrupt`` cancels the pending work,
-        leaves every already-completed record flushed to the store, sets
+        leaves every already-counted record flushed to the store, sets
         partial ``last_stats`` (``interrupted=True``) and re-raises.  On
         the main thread, a SIGTERM does the same as a :class:`SystemExit`
         (see :func:`_sigterm_exits`), stopping any pool workers first.
@@ -599,13 +721,18 @@ class ParallelRunner:
 
         if self.store is not None:
             self.store.set_context(jobs=jobs, campaign=self.campaign)
+        if keys is None:
+            if self.store is not None or self.trace_dir is not None:
+                keys = [spec.content_key(self.scale) for spec in specs]
+        elif len(keys) != len(specs):
+            raise ValueError(f"{len(keys)} keys for {len(specs)} specs")
 
         pending: list[tuple[int, RunSpec, str | None]] = []
-        keyed = self.store is not None or self.trace_dir is not None
         with engine_span(self.profiler, "cache-scan", total=len(specs)):
+            stored = self.store.load_many(keys) if self.store is not None else {}
             for index, spec in enumerate(specs):
-                key = spec.content_key(self.scale) if keyed else None
-                cached = self.store.load(key) if self.store is not None else None
+                key = None if keys is None else keys[index]
+                cached = stored.get(key)
                 trace = self._trace_path(key)
                 if cached is not None and (trace is None or Path(trace).exists()):
                     records[index] = cached
@@ -650,12 +777,18 @@ class ParallelRunner:
     # Work items travel as (index, spec, key, attempt) tuples; each attempt
     # ships its trace to the path the key names.  Both loops funnel failed
     # attempts through _dispose, which owns the retry/raise/record
-    # decision, so serial and pool sweeps share one failure policy.
+    # decision, so serial and pool sweeps share one failure policy.  A
+    # retry waits out its backoff in a _Backoffs while the loop goes on.
 
     def _run_serial(self, pending, records, stats, wall_before) -> None:
         queue = deque((index, spec, key, 0) for index, spec, key in pending)
+        backoffs = _Backoffs()
         hook = _resolve_fault_hook(self.fault_hook)
-        while queue:
+        while queue or backoffs:
+            due = backoffs.release()
+            if not queue:
+                time.sleep(due)
+                continue
             item = index, spec, key, attempt = queue.popleft()
             cpu_before = time.process_time()
             run_before = time.perf_counter()
@@ -668,75 +801,90 @@ class ParallelRunner:
                     )
             except RunTimeoutError as exc:
                 stats.cpu_seconds += time.process_time() - cpu_before
-                if self._dispose(item, "timeout", str(exc), stats, exc):
-                    queue.append((index, spec, key, attempt + 1))
+                self._dispose(item, "timeout", str(exc), stats, backoffs, queue, exc)
                 continue
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
                 stats.cpu_seconds += time.process_time() - cpu_before
                 message = f"{type(exc).__name__}: {exc}"
-                if self._dispose(item, "exception", message, stats, exc):
-                    queue.append((index, spec, key, attempt + 1))
+                self._dispose(item, "exception", message, stats, backoffs, queue, exc)
                 continue
             stats.cpu_seconds += time.process_time() - cpu_before
             self._finish(
-                records, stats, wall_before, index, spec, key, record,
-                run_wall=time.perf_counter() - run_before,
+                records, stats, wall_before,
+                [(item, record, time.perf_counter() - run_before)],
             )
 
     def _run_pool(self, pending, records, stats, wall_before, jobs) -> None:
-        """Pool loop with crash isolation.
+        """Pool loop with a bounded window and crash isolation.
+
+        At most :data:`TASKS_PER_WORKER` tasks per worker are in flight,
+        so each completion waits on the window's futures, never on the
+        whole grid's.  A task carries one run or several short ones
+        (:class:`_TaskPacker`); each spec in it runs under its own
+        deadline, fault hook and attempt number and reports its own
+        outcome.
 
         A dead worker breaks its whole ProcessPoolExecutor: every in-flight
         future settles :class:`BrokenExecutor` without saying which spec
-        killed the process.  Lost specs are therefore *quarantined* — not
-        charged an attempt — and re-run one-per-pool once the main queue
-        drains, which attributes any repeat crash to exactly its culprit:
-        innocents complete with their retry budget untouched, the poison
-        spec burns its own budget and becomes a ``"crash"`` failure.
+        killed the process.  Every spec of a lost task is therefore
+        *quarantined* — not charged an attempt — and re-run one-per-pool
+        once the main queue drains, which attributes any repeat crash to
+        exactly its culprit: innocents complete with their retry budget
+        untouched, the poison spec burns its own budget and becomes a
+        ``"crash"`` failure.
         """
         queue = deque((index, spec, key, 0) for index, spec, key in pending)
         quarantine: deque = deque()
+        backoffs = _Backoffs()
         relay = _ReferenceRelay(self.executor)
+        packer = _TaskPacker()
         workers = min(jobs, len(pending))
         pool: ProcessPoolExecutor | None = None
         outstanding: dict = {}
         try:
-            while queue or outstanding or quarantine:
-                if queue:
-                    if pool is None:
-                        pool = self._spawn_pool(min(workers, len(queue)))
-                    while queue:
-                        item = queue.popleft()
-                        if relay.admit(item):
-                            outstanding[self._submit(pool, item, relay)] = item
+            while queue or outstanding or quarantine or backoffs:
+                due = backoffs.release()
+                if queue and pool is None:
+                    size = min(workers, len(queue))
+                    pool = self._spawn_pool(size)
+                while queue and len(outstanding) < TASKS_PER_WORKER * size:
+                    task = packer.take(queue, relay, size)
+                    if not task:
+                        break
+                    outstanding[self._submit(pool, task, relay)] = task
                 if not outstanding:
-                    # Main grid drained: attribute crashes one spec at a time.
-                    self._run_quarantined(
-                        quarantine, relay, records, stats, wall_before
-                    )
+                    if quarantine:
+                        # Main grid drained: attribute crashes one spec
+                        # at a time.
+                        self._run_quarantined(
+                            quarantine, backoffs, relay, packer,
+                            records, stats, wall_before,
+                        )
+                    elif due is not None:
+                        time.sleep(due)
                     continue
-                done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
-                lost = [
-                    item
-                    for future in done
-                    if (item := self._consume(
-                        future, outstanding.pop(future), queue, relay,
+                done, _ = wait(outstanding, timeout=due, return_when=FIRST_COMPLETED)
+                lost = []
+                for future in done:
+                    task = outstanding.pop(future)
+                    if self._consume(
+                        future, task, queue, backoffs, relay, packer,
                         records, stats, wall_before,
-                    )) is not None
-                ]
+                    ):
+                        lost.extend(task)
                 if lost:
                     # The pool is broken: every remaining future settles
                     # with the same BrokenExecutor — drain them all.
                     done, _ = wait(outstanding)
                     for future in done:
-                        item = self._consume(
-                            future, outstanding.pop(future), queue, relay,
+                        task = outstanding.pop(future)
+                        if self._consume(
+                            future, task, queue, backoffs, relay, packer,
                             records, stats, wall_before,
-                        )
-                        if item is not None:
-                            lost.append(item)
+                        ):
+                            lost.extend(task)
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = None
                     for item in lost:
@@ -756,11 +904,18 @@ class ParallelRunner:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def _submit(self, pool, item, relay):
-        index, spec, key, attempt = item
+    def _submit(self, pool, task, relay):
+        references = {}
+        for item in task:
+            reference = relay.reference(item[1])
+            if reference is not None:
+                references[item[1].app] = reference
+        entries = [
+            (index, spec, attempt, self._trace_path(key))
+            for index, spec, key, attempt in task
+        ]
         return pool.submit(
-            _run_in_worker, index, spec, attempt, self.run_timeout,
-            self.fault_hook, self._trace_path(key), relay.reference(spec),
+            _run_task, entries, self.run_timeout, self.fault_hook, references
         )
 
     def _spawn_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -773,65 +928,72 @@ class ParallelRunner:
         )
 
     def _consume(
-        self, future, item, requeue, relay, records, stats, wall_before
-    ):
-        """Settle one future, releasing into *requeue* the specs *relay*
-        held for its output.  Returns the item when it was lost to a pool
-        crash (the caller quarantines it), ``None`` otherwise."""
-        index, spec, key, attempt = item
+        self, future, task, requeue, backoffs, relay, packer,
+        records, stats, wall_before,
+    ) -> bool:
+        """Settle one task's future: store its completed runs in one
+        transaction, account its failed attempts (retries return to
+        *requeue*), and release into *requeue* the specs *relay* held for
+        its output.  Returns ``True`` when the task was lost to a pool
+        crash (the caller quarantines its items)."""
         try:
-            _, status, payload, cpu, wall, output = future.result()
+            outcomes = future.result()
         except (BrokenExecutor, CancelledError):
-            return item
+            return True
         except Exception as exc:  # e.g. an unpicklable payload
-            requeue.extend(relay.settle(item))
             message = f"{type(exc).__name__}: {exc}"
-            if self._dispose(item, "exception", message, stats, exc):
-                requeue.append((index, spec, key, attempt + 1))
-            return None
-        stats.cpu_seconds += cpu
-        requeue.extend(relay.settle(item, output))
-        if status == "ok":
-            self._finish(
-                records, stats, wall_before, index, spec, key, payload,
-                run_wall=wall,
-            )
-        elif self._dispose(item, status, payload, stats):
-            requeue.append((index, spec, key, attempt + 1))
-        return None
+            for item in task:
+                requeue.extend(relay.settle(item))
+                self._dispose(
+                    item, "exception", message, stats, backoffs, requeue, exc
+                )
+            return False
+        completed, failed = [], []
+        for item, (_, status, payload, cpu, wall, output) in zip(task, outcomes):
+            stats.cpu_seconds += cpu
+            requeue.extend(relay.settle(item, output))
+            if status == "ok":
+                packer.observe(item[1], wall)
+                completed.append((item, payload, wall))
+            else:
+                failed.append((item, status, payload))
+        self._finish(records, stats, wall_before, completed)
+        for item, status, message in failed:
+            self._dispose(item, status, message, stats, backoffs, requeue)
+        return False
 
     def _run_quarantined(
-        self, quarantine, relay, records, stats, wall_before
+        self, quarantine, backoffs, relay, packer, records, stats, wall_before
     ) -> None:
         """Re-run one quarantined spec in a single-worker pool of its own,
         so a repeat crash is attributable to this spec alone."""
-        item = index, spec, key, attempt = quarantine.popleft()
+        item = quarantine.popleft()
         solo = self._spawn_pool(1)
         try:
             # Nothing else is in flight, so nothing waits for this spec.
-            future = self._submit(solo, item, relay)
-            crashed = self._consume(
-                future, item, quarantine, relay, records, stats, wall_before
-            )
-            if crashed is not None:
+            future = self._submit(solo, [item], relay)
+            if self._consume(
+                future, [item], quarantine, backoffs, relay, packer,
+                records, stats, wall_before,
+            ):
                 stats.worker_crashes += 1
                 self.metrics.inc("sweep_worker_crashes")
                 self._emit(WorkerCrashed(lost=1, requeued=0))
                 message = "worker process died while executing this spec"
-                if self._dispose(item, "crash", message, stats):
-                    quarantine.append((index, spec, key, attempt + 1))
+                self._dispose(item, "crash", message, stats, backoffs, quarantine)
         except BaseException:
             _stop_pool(solo)
             raise
         solo.shutdown(wait=False, cancel_futures=True)
 
     def _dispose(
-        self, item, failure: str, message: str, stats, exc=None
-    ) -> bool:
-        """Account one failed attempt: ``True`` means retry (the caller
-        requeues with ``attempt + 1``); ``False`` means the budget is
-        exhausted and a :class:`FailureRecord` was filed (strict mode
-        raises :class:`SweepRunError` instead of returning)."""
+        self, item, failure: str, message: str, stats, backoffs, requeue,
+        exc=None,
+    ) -> None:
+        """Account one failed attempt.  Within the budget, the spec returns
+        to *requeue* with ``attempt + 1`` once its backoff has passed;
+        otherwise a :class:`FailureRecord` is filed (strict mode raises
+        :class:`SweepRunError` instead of returning)."""
         index, spec, key, attempt = item
         if attempt < self.retries:
             stats.retried += 1
@@ -846,9 +1008,8 @@ class ParallelRunner:
                     backoff_seconds=backoff,
                 )
             )
-            if backoff > 0:
-                time.sleep(backoff)
-            return True
+            backoffs.add((index, spec, key, attempt + 1), backoff, requeue)
+            return
         record = FailureRecord(
             index=index,
             spec=spec,
@@ -860,7 +1021,7 @@ class ParallelRunner:
         stats.failures.append(record)
         if self.store is not None:
             self.store.record_failure(
-                record, campaign=self.campaign, scale=self.scale
+                record, campaign=self.campaign, scale=self.scale, key=key
             )
         self.metrics.inc("sweep_run_failures", app=spec.app, failure=failure)
         self._emit(
@@ -874,34 +1035,29 @@ class ParallelRunner:
         )
         if self.strict:
             raise SweepRunError(record) from exc
-        return False
 
-    def _finish(
-        self, records, stats, wall_before, index, spec, key, record,
-        run_wall: float | None = None,
-    ) -> None:
-        records[index] = record
-        stats.executed += 1
-        self.metrics.inc("sweep_runs_executed", app=spec.app)
-        if run_wall is not None:
-            self.metrics.observe("sweep_run_wall_seconds", run_wall, app=spec.app)
-        if self.profiler is not None and run_wall is not None:
-            # The attempt's own elapsed time, measured in whichever
-            # process executed it (queue wait excluded).
-            self.profiler.record(
-                "run", run_wall, app=spec.app, seed=spec.seed, index=index
+    def _finish(self, records, stats, wall_before, completed) -> None:
+        """Land ``(item, record, run_wall)`` completions: store their
+        records in one transaction, then account each run.  Storing first
+        means a ``KeyboardInterrupt`` raised from a progress callback
+        never leaves a counted run unstored.  ``run_wall`` is the run's
+        own elapsed time in whichever process executed it (queue wait
+        excluded) — not the sweep's cumulative wall clock."""
+        if self.store is not None and completed:
+            self.store.store_many(
+                (key, spec, self.scale, record, {"wall_seconds": round(wall, 3)})
+                for (_, spec, key, _), record, wall in completed
             )
-        if self.store is not None:
-            # run_wall is this run's own elapsed time in its executing
-            # process — not the sweep's cumulative wall clock.
-            provenance = (
-                {"wall_seconds": round(run_wall, 3)}
-                if run_wall is not None else {}
-            )
-            self.store.store(
-                key, spec, self.scale, record, provenance=provenance,
-            )
-        self._tick(stats, wall_before)
+        for (index, spec, _, _), record, wall in completed:
+            records[index] = record
+            stats.executed += 1
+            self.metrics.inc("sweep_runs_executed", app=spec.app)
+            self.metrics.observe("sweep_run_wall_seconds", wall, app=spec.app)
+            if self.profiler is not None:
+                self.profiler.record(
+                    "run", wall, app=spec.app, seed=spec.seed, index=index
+                )
+            self._tick(stats, wall_before)
 
     def _trace_path(self, key: str | None) -> str | None:
         """Where the run keyed *key* ships its trace (``None``: no

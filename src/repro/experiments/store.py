@@ -19,10 +19,17 @@ only place results are looked up and persisted — holding:
     ``failures`` tables by key — so an interrupted or crashed campaign
     restarts exactly where it stopped, at any ``--jobs`` value.
 
+Reads are set-based: a grid's records and latest failures come back
+from a few ``IN`` queries (:meth:`RunStore.load_many`,
+:meth:`RunStore.failures_for`), and a campaign's done and failed sets
+from one join over ``campaign_specs``.  Callers that hold a grid's
+content keys pass them along instead of hashing every spec again.
+
 Concurrency: the database is opened in WAL mode with a generous busy
 timeout, connections are per-thread, and every write is a single
-transaction — many writer processes (or threads) can share one store
-without ``database is locked`` failures.
+transaction (:meth:`RunStore.store_many` writes a batch of records in
+one) — many writer processes (or threads) can share one store without
+``database is locked`` failures.
 """
 
 from __future__ import annotations
@@ -57,6 +64,10 @@ STORE_SCHEMA_VERSION = 1
 DEFAULT_STORE_PATH = ".repro_store.sqlite"
 
 ENV_STORE_PATH = "REPRO_STORE"
+
+#: Keys per ``IN (...)`` query: under SQLite's smallest variable limit
+#: (999, before 3.32).
+_KEYS_PER_QUERY = 500
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -180,17 +191,35 @@ def _sweep_trace_dir(root: Path, live: frozenset[str]) -> tuple[int, int]:
     return tmp_removed, traces_removed
 
 
-def derive_campaign_id(specs: Sequence["RunSpec"], scale: float) -> str:
+def derive_campaign_id(
+    specs: Sequence["RunSpec"],
+    scale: float,
+    keys: Sequence[str] | None = None,
+) -> str:
     """Deterministic campaign id of a grid: same specs + scale -> same id.
 
     Re-running an identical command line therefore lands in the same
     campaign row and resumes it, with no id bookkeeping by the user.
+    *keys*, the specs' content keys at *scale*, spare hashing them again
+    when the caller already holds them.
     """
+    if keys is None:
+        keys = [spec.content_key(scale) for spec in specs]
     digest = hashlib.sha256()
     digest.update(repr(float(scale)).encode())
-    for spec in specs:
-        digest.update(spec.content_key(scale).encode())
+    for key in keys:
+        digest.update(key.encode())
     return f"c-{digest.hexdigest()[:12]}"
+
+
+def _chunks(keys: Iterable[str]) -> Iterable[list[str]]:
+    keys = list(keys)
+    for start in range(0, len(keys), _KEYS_PER_QUERY):
+        yield keys[start:start + _KEYS_PER_QUERY]
+
+
+def _placeholders(chunk: list[str]) -> str:
+    return ",".join("?" * len(chunk))
 
 
 @dataclass(frozen=True)
@@ -353,15 +382,24 @@ class RunStore:
 
     def load(self, key: str) -> RunRecord | None:
         """The stored record for *key*, or ``None`` (a corrupt row misses)."""
-        row = self._conn().execute(
-            "SELECT record FROM runs WHERE key=?", (key,)
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            return record_from_dict(json.loads(row[0]))
-        except (ValueError, KeyError, TypeError):
-            return None
+        return self.load_many((key,)).get(key)
+
+    def load_many(self, keys: Iterable[str]) -> dict[str, RunRecord]:
+        """The stored records of *keys*, by key, read a few hundred keys
+        per query; a key without a row, or with a corrupt one, is absent."""
+        conn = self._conn()
+        found: dict[str, RunRecord] = {}
+        for chunk in _chunks(keys):
+            rows = conn.execute(
+                f"SELECT key, record FROM runs WHERE key IN ({_placeholders(chunk)})",
+                chunk,
+            )
+            for key, text in rows:
+                try:
+                    found[key] = record_from_dict(json.loads(text))
+                except (ValueError, KeyError, TypeError):
+                    pass
+        return found
 
     def store(
         self,
@@ -374,32 +412,42 @@ class RunStore:
         """Persist one completed record (idempotent: last write wins for a
         key, and identical reruns write identical records by the
         determinism contract)."""
-        prov = {
+        self.store_many([(key, spec, scale, record, provenance)])
+
+    def store_many(
+        self,
+        rows: Iterable[tuple[str, "RunSpec", float, RunRecord, dict | None]],
+    ) -> None:
+        """Persist ``(key, spec, scale, record, provenance)`` rows in one
+        transaction, each as :meth:`store` would."""
+        stamp = {
             "written_at": time.time(),
             "worker": os.getpid(),
             "git": _git_describe(),
             **self._context,
-            **(provenance or {}),
         }
         conn = self._conn()
         with conn:
-            conn.execute(
+            conn.executemany(
                 "INSERT OR REPLACE INTO runs "
                 "(key, app, protection, mtbe, seed, fault_model, scale, "
                 " spec, record, provenance) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    key,
-                    spec.app,
-                    spec.protection.value,
-                    spec.mtbe,
-                    spec.seed,
-                    spec.fault_model,
-                    repr(float(scale)),
-                    json.dumps(spec_to_dict(spec), sort_keys=True),
-                    json.dumps(record_to_dict(record), sort_keys=True),
-                    json.dumps(prov, sort_keys=True),
-                ),
+                [
+                    (
+                        key,
+                        spec.app,
+                        spec.protection.value,
+                        spec.mtbe,
+                        spec.seed,
+                        spec.fault_model,
+                        repr(float(scale)),
+                        json.dumps(spec_to_dict(spec), sort_keys=True),
+                        json.dumps(record_to_dict(record), sort_keys=True),
+                        json.dumps({**stamp, **(provenance or {})}, sort_keys=True),
+                    )
+                    for key, spec, scale, record, provenance in rows
+                ],
             )
 
     def __len__(self) -> int:
@@ -421,10 +469,15 @@ class RunStore:
     # -- failures --------------------------------------------------------------
 
     def record_failure(
-        self, failure: "FailureRecord", campaign: str | None = None, scale: float = 1.0
+        self,
+        failure: "FailureRecord",
+        campaign: str | None = None,
+        scale: float = 1.0,
+        key: str | None = None,
     ) -> None:
         """File one exhausted-retry failure (the sweep engine calls this
-        from :meth:`ParallelRunner._dispose`)."""
+        from :meth:`ParallelRunner._dispose`).  *key* is the spec's
+        content key at *scale*, derived here when not given."""
         conn = self._conn()
         with conn:
             conn.execute(
@@ -432,7 +485,7 @@ class RunStore:
                 "(key, campaign, app, seed, failure, message, attempts, "
                 " spec, written_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
-                    failure.spec.content_key(scale),
+                    key if key is not None else failure.spec.content_key(scale),
                     campaign,
                     failure.spec.app,
                     failure.spec.seed,
@@ -446,22 +499,31 @@ class RunStore:
 
     def failure_for(self, key: str) -> "FailureRecord | None":
         """The latest failure filed for *key*, or ``None``."""
+        return self.failures_for((key,)).get(key)
+
+    def failures_for(self, keys: Iterable[str]) -> "dict[str, FailureRecord]":
+        """The latest failure filed for each of *keys* that has one, by
+        key, read a few hundred keys per query."""
         from repro.experiments.parallel import FailureRecord
 
-        row = self._conn().execute(
-            "SELECT spec, failure, message, attempts FROM failures "
-            "WHERE key=? ORDER BY id DESC LIMIT 1",
-            (key,),
-        ).fetchone()
-        if row is None:
-            return None
-        return FailureRecord(
-            index=-1,
-            spec=spec_from_dict(json.loads(row[0])),
-            failure=row[1],
-            message=row[2],
-            attempts=row[3],
-        )
+        conn = self._conn()
+        found: dict[str, FailureRecord] = {}
+        for chunk in _chunks(keys):
+            rows = conn.execute(
+                "SELECT key, spec, failure, message, attempts FROM failures "
+                "WHERE id IN (SELECT MAX(id) FROM failures "
+                f"WHERE key IN ({_placeholders(chunk)}) GROUP BY key)",
+                chunk,
+            )
+            for key, spec, failure, message, attempts in rows:
+                found[key] = FailureRecord(
+                    index=-1,
+                    spec=spec_from_dict(json.loads(spec)),
+                    failure=failure,
+                    message=message,
+                    attempts=attempts,
+                )
+        return found
 
     # -- campaigns -------------------------------------------------------------
 
@@ -473,6 +535,7 @@ class RunStore:
         app: str | None = None,
         metric: str = "snr",
         options: dict | None = None,
+        keys: Sequence[str] | None = None,
     ) -> None:
         """Register a campaign's frozen grid (idempotent).
 
@@ -484,10 +547,14 @@ class RunStore:
         Two processes beginning the same new campaign concurrently
         serialize on the database write lock; the loser sees the
         winner's row and resumes idempotently.  :meth:`campaign` reads
-        the derived status back.
+        the derived status back.  *keys* are the specs' content keys at
+        *scale*, derived here when not given.
         """
         specs = list(specs)
-        keys = [spec.content_key(scale) for spec in specs]
+        keys = (
+            [spec.content_key(scale) for spec in specs]
+            if keys is None else list(keys)
+        )
         conn = self._conn()
         # BEGIN IMMEDIATE takes the write lock before the existence
         # check, making check-then-insert one atomic step across
@@ -564,25 +631,20 @@ class RunStore:
             raise ValueError(
                 f"unknown campaign {campaign!r} in {self.path} (known: {known})"
             )
+        # One pass over the grid: each position's key and spec, and
+        # whether a run row and a failure row exist for its key.
         entries = conn.execute(
-            "SELECT position, key, spec FROM campaign_specs "
-            "WHERE campaign=? ORDER BY position",
+            "SELECT cs.key, cs.spec, "
+            "EXISTS (SELECT 1 FROM runs r WHERE r.key = cs.key), "
+            "EXISTS (SELECT 1 FROM failures f WHERE f.key = cs.key) "
+            "FROM campaign_specs cs WHERE cs.campaign=? ORDER BY cs.position",
             (campaign,),
         ).fetchall()
-        keys = tuple(entry[1] for entry in entries)
-        specs = tuple(spec_from_dict(json.loads(entry[2])) for entry in entries)
-        done = frozenset(
-            i
-            for i, key in enumerate(keys)
-            if conn.execute("SELECT 1 FROM runs WHERE key=?", (key,)).fetchone()
-        )
+        keys = tuple(entry[0] for entry in entries)
+        specs = tuple(spec_from_dict(json.loads(entry[1])) for entry in entries)
+        done = frozenset(i for i, entry in enumerate(entries) if entry[2])
         failed = frozenset(
-            i
-            for i, key in enumerate(keys)
-            if i not in done
-            and conn.execute(
-                "SELECT 1 FROM failures WHERE key=?", (key,)
-            ).fetchone()
+            i for i, entry in enumerate(entries) if entry[3] and not entry[2]
         )
         return CampaignStatus(
             campaign=campaign,

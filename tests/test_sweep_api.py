@@ -171,11 +171,20 @@ class TestNoParentBuild:
         assert "PSNR (dB)" in capsys.readouterr().out
         assert parent_builds == []
 
-    def test_in_process_sweep_builds_and_keeps_grid_order(self, parent_builds):
-        report = sweep(
-            "fft", ["commguard", "error-free"], mtbes="50k", seeds=2,
-            options=FAST, collect_results=True,
-        )
+    def test_in_process_sweep_builds_and_keeps_grid_order(
+        self, parent_builds, monkeypatch
+    ):
+        # In-process sweeps and api.run share the per-scale runner, which
+        # builds a registry app once and keeps that build.
+        import repro.api
+
+        monkeypatch.setattr(repro.api, "_RUNNERS", {})
+        for _ in range(2):
+            report = sweep(
+                "fft", ["commguard", "error-free"], mtbes="50k", seeds=2,
+                options=FAST, collect_results=True,
+            )
+        run("fft", "error-free", options=FAST)
         assert parent_builds == ["fft"]
         assert [p.spec.protection for p in report] == [
             ProtectionLevel.COMMGUARD, ProtectionLevel.COMMGUARD,
