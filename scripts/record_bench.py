@@ -8,8 +8,13 @@ frame sizes, CommGuard, one seed — the sparse-error regime the fast path
 is built for.  Also records absolute fast and precise seconds per DSP app
 (the apps whose quiet spans run the span kernels of ``Filter.work_many``),
 guarded on the same high-MTBE rungs and error-free; those rows are
-recorded, not checked.  Writes one machine-readable report at the repo
-root.
+recorded, not checked.  Last, the masked-run replay section runs the
+``sweep-jpeg`` grid (jpeg at scale 0.25, every protection level x the
+quality MTBE ladder x seeds 0-19, one process) through one
+``SimulationRunner`` and records, per protection level, how many runs
+replayed their level's quiet run and the mean host milliseconds of a
+replayed and of a simulated run.  Writes one machine-readable report at
+the repo root.
 
 Usage::
 
@@ -21,7 +26,10 @@ precise — CI runs with it so a fast-path regression fails the build.
 Timings are best-of-``--repeats`` wall clock; both modes produce
 bit-identical results (enforced by ``tests/machine/test_golden_runs.py``
 and ``tests/machine/test_exec_mode_equivalence.py``), so only time
-differs.
+differs.  The fast/precise rows call ``run_program`` with no quiet run,
+so they never replay; the replay rows time each run once, as a
+campaign would (a replay equals the simulation it skips:
+``tests/machine/test_masked_runs.py``).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import argparse
 import json
 import math
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -38,10 +47,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.config import CommGuardConfig  # noqa: E402
+from repro.experiments.parallel import RunSpec  # noqa: E402
 from repro.experiments.runner import SimulationRunner  # noqa: E402
 from repro.experiments.sweeps import MTBE_LADDER_QUALITY  # noqa: E402
 from repro.machine.protection import ProtectionLevel  # noqa: E402
-from repro.machine.system import SystemConfig, run_program  # noqa: E402
+from repro.machine.system import MulticoreSystem, SystemConfig, run_program  # noqa: E402
 
 EXEC_CONFIGS = {
     "precise": SystemConfig(exec_mode="precise"),
@@ -109,6 +119,73 @@ def dsp_rows(runner: SimulationRunner, repeats: int) -> list[dict]:
     return rows
 
 
+#: The sweep-jpeg grid of the replay section (perfbench's workload).
+REPLAY_SCALE = 0.25
+REPLAY_SEEDS = 20
+
+
+def replay_rows() -> list[dict]:
+    """Per protection level of the sweep-jpeg grid, run in order through
+    one runner: runs, runs replayed, and the mean host ms of a replayed
+    and of a simulated ``run_spec`` call (machine build, run or replay,
+    and scoring).  Replays are counted by wrapping
+    ``MulticoreSystem._replay``, which reports whether a run replayed."""
+    runner = SimulationRunner(scale=REPLAY_SCALE)
+    runner.app("jpeg")  # build once, outside the timed region
+    specs = [RunSpec("jpeg", ProtectionLevel.ERROR_FREE)]
+    specs += [
+        RunSpec("jpeg", protection, mtbe=mtbe, seed=seed)
+        for protection in (
+            ProtectionLevel.PPU_ONLY,
+            ProtectionLevel.PPU_RELIABLE_QUEUE,
+            ProtectionLevel.COMMGUARD,
+        )
+        for mtbe in MTBE_LADDER_QUALITY
+        for seed in range(REPLAY_SEEDS)
+    ]
+    replayed = False
+    original = MulticoreSystem._replay
+
+    def counted(system, quiet, result):
+        nonlocal replayed
+        replayed = original(system, quiet, result)
+        return replayed
+
+    times: dict[ProtectionLevel, dict[bool, list[float]]] = {}
+    MulticoreSystem._replay = counted
+    try:
+        for spec in specs:
+            replayed = False
+            before = time.perf_counter()
+            runner.run_spec(spec)
+            elapsed_ms = (time.perf_counter() - before) * 1e3
+            level = times.setdefault(spec.protection, {True: [], False: []})
+            level[replayed].append(elapsed_ms)
+    finally:
+        MulticoreSystem._replay = original
+
+    rows = []
+    for protection, by_replay in times.items():
+        row = {
+            "protection": protection.value,
+            "runs": len(by_replay[True]) + len(by_replay[False]),
+            "replayed": len(by_replay[True]),
+            "replayed_ms": _mean_ms(by_replay[True]),
+            "simulated_ms": _mean_ms(by_replay[False]),
+        }
+        rows.append(row)
+        print(
+            f"  {row['protection']:18s} {row['replayed']:3d} of {row['runs']:3d} "
+            f"replayed: {row['replayed_ms']} ms replayed, "
+            f"{row['simulated_ms']} ms simulated"
+        )
+    return rows
+
+
+def _mean_ms(values: list[float]) -> float | None:
+    return round(statistics.fmean(values), 3) if values else None
+
+
 def high_mtbes() -> list[int]:
     return [mtbe for mtbe in MTBE_LADDER_QUALITY if mtbe >= HIGH_MTBE_FLOOR]
 
@@ -166,6 +243,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"DSP apps, CommGuard at MTBE >= {HIGH_MTBE_FLOOR // 1000}k and error-free:")
     dsp = dsp_rows(runner, args.repeats)
+    print(
+        f"masked-run replays, sweep-jpeg grid (scale {REPLAY_SCALE}, "
+        f"seeds 0-{REPLAY_SEEDS - 1}, one process):"
+    )
+    replay = replay_rows()
 
     report = {
         "benchmark": "simulator-fast-path",
@@ -184,6 +266,12 @@ def main(argv: list[str] | None = None) -> int:
         "fast_s": round(seconds["fast"], 4),
         "speedup": round(speedup, 3),
         "dsp": dsp,
+        "replay": {
+            "grid": "sweep-jpeg",
+            "scale": REPLAY_SCALE,
+            "seeds": REPLAY_SEEDS,
+            "levels": replay,
+        },
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

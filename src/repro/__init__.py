@@ -54,7 +54,7 @@ from repro.machine import (
 from repro.quality import psnr_db, snr_db
 from repro.streamit import StreamGraph, StreamProgram
 
-__version__ = "4.2.0"
+__version__ = "4.3.0"
 
 __all__ = [
     "CellStats",

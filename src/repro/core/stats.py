@@ -108,6 +108,13 @@ class ThreadCounters:
     memory: MemoryEvents = field(default_factory=MemoryEvents)
     commguard: CommGuardStats = field(default_factory=CommGuardStats)
 
+    def copy(self) -> "ThreadCounters":
+        """Independent counters equal to these (zeroed counters merged with
+        them: far cheaper than ``copy.deepcopy``)."""
+        copy = ThreadCounters()
+        copy.merge(self)
+        return copy
+
     def merge(self, other: "ThreadCounters") -> None:
         self.committed_instructions += other.committed_instructions
         self.firings += other.firings

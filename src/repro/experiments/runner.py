@@ -1,8 +1,10 @@
 """Simulation runner: executes benchmark apps under experiment configs.
 
 Caches built apps (codec encoding and graph construction are the expensive
-parts) and packages each run's measurements into a flat
-:class:`RunRecord` the paper targets and sweeps aggregate.
+parts) and each protection level's quiet run (a run no unmasked error
+reached, which a masked run replays instead of simulating), and packages
+each run's measurements into a flat :class:`RunRecord` the paper targets
+and sweeps aggregate.
 
 The runner executes frozen :class:`~repro.experiments.parallel.RunSpec`
 descriptions (:meth:`run_spec` / :meth:`execute_spec`), the unit of work
@@ -14,7 +16,7 @@ path and every pool worker holds another.  One-off runs go through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -64,6 +66,8 @@ class SimulationRunner:
         self._apps: dict[str, BenchmarkApp] = {}
         #: Error-free outputs adopted before their app was built here.
         self._references: dict[str, np.ndarray] = {}
+        #: (app, protection, CommGuard config) -> that level's quiet run.
+        self._quiet_runs: dict[tuple, RunResult] = {}
 
     def app(self, name: str) -> BenchmarkApp:
         if name not in self._apps:
@@ -101,10 +105,22 @@ class SimulationRunner:
         An ``ERROR_FREE`` run's decoded output becomes its app's cached
         error-free output when none is cached yet, so the grid's own
         error-free point is the SNR reference of every later run here.
+
+        The first untraced, unprofiled run of an (app, protection,
+        CommGuard config) level that no unmasked error reached becomes
+        the level's quiet run.  A later run of the level replays it
+        without simulating when its injectors certify that every arrival
+        it would see is masked (:meth:`MulticoreSystem.run
+        <repro.machine.system.MulticoreSystem.run>`), with the same
+        record and result.  The fault model and the mix overrides are not
+        in the level: they change nothing a masked arrival reaches.
         """
         from repro.observability.tracer import coerce_tracer
 
         app = self.app(spec.app)
+        config = spec.commguard_config()
+        level = (spec.app, spec.protection, config)
+        quiet = self._quiet_runs.get(level)
         tracer, owned = coerce_tracer(tracer)
         try:
             result = run_program(
@@ -112,15 +128,34 @@ class SimulationRunner:
                 spec.protection,
                 mtbe=spec.mtbe,
                 seed=spec.seed,
-                commguard_config=spec.commguard_config(),
+                commguard_config=config,
                 error_model=spec.error_model(),
                 tracer=tracer,
                 fault_model=spec.fault_model,
                 profiler=profiler,
+                quiet=quiet,
             )
         finally:
             if owned is not None:
                 owned.close()
+        if (
+            quiet is None
+            and tracer is None
+            and profiler is None
+            and not result.errors_by_kind
+        ):
+            # The caller owns *result*; the memo keeps its own copy of
+            # what a replay reads.
+            self._quiet_runs[level] = replace(
+                result,
+                errors_by_kind={},
+                outputs={name: list(words) for name, words in result.outputs.items()},
+                thread_counters={
+                    name: counters.copy()
+                    for name, counters in result.thread_counters.items()
+                },
+                queue_peaks=dict(result.queue_peaks),
+            )
         if spec.protection is ProtectionLevel.ERROR_FREE:
             app.adopt_error_free_output(app.output_signal(result))
         total = result.aggregate_counters()

@@ -118,6 +118,20 @@ class ErrorInjector:
     #: them or set this ``False`` to opt out of the fast path entirely.
     supports_quiet_span = True
 
+    #: Whether this model draws and applies arrivals exactly as the base
+    #: process does, so :meth:`masked_arrivals` may replay them.  Derived
+    #: per class: overriding ``_arrival``, ``_draw_gap`` or ``advance``
+    #: turns it off, and such a model certifies no masked run unless it
+    #: overrides :meth:`masked_arrivals` with a replay of its own.
+    _replays_base_arrivals = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._replays_base_arrivals = all(
+            getattr(cls, hook) is getattr(ErrorInjector, hook)
+            for hook in ("_arrival", "_draw_gap", "advance")
+        )
+
     def __init__(
         self,
         model: ErrorModel,
@@ -166,9 +180,9 @@ class ErrorInjector:
         The count replays that test window by window on the countdown each
         earlier window's :meth:`consume_quiet` subtraction would leave, so
         ``quiet_windows(n, m)`` equals *m* successive ``quiet_windows(n, 1)``
-        / ``consume_quiet(n)`` steps stopping at the first refusal.  This is
-        the one certification primitive: fault models with effects beyond
-        arrivals override it.
+        / ``consume_quiet(n)`` steps stopping at the first refusal.  It
+        certifies windows; its twin :meth:`masked_arrivals` certifies a
+        whole run.  Fault models with effects beyond arrivals override it.
         """
         if not self.supports_quiet_span:
             return 0
@@ -199,6 +213,45 @@ class ErrorInjector:
             for _ in range(windows):
                 countdown -= instructions
             self._countdown = countdown
+
+    def masked_arrivals(self, clock: int) -> int | None:
+        """How many arrivals land before the core clock reaches *clock*,
+        when every one of them is masked; ``None`` when any would be
+        unmasked — the *masked-run* check, :meth:`quiet_windows`' twin for
+        the rest of a run.  Nothing is consumed.
+
+        A masked arrival changes only ``errors_injected`` and
+        ``errors_masked``, so a core whose arrivals up to its final clock
+        are all masked runs exactly as with no error process.  The check
+        replays the remaining arrival process on a copy of the RNG, with
+        ``_arrival``'s draws in ``_arrival``'s order: the mask draw, then
+        the next gap.  An arrival within one instruction of *clock*
+        returns ``None``: between arrivals the countdown subtracts integer
+        windows from a positive double below 2**53, which is exact, and the
+        rounding at each arrival is far below one instruction, but an
+        arrival that close cannot be placed on one side of the end.  A
+        model whose arrivals this replay does not reproduce (see
+        ``_replays_base_arrivals``) certifies nothing.
+        """
+        if not self._replays_base_arrivals:
+            return None
+        at = self._countdown  # instructions from now to the next arrival
+        if at is None:
+            return 0
+        horizon = clock - self.clock
+        if at > horizon + 1:
+            return 0  # no arrival in reach: no RNG copy needed
+        rng = random.Random.__new__(random.Random)  # no __init__ reseeding
+        rng.setstate(self.rng.getstate())
+        p_masked = self.model.p_masked
+        rate = 1.0 / self.model.mtbe
+        arrivals = 0
+        while at < horizon - 1:
+            if rng.random() >= p_masked:
+                return None
+            arrivals += 1
+            at += rng.expovariate(rate)  # _draw_gap on the copy
+        return None if at <= horizon + 1 else arrivals
 
     def _arrival(self, events: list[ErrorEvent]) -> None:
         """One error arrival: draw masking, then the architectural effect.

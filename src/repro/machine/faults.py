@@ -164,6 +164,10 @@ class BurstInjector(ErrorInjector):
     capped at ``max_len`` flips total.  Every flip in the cluster draws
     masking and effect independently (a burst can straddle dead and live
     registers), and all land at the same instruction clock.
+
+    Certifies no masked run: the cluster-length draws interleave with the
+    mask draws, which the base :meth:`~ErrorInjector.masked_arrivals`
+    replay does not reproduce, and overriding ``_arrival`` opts it out.
     """
 
     fault_name = "burst"
@@ -200,7 +204,9 @@ class ControlFlowInjector(ErrorInjector):
     effect mix tilted to CONTROL errors (see :data:`FAULT_MODELS`): most
     unmasked flips perturb a firing's push/pop item counts, which without
     CommGuard drift queues out of alignment permanently — the paper's
-    Section 2 catastrophic case.
+    Section 2 catastrophic case.  Its arrivals are the base process's, so
+    the base :meth:`~ErrorInjector.masked_arrivals` certifies its masked
+    runs.
     """
 
     fault_name = "control_flow"
@@ -212,7 +218,9 @@ class QueueStateInjector(ErrorInjector):
     Effect mix tilted to ADDRESS errors: corrupted head/tail pointers on
     software queues (the QME class of Fig. 3b), garbage loads elsewhere.
     Under CommGuard this exercises the ECC-protected working-set handoffs
-    and the QM timeout / forced-unblock recovery paths.
+    and the QM timeout / forced-unblock recovery paths.  Only the mix
+    differs from the base process, so the base
+    :meth:`~ErrorInjector.masked_arrivals` certifies its masked runs.
     """
 
     fault_name = "queue_state"
@@ -225,6 +233,9 @@ class StickyInjector(ErrorInjector):
     effect recurs in every subsequent advance window until ``dwell``
     instructions have elapsed.  Repeats consume no RNG draws, so the
     underlying arrival process stays aligned with ``bit_flip``'s.
+
+    Certifies no masked run: overriding ``advance`` opts it out of the
+    base :meth:`~ErrorInjector.masked_arrivals` replay.
     """
 
     fault_name = "sticky"

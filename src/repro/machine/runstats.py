@@ -41,6 +41,9 @@ class RunResult:
     header_transfer_cycles: int = 2
     #: Per-edge buffered-unit high-water marks (qid -> units).
     queue_peaks: dict[int, int] = field(default_factory=dict)
+    #: Each core's final injector clock (committed + spin instructions),
+    #: in core-id order: where a masked run of the same level would end.
+    core_clocks: tuple[int, ...] = ()
     #: Labeled counters/gauges the run published (per-core, per-thread,
     #: per-edge); the scalar fields above are derived views of this.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)

@@ -104,6 +104,8 @@ class MulticoreSystem:
         self.profiler = profiler
         #: qid -> queue backend, for occupancy collection (set by build()).
         self._queues: dict[int, object] = {}
+        #: The level's quiet run this run may replay (set by build()).
+        self._quiet: RunResult | None = None
 
     # -- construction -------------------------------------------------------------
 
@@ -121,6 +123,7 @@ class MulticoreSystem:
         tracer=None,
         fault_model: FaultModelSpec | str | None = None,
         profiler=None,
+        quiet: RunResult | None = None,
     ) -> "MulticoreSystem":
         """Build a runnable machine.
 
@@ -138,8 +141,21 @@ class MulticoreSystem:
         occupancy into it (and the quiet-span and bulk queue fast paths
         decline, so every firing and queue operation is recorded).
         ``None`` keeps the hot paths untouched.
+        ``quiet`` is optionally the level's *quiet run*: a fast, untraced
+        run of the same program, protection, CommGuard config and machine
+        config that no unmasked error reached (its ``errors_by_kind`` is
+        empty).  :meth:`run` replays it when every core's injector
+        certifies that all of this run's arrivals are masked (see
+        :meth:`run`); it is read, never mutated.
         """
         config = system_config or SystemConfig()
+        if quiet is not None and (
+            quiet.errors_by_kind or len(quiet.core_clocks) != config.n_cores
+        ):
+            raise ValueError(
+                "quiet must be a run with no unmasked error on "
+                f"{config.n_cores} cores"
+            )
         cg_config = commguard_config or CommGuardConfig()
         edge_frame_scales = edge_frame_scales or {}
         ppu = ppu or PPUModel()
@@ -237,6 +253,7 @@ class MulticoreSystem:
             core.threads.append(thread)
         system = cls(program, protection, cores, config, tracer=tracer, profiler=profiler)
         system._queues = all_queues
+        system._quiet = quiet
         return system
 
     # -- execution ------------------------------------------------------------------
@@ -244,20 +261,74 @@ class MulticoreSystem:
     def run(self) -> RunResult:
         """Execute to completion; always terminates (timeouts guarantee it).
 
-        The loop itself lives in :mod:`repro.machine.scheduler`.
+        The loop itself lives in :mod:`repro.machine.scheduler`.  A run
+        built with a quiet run replays it instead when no unmasked error
+        can reach it (:meth:`_replay`); either way the result is collected
+        by :meth:`_collect`.
         """
-        threads = [t for core in self.cores for t in core.threads]
         result = RunResult(
             frame_stall_cycles=self.config.frame_stall_cycles,
             header_transfer_cycles=self.config.header_transfer_cycles,
         )
-        EventScheduler().run(self, threads, result)
-        self._collect(result)
+        quiet = self._quiet
+        if quiet is not None and self._replay(quiet, result):
+            peaks = quiet.queue_peaks
+        else:
+            threads = [t for core in self.cores for t in core.threads]
+            EventScheduler().run(self, threads, result)
+            peaks = {qid: _peak(queue) for qid, queue in self._queues.items()}
+        self._collect(result, peaks)
         return result
 
-    def _collect(self, result: RunResult) -> None:
-        """Publish the machine's counters into the result's metrics registry
-        and derive the legacy scalar aggregates from it."""
+    def _replay(self, quiet: RunResult, result: RunResult) -> bool:
+        """Put the machine in *quiet*'s end state, if every core's injector
+        certifies that each arrival before the core's final clock in
+        *quiet* is masked (:meth:`ErrorInjector.masked_arrivals`); return
+        whether it did.
+
+        A masked arrival changes only the injector's counters and emits no
+        event, so its firing runs its quiet body word for word, and the
+        precise firing a window holding an arrival forces equals the quiet
+        span it replaces (fast == precise).  Such a run therefore has
+        *quiet*'s firings, sweeps, forced unblocks, queue peaks, outputs
+        and core clocks; only its error counters differ.  The end state is
+        this run's error counters, fresh copies of *quiet*'s thread
+        counters and sink outputs, and its scheduler results.  Declined
+        under a tracer, a profiler or ``exec_mode="precise"``, as the fast
+        paths decline, so traces and timelines always come from a
+        simulation.
+        """
+        if (
+            self.tracer is not None
+            or self.profiler is not None
+            or self.config.exec_mode != "fast"
+        ):
+            return False
+        arrivals = []
+        for core, clock in zip(self.cores, quiet.core_clocks):
+            count = core.injector.masked_arrivals(clock)
+            if count is None:
+                return False
+            arrivals.append(count)
+        for core, clock, count in zip(self.cores, quiet.core_clocks, arrivals):
+            injector = core.injector
+            injector.clock = clock
+            injector.errors_injected += count
+            injector.errors_masked += count
+            for thread in core.threads:
+                thread.counters = quiet.thread_counters[thread.node.name].copy()
+        for node in self.program.graph.sinks():
+            if isinstance(node, IntSink):
+                node.collected = list(quiet.outputs[node.name])
+        result.sweeps = quiet.sweeps
+        result.hung = quiet.hung
+        result.forced_unblocks = quiet.forced_unblocks
+        return True
+
+    def _collect(self, result: RunResult, peaks: dict[int, int]) -> None:
+        """Publish the machine's counters and the per-edge queue *peaks*
+        into the result's metrics registry and derive the legacy scalar
+        aggregates from it."""
         metrics = result.metrics
         for core in self.cores:
             injector = core.injector
@@ -307,11 +378,8 @@ class MulticoreSystem:
         for node in self.program.graph.sinks():
             if isinstance(node, IntSink):
                 result.outputs[node.name] = node.collected
-        for qid, queue in self._queues.items():
-            peak = getattr(queue, "peak_units", None)
-            if peak is None:
-                peak = getattr(queue, "peak_occupancy", 0)
-            metrics.set_gauge("queue_peak_units", int(peak), qid=qid)
+        for qid, peak in peaks.items():
+            metrics.set_gauge("queue_peak_units", peak, qid=qid)
         # Derived scalar views (kept as plain fields for existing consumers).
         result.errors_injected = metrics.total("errors_injected")
         result.errors_by_kind = {
@@ -322,6 +390,15 @@ class MulticoreSystem:
             int(qid): int(peak)
             for qid, peak in metrics.gauge_labels("queue_peak_units", "qid").items()
         }
+        result.core_clocks = tuple(core.injector.clock for core in self.cores)
+
+
+def _peak(queue) -> int:
+    """A queue backend's buffered-unit high-water mark."""
+    peak = getattr(queue, "peak_units", None)
+    if peak is None:
+        peak = getattr(queue, "peak_occupancy", 0)
+    return int(peak)
 
 
 def run_program(
@@ -335,6 +412,7 @@ def run_program(
     tracer=None,
     fault_model: FaultModelSpec | str | None = None,
     profiler=None,
+    quiet: RunResult | None = None,
 ) -> RunResult:
     """Convenience wrapper: build a system and run it once.
 
@@ -344,7 +422,8 @@ def run_program(
     default ``bit_flip``) — when ``error_model`` is omitted, the model's
     calibrated mix at ``mtbe`` is used.  ``tracer`` optionally receives
     structured events from every module; ``profiler`` optionally records
-    the simulated-time timeline (see :meth:`MulticoreSystem.build`).
+    the simulated-time timeline, and ``quiet`` is the level's quiet run a
+    masked run may replay (see :meth:`MulticoreSystem.build`).
     """
     fault = FaultModelSpec.coerce(fault_model)
     if error_model is None and protection.injects_errors:
@@ -359,5 +438,6 @@ def run_program(
         tracer=tracer,
         fault_model=fault,
         profiler=profiler,
+        quiet=quiet,
     )
     return system.run()
