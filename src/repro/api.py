@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -92,7 +93,8 @@ def parse_mtbe(text: str | float | int | None) -> float | None:
 
     ``"512k"`` -> 512000.0, ``"1M"`` -> 1000000.0, ``64000`` -> 64000.0;
     ``None`` passes through (error-free).  Raises ``ValueError`` for
-    non-positive or unparsable values.
+    non-positive, non-finite (``nan``, ``inf``, ``1e400``) or unparsable
+    values.
     """
     if text is None:
         return None
@@ -112,10 +114,11 @@ def parse_mtbe(text: str | float | int | None) -> float | None:
                 f"unparsable MTBE {text!r}; use a number or k/M suffix "
                 "(e.g. 512k, 1M, 64000)"
             ) from None
-    if value <= 0:
+    if not 0 < value < math.inf:
         raise ValueError(
-            f"MTBE must be positive, got {text!r}; use a positive number or "
-            "k/M suffix (e.g. 512k, 1M, 64000), or None for error-free"
+            f"MTBE must be positive and finite, got {text!r}; use a positive "
+            "number or k/M suffix (e.g. 512k, 1M, 64000), or None for "
+            "error-free"
         )
     return value
 
@@ -366,7 +369,9 @@ def run(
     deserialized one — and an executed run is persisted to the store
     with provenance.  Only a named store is used: ``options.cache``
     does not select the default one here, so a plain ``run()`` always
-    simulates and returns its raw result.
+    simulates and returns its raw result.  A prebuilt *app* bypasses
+    the store, as :func:`sweep` does: the store keys a point by the
+    registry app of its name, which is not the app handed.
 
     ``profile`` takes a :class:`~repro.observability.ProfileSession`: the
     run records its simulated-time timeline into ``profile.sim`` and its
@@ -420,7 +425,7 @@ def run(
         **({} if error_free else mix),
         fault_model=fault.canonical(),
     )
-    store = RunStore.coerce(opts.store)
+    store = None if isinstance(app, BenchmarkApp) else RunStore.coerce(opts.store)
     key = spec.content_key(scale) if store is not None else None
     # A store hit has no trace and no timeline: traced and profiled runs
     # always execute.
@@ -851,11 +856,11 @@ def sweep(
     CLI uses: the sweep executes on the parallel
     engine with its ``jobs``/``trace_dir`` behaviour, and
     ``options.scale`` is the app-build input scale.  The fault-tolerance
-    knobs (``retries``, ``run_timeout``, ``retry_backoff``,
-    ``keep_going``) flow through too: a strict sweep (default) raises
-    :class:`~repro.experiments.parallel.SweepRunError` when a point
-    exhausts its retries, a keep-going sweep completes the rest of the
-    grid and reports the failed points on :attr:`SweepReport.failures`.
+    knobs (``retries``, ``run_timeout``, ``keep_going``) flow through
+    too: a failed attempt is retried at once, a strict sweep (default)
+    raises :class:`~repro.experiments.parallel.SweepRunError` when a
+    point exhausts its retries, a keep-going sweep completes the rest of
+    the grid and reports the failed points on :attr:`SweepReport.failures`.
     The in-process path honours ``keep_going`` (failed points are
     recorded, the rest of the grid completes) but — running each point
     inline, with no worker to preempt or respawn — not ``retries`` or

@@ -11,8 +11,8 @@ Commands:
 * ``sweep`` — MTBE sweep of one benchmark (quality + loss per point;
   ``--trace-dir DIR`` ships one JSONL trace per executed run).  The
   fault-tolerance flags — ``--retries N``, ``--run-timeout SECONDS``,
-  ``--keep-going`` — retry failed runs with deterministic backoff,
-  preempt hung runs, and finish the sweep past exhausted points; Ctrl-C
+  ``--keep-going`` — retry failed runs at once, preempt hung runs,
+  and finish the sweep past exhausted points; Ctrl-C
   exits cleanly with every completed run already flushed to the store.
   ``--metrics-out FILE`` writes the engine's metrics registry in
   Prometheus textfile format after the sweep.
@@ -796,7 +796,7 @@ def _add_fault_tolerance_options(parser: argparse.ArgumentParser) -> None:
         type=_nonnegative_int,
         default=0,
         metavar="N",
-        help="retry each failed run up to N times (deterministic backoff)",
+        help="retry each failed run up to N times (retried at once)",
     )
     parser.add_argument(
         "--run-timeout",

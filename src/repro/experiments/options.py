@@ -38,10 +38,9 @@ class EngineOptions:
 
     The fault-tolerance knobs mirror
     :class:`~repro.experiments.parallel.ParallelRunner`: ``retries`` is
-    the bounded per-spec retry budget, ``run_timeout`` the per-run
-    wall-clock limit in seconds, ``retry_backoff`` the deterministic
-    backoff base (attempt *n* waits ``retry_backoff * 2**n`` seconds — no
-    jitter), and ``keep_going=True`` turns exhausted failures into
+    the bounded per-spec retry budget (a retry is re-dispatched at once),
+    ``run_timeout`` the per-run wall-clock limit in seconds, and
+    ``keep_going=True`` turns exhausted failures into
     structured :class:`~repro.experiments.parallel.FailureRecord`\\ s
     instead of raising on the first one (strict mode, the default).
 
@@ -60,7 +59,6 @@ class EngineOptions:
     trace: object | None = None
     retries: int = 0
     run_timeout: float | None = None
-    retry_backoff: float = 0.0
     keep_going: bool = False
     store: object | None = None
 
@@ -144,7 +142,6 @@ def build_engine(
         trace_dir=options.trace_dir,
         retries=options.retries,
         run_timeout=options.run_timeout,
-        retry_backoff=options.retry_backoff,
         strict=not options.keep_going,
         profiler=profiler,
         store=store,

@@ -277,7 +277,7 @@ def run_paper(
     verdicts.
 
     *options* carries the engine knobs (``jobs``, ``retries``,
-    ``run_timeout``, ``retry_backoff``, ``trace_dir``, ``store``);
+    ``run_timeout``, ``trace_dir``, ``store``);
     ``options.store=None`` selects the default store whatever
     ``options.cache`` says — the pipeline always records a campaign, that
     is what makes it resumable.  ``options.scale`` is ignored: the tier

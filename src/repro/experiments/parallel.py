@@ -30,9 +30,7 @@ Worker count resolution: an explicit ``jobs`` argument wins, then the
 
 from __future__ import annotations
 
-import heapq
 import importlib
-import itertools
 import os
 import signal
 import threading
@@ -48,7 +46,7 @@ from concurrent.futures import (
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -356,15 +354,82 @@ def _init_worker(scale: float) -> None:
     _WORKER_RUNNER = SimulationRunner(scale=scale)
 
 
+class _Outcome(NamedTuple):
+    """What one attempt came to.
+
+    ``status`` is ``"ok"`` (``payload`` = the record) or a failure kind
+    (``payload`` = the message).  ``cpu`` and ``wall`` are the attempt's
+    own seconds in the process that ran it, queue wait excluded; ``wall``
+    feeds the store provenance and the task packer.  ``output`` is the
+    app's error-free output when the attempt was a successful
+    ``ERROR_FREE`` point.  ``error`` is the exception the attempt raised;
+    it never leaves the process that ran the attempt, as it need not
+    pickle.
+    """
+
+    status: str
+    payload: RunRecord | str
+    cpu: float = 0.0
+    wall: float = 0.0
+    output: np.ndarray | None = None
+    error: Exception | None = None
+
+
+_CRASH = _Outcome("crash", "worker process died while executing this spec")
+
+
+def _attempt(
+    runner: SimulationRunner,
+    spec: RunSpec,
+    attempt: int,
+    run_timeout: float | None,
+    fault_hook,
+    trace: str | None,
+) -> _Outcome:
+    """Run one attempt at *spec* on *runner* under its own deadline and
+    fault hook, streaming its events to the JSONL path *trace* when given.
+
+    Every attempt runs here: on the dispatcher's executor at ``jobs=1``,
+    on the worker's runner in a pool task.  A fault of the run itself
+    never raises; it becomes the outcome's failure kind, so the
+    dispatcher accounts it without tearing a pool down.
+    """
+    cpu_before = time.process_time()
+    wall_before = time.perf_counter()
+    output = error = None
+    try:
+        with _deadline(run_timeout):
+            hook = _resolve_fault_hook(fault_hook)
+            if hook is not None:
+                hook(spec, attempt)
+            record = runner.execute_spec(spec, tracer=trace)
+        if spec.protection is ProtectionLevel.ERROR_FREE:
+            # The run adopted its own output as the app's reference (or
+            # scored against an equal one), so this simulates nothing.
+            output = runner.app(spec.app).error_free_output()
+        status, payload = "ok", record
+    except RunTimeoutError as exc:
+        status, payload, error = "timeout", str(exc), exc
+    except Exception as exc:
+        status, payload, error = "exception", f"{type(exc).__name__}: {exc}", exc
+    return _Outcome(
+        status,
+        payload,
+        time.process_time() - cpu_before,
+        time.perf_counter() - wall_before,
+        output,
+        error,
+    )
+
+
 def _run_task(
-    entries: list[tuple[int, RunSpec, int, str | None]],
+    entries: list[tuple[RunSpec, int, str | None]],
     run_timeout: float | None,
     fault_hook,
     references: dict[str, np.ndarray],
-) -> list[tuple[int, str, RunRecord | str, float, float, np.ndarray | None]]:
-    """Execute one pool task: its ``(index, spec, attempt, trace)``
-    entries in order, each attempt under its own deadline and fault hook
-    (see :func:`_run_in_worker`), returning one outcome per entry.
+) -> list[_Outcome]:
+    """Execute one pool task: one :func:`_attempt` per ``(spec, attempt,
+    trace)`` entry, in order, returning one outcome per entry.
 
     *references* maps each self-referenced app of the task to its
     error-free output, simulated elsewhere: the worker adopts it instead
@@ -374,57 +439,11 @@ def _run_task(
     for app, output in references.items():
         _WORKER_RUNNER.adopt_reference(app, output)
     return [
-        _run_in_worker(index, spec, attempt, run_timeout, fault_hook, trace)
-        for index, spec, attempt, trace in entries
+        _attempt(
+            _WORKER_RUNNER, spec, attempt, run_timeout, fault_hook, trace
+        )._replace(error=None)
+        for spec, attempt, trace in entries
     ]
-
-
-def _run_in_worker(
-    index: int,
-    spec: RunSpec,
-    attempt: int = 0,
-    run_timeout: float | None = None,
-    fault_hook=None,
-    trace: str | None = None,
-) -> tuple[int, str, RunRecord | str, float, float, np.ndarray | None]:
-    """Execute one attempt in a pool worker (streaming its events to the
-    JSONL path *trace*, when given).
-
-    Never raises for per-run faults: the outcome travels back as
-    ``(index, status, payload, cpu_seconds, wall_seconds, output)`` where
-    *status* is ``"ok"`` (payload = the record) or a failure kind
-    (payload = the message), so the parent can account retries without
-    tearing the pool down.  ``wall_seconds`` is this attempt's own
-    elapsed time, measured in the executing process (queue wait
-    excluded) — it feeds the per-row store provenance.  ``output`` is
-    the app's error-free output when *spec* is a successful
-    ``ERROR_FREE`` point, else ``None``.
-    """
-    assert _WORKER_RUNNER is not None, "worker initializer did not run"
-    cpu_before = time.process_time()
-    wall_before = time.perf_counter()
-    output = None
-    try:
-        with _deadline(run_timeout):
-            hook = _resolve_fault_hook(fault_hook)
-            if hook is not None:
-                hook(spec, attempt)
-            record = _WORKER_RUNNER.execute_spec(spec, tracer=trace)
-        if spec.protection is ProtectionLevel.ERROR_FREE:
-            # The run adopted its own output as the app's reference (or
-            # scored against an equal one), so this simulates nothing.
-            output = _WORKER_RUNNER.app(spec.app).error_free_output()
-        status, payload = "ok", record
-    except RunTimeoutError as exc:
-        status, payload = "timeout", str(exc)
-    except Exception as exc:
-        status, payload = "exception", f"{type(exc).__name__}: {exc}"
-    return (
-        index, status, payload,
-        time.process_time() - cpu_before,
-        time.perf_counter() - wall_before,
-        output,
-    )
 
 
 def error_free_first(spec: RunSpec) -> bool:
@@ -497,37 +516,6 @@ class _ReferenceRelay:
         return self.held.pop(spec.app, [])
 
 
-class _Backoffs:
-    """Retried work items waiting out their backoff.
-
-    Each item waits for its not-before time and then returns to the end of
-    the queue it is bound for, while the loop that owns the queue goes on
-    dispatching and collecting other runs.
-    """
-
-    def __init__(self) -> None:
-        self._waiting: list = []
-        self._order = itertools.count()
-
-    def __bool__(self) -> bool:
-        return bool(self._waiting)
-
-    def add(self, item, seconds: float, queue: deque) -> None:
-        heapq.heappush(
-            self._waiting,
-            (time.monotonic() + seconds, next(self._order), item, queue),
-        )
-
-    def release(self) -> float | None:
-        """Requeue every item whose time has come; returns the seconds
-        until the next one is due (``None``: nothing waits)."""
-        now = time.monotonic()
-        while self._waiting and self._waiting[0][0] <= now:
-            *_, item, queue = heapq.heappop(self._waiting)
-            queue.append(item)
-        return self._waiting[0][0] - now if self._waiting else None
-
-
 class _TaskPacker:
     """Packs the pool's queue into tasks.
 
@@ -574,6 +562,24 @@ class _TaskPacker:
         return task
 
 
+@dataclass
+class _Sweep:
+    """The loop state of one :meth:`ParallelRunner.run_specs` call.
+
+    Work items travel as ``(index, spec, key, attempt)`` tuples; each
+    attempt ships its trace to the path the key names.  ``queue`` holds
+    the items waiting for dispatch, and ``records`` receives each
+    completed run at its index.
+    """
+
+    stats: SweepStats
+    records: list[RunRecord | None]
+    wall_before: float
+    relay: _ReferenceRelay
+    queue: deque = field(default_factory=deque)
+    packer: _TaskPacker = field(default_factory=_TaskPacker)
+
+
 class ParallelRunner:
     """The sweep dispatcher: fans specs out over processes and a store.
 
@@ -604,18 +610,14 @@ class ParallelRunner:
     ``retries``
         Bounded retry budget per spec: a failed attempt (exception,
         timeout, or worker crash attributed to the spec) is re-executed up
-        to this many extra times before it becomes a failure.
+        to this many extra times before it becomes a failure.  A retry
+        goes back to its queue at once: every run is seeded by its spec
+        alone, so a later attempt computes nothing an immediate one
+        would not.
     ``run_timeout``
         Per-run wall-clock limit in seconds (``None`` = unlimited).
         Enforced with SIGALRM in whichever process executes the spec, so
         a hung simulation is preempted without killing its worker.
-    ``retry_backoff``
-        Deterministic backoff base: attempt *n* waits
-        ``retry_backoff * 2**n`` seconds before re-dispatch, while the
-        other runs go on.  No random or time-seeded jitter — results stay
-        bit-reproducible.  Default 0 (immediate retry; the simulator is
-        deterministic, so backoff only matters for environmental faults
-        like disk pressure).
     ``strict``
         ``True`` (default, today's semantics): the first spec to exhaust
         its retries raises :class:`SweepRunError`.  ``False`` (keep-going
@@ -656,10 +658,8 @@ class ParallelRunner:
         tracer=None,
         retries: int = 0,
         run_timeout: float | None = None,
-        retry_backoff: float = 0.0,
         strict: bool = True,
         fault_hook=None,
-        metrics: MetricsRegistry | None = None,
         store: RunStore | str | bool | None = None,
         campaign: str | None = None,
         profiler=None,
@@ -676,10 +676,9 @@ class ParallelRunner:
         self.tracer = tracer
         self.retries = retries
         self.run_timeout = run_timeout
-        self.retry_backoff = retry_backoff
         self.strict = strict
         self.fault_hook = fault_hook
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.profiler = profiler
         self.last_stats: SweepStats | None = None
         self.store = RunStore.coerce(store)
@@ -702,7 +701,7 @@ class ParallelRunner:
         when the store or ``trace_dir`` needs them.
 
         Failed attempts (exceptions, per-run timeouts, worker crashes) are
-        retried up to ``retries`` times with deterministic backoff.  A
+        retried at once, up to ``retries`` times.  A
         spec that exhausts its budget raises :class:`SweepRunError` under
         ``strict=True`` (the default); under ``strict=False`` its slot in
         the returned list is ``None`` and a :class:`FailureRecord` is
@@ -716,8 +715,12 @@ class ParallelRunner:
         specs = list(specs)
         jobs = resolve_jobs(self.jobs)
         stats = SweepStats(total=len(specs), jobs=jobs)
-        wall_before = time.perf_counter()
-        records: list[RunRecord | None] = [None] * len(specs)
+        sweep = _Sweep(
+            stats=stats,
+            records=[None] * len(specs),
+            wall_before=time.perf_counter(),
+            relay=_ReferenceRelay(self.executor),
+        )
 
         if self.store is not None:
             self.store.set_context(jobs=jobs, campaign=self.campaign)
@@ -727,7 +730,7 @@ class ParallelRunner:
         elif len(keys) != len(specs):
             raise ValueError(f"{len(keys)} keys for {len(specs)} specs")
 
-        pending: list[tuple[int, RunSpec, str | None]] = []
+        pending: list[tuple[int, RunSpec, str | None, int]] = []
         with engine_span(self.profiler, "cache-scan", total=len(specs)):
             stored = self.store.load_many(keys) if self.store is not None else {}
             for index, spec in enumerate(specs):
@@ -735,88 +738,61 @@ class ParallelRunner:
                 cached = stored.get(key)
                 trace = self._trace_path(key)
                 if cached is not None and (trace is None or Path(trace).exists()):
-                    records[index] = cached
+                    sweep.records[index] = cached
                     stats.cache_hits += 1
                     self.metrics.inc("sweep_cache_hits", app=spec.app)
                     if self.profiler is not None:
                         self.profiler.event(
                             "cache-hit", app=spec.app, seed=spec.seed
                         )
-                    self._tick(stats, wall_before)
+                    self._tick(sweep)
                 else:
-                    pending.append((index, spec, key))
+                    pending.append((index, spec, key, 0))
 
         pending.sort(key=lambda item: error_free_first(item[1]))
+        sweep.queue.extend(pending)
         try:
             if pending:
                 with _sigterm_exits(), engine_span(
                     self.profiler, "execute", pending=len(pending), jobs=jobs
                 ):
                     if jobs == 1 or len(pending) == 1:
-                        self._run_serial(pending, records, stats, wall_before)
+                        self._run_serial(sweep)
                     else:
-                        self._run_pool(pending, records, stats, wall_before, jobs)
+                        self._run_pool(sweep, jobs)
         except (KeyboardInterrupt, SystemExit):
             stats.interrupted = True
             raise
         finally:
             # Exception paths included: last_stats always reflects the
             # (possibly partial) sweep, with fresh wall-clock timing.
-            stats.wall_seconds = time.perf_counter() - wall_before
+            stats.wall_seconds = time.perf_counter() - sweep.wall_before
             self.last_stats = stats
 
         failed = {failure.index for failure in stats.failures}
         assert all(
             record is not None or index in failed
-            for index, record in enumerate(records)
+            for index, record in enumerate(sweep.records)
         )
-        return records  # type: ignore[return-value]
+        return sweep.records  # type: ignore[return-value]
 
     # -- fault-tolerant execution loops ----------------------------------------
     #
-    # Work items travel as (index, spec, key, attempt) tuples; each attempt
-    # ships its trace to the path the key names.  Both loops funnel failed
-    # attempts through _dispose, which owns the retry/raise/record
-    # decision, so serial and pool sweeps share one failure policy.  A
-    # retry waits out its backoff in a _Backoffs while the loop goes on.
+    # Both loops run every attempt through _attempt and land every batch
+    # of outcomes through _settle, whose _dispose owns the
+    # retry/raise/record decision, so serial and pool sweeps share one
+    # failure policy.
 
-    def _run_serial(self, pending, records, stats, wall_before) -> None:
-        queue = deque((index, spec, key, 0) for index, spec, key in pending)
-        backoffs = _Backoffs()
-        hook = _resolve_fault_hook(self.fault_hook)
-        while queue or backoffs:
-            due = backoffs.release()
-            if not queue:
-                time.sleep(due)
-                continue
-            item = index, spec, key, attempt = queue.popleft()
-            cpu_before = time.process_time()
-            run_before = time.perf_counter()
-            try:
-                with _deadline(self.run_timeout):
-                    if hook is not None:
-                        hook(spec, attempt)
-                    record = self.executor.execute_spec(
-                        spec, tracer=self._trace_path(key)
-                    )
-            except RunTimeoutError as exc:
-                stats.cpu_seconds += time.process_time() - cpu_before
-                self._dispose(item, "timeout", str(exc), stats, backoffs, queue, exc)
-                continue
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                stats.cpu_seconds += time.process_time() - cpu_before
-                message = f"{type(exc).__name__}: {exc}"
-                self._dispose(item, "exception", message, stats, backoffs, queue, exc)
-                continue
-            stats.cpu_seconds += time.process_time() - cpu_before
-            self._finish(
-                records, stats, wall_before,
-                [(item, record, time.perf_counter() - run_before)],
+    def _run_serial(self, sweep: _Sweep) -> None:
+        while sweep.queue:
+            item = _, spec, key, attempt = sweep.queue.popleft()
+            outcome = _attempt(
+                self.executor, spec, attempt, self.run_timeout,
+                self.fault_hook, self._trace_path(key),
             )
+            self._settle(sweep, [item], [outcome], sweep.queue)
 
-    def _run_pool(self, pending, records, stats, wall_before, jobs) -> None:
+    def _run_pool(self, sweep: _Sweep, jobs: int) -> None:
         """Pool loop with a bounded window and crash isolation.
 
         At most :data:`TASKS_PER_WORKER` tasks per worker are in flight,
@@ -829,72 +805,63 @@ class ParallelRunner:
         A dead worker breaks its whole ProcessPoolExecutor: every in-flight
         future settles :class:`BrokenExecutor` without saying which spec
         killed the process.  Every spec of a lost task is therefore
-        *quarantined* — not charged an attempt — and re-run one-per-pool
-        once the main queue drains, which attributes any repeat crash to
-        exactly its culprit: innocents complete with their retry budget
-        untouched, the poison spec burns its own budget and becomes a
-        ``"crash"`` failure.
+        *quarantined*, not charged an attempt.  Once the main queue
+        drains, the quarantined specs run one at a time on a one-worker
+        pool, reused until a crash breaks it, which attributes any repeat
+        crash to exactly its culprit: innocents complete with their retry
+        budget untouched, and the poison spec is charged a ``"crash"``
+        whose retries stay in the quarantine.
         """
-        queue = deque((index, spec, key, 0) for index, spec, key in pending)
-        quarantine: deque = deque()
-        backoffs = _Backoffs()
-        relay = _ReferenceRelay(self.executor)
-        packer = _TaskPacker()
-        workers = min(jobs, len(pending))
+        queue, quarantine = sweep.queue, deque()
+        workers = min(jobs, len(queue))
         pool: ProcessPoolExecutor | None = None
+        size = 0
+        # future -> (task, the queue its retries return to)
         outstanding: dict = {}
         try:
-            while queue or outstanding or quarantine or backoffs:
-                due = backoffs.release()
-                if queue and pool is None:
-                    size = min(workers, len(queue))
-                    pool = self._spawn_pool(size)
-                while queue and len(outstanding) < TASKS_PER_WORKER * size:
-                    task = packer.take(queue, relay, size)
-                    if not task:
-                        break
-                    outstanding[self._submit(pool, task, relay)] = task
-                if not outstanding:
-                    if quarantine:
-                        # Main grid drained: attribute crashes one spec
-                        # at a time.
-                        self._run_quarantined(
-                            quarantine, backoffs, relay, packer,
-                            records, stats, wall_before,
-                        )
-                    elif due is not None:
-                        time.sleep(due)
+            while queue or quarantine or outstanding:
+                if queue:
+                    if pool is None:
+                        size = min(workers, len(queue))
+                        pool = self._spawn_pool(size)
+                    while queue and len(outstanding) < TASKS_PER_WORKER * size:
+                        task = sweep.packer.take(queue, sweep.relay, size)
+                        if not task:
+                            break
+                        future = self._submit(pool, task, sweep.relay)
+                        outstanding[future] = (task, queue)
+                elif not outstanding:
+                    # Main grid drained: attribute crashes one spec at a
+                    # time.
+                    if pool is not None and size > 1:
+                        pool.shutdown()
+                        pool = None
+                    if pool is None:
+                        size, pool = 1, self._spawn_pool(1)
+                    task = [quarantine.popleft()]
+                    future = self._submit(pool, task, sweep.relay)
+                    outstanding[future] = (task, quarantine)
+                done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
+                lost = self._collect(sweep, done, outstanding)
+                if not lost:
                     continue
-                done, _ = wait(outstanding, timeout=due, return_when=FIRST_COMPLETED)
-                lost = []
-                for future in done:
-                    task = outstanding.pop(future)
-                    if self._consume(
-                        future, task, queue, backoffs, relay, packer,
-                        records, stats, wall_before,
-                    ):
-                        lost.extend(task)
-                if lost:
-                    # The pool is broken: every remaining future settles
-                    # with the same BrokenExecutor — drain them all.
-                    done, _ = wait(outstanding)
-                    for future in done:
-                        task = outstanding.pop(future)
-                        if self._consume(
-                            future, task, queue, backoffs, relay, packer,
-                            records, stats, wall_before,
-                        ):
-                            lost.extend(task)
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-                    for item in lost:
-                        queue.extend(relay.settle(item))
-                    quarantine.extend(lost)
-                    stats.worker_crashes += 1
-                    self.metrics.inc("sweep_worker_crashes")
-                    self._emit(
-                        WorkerCrashed(lost=len(lost), requeued=len(lost))
-                    )
+                # The pool is broken: every remaining future settles with
+                # the same BrokenExecutor — drain them all.
+                lost += self._collect(sweep, wait(outstanding).done, outstanding)
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = None
+                sweep.stats.worker_crashes += 1
+                self.metrics.inc("sweep_worker_crashes")
+                items = [item for task, _ in lost for item in task]
+                if lost[0][1] is quarantine:
+                    # A quarantined spec runs alone: it is the culprit.
+                    self._emit(WorkerCrashed(lost=1, requeued=0))
+                    self._settle(sweep, items, [_CRASH], quarantine)
+                    continue
+                for item in items:
+                    queue.extend(sweep.relay.settle(item))
+                quarantine.extend(items)
+                self._emit(WorkerCrashed(lost=len(items), requeued=len(items)))
         except BaseException:
             for future in outstanding:
                 future.cancel()
@@ -911,8 +878,8 @@ class ParallelRunner:
             if reference is not None:
                 references[item[1].app] = reference
         entries = [
-            (index, spec, attempt, self._trace_path(key))
-            for index, spec, key, attempt in task
+            (spec, attempt, self._trace_path(key))
+            for _, spec, key, attempt in task
         ]
         return pool.submit(
             _run_task, entries, self.run_timeout, self.fault_hook, references
@@ -927,88 +894,91 @@ class ParallelRunner:
             initargs=(self.scale,),
         )
 
-    def _consume(
-        self, future, task, requeue, backoffs, relay, packer,
-        records, stats, wall_before,
-    ) -> bool:
-        """Settle one task's future: store its completed runs in one
-        transaction, account its failed attempts (retries return to
-        *requeue*), and release into *requeue* the specs *relay* held for
-        its output.  Returns ``True`` when the task was lost to a pool
-        crash (the caller quarantines its items)."""
-        try:
-            outcomes = future.result()
-        except (BrokenExecutor, CancelledError):
-            return True
-        except Exception as exc:  # e.g. an unpicklable payload
-            message = f"{type(exc).__name__}: {exc}"
-            for item in task:
-                requeue.extend(relay.settle(item))
-                self._dispose(
-                    item, "exception", message, stats, backoffs, requeue, exc
-                )
-            return False
-        completed, failed = [], []
-        for item, (_, status, payload, cpu, wall, output) in zip(task, outcomes):
-            stats.cpu_seconds += cpu
-            requeue.extend(relay.settle(item, output))
-            if status == "ok":
-                packer.observe(item[1], wall)
-                completed.append((item, payload, wall))
-            else:
-                failed.append((item, status, payload))
-        self._finish(records, stats, wall_before, completed)
-        for item, status, message in failed:
-            self._dispose(item, status, message, stats, backoffs, requeue)
-        return False
+    def _collect(self, sweep: _Sweep, done, outstanding: dict) -> list:
+        """Settle each finished future of *done*, taking it off
+        *outstanding*; returns the ``(task, requeue)`` pairs lost to a
+        broken pool."""
+        lost = []
+        for future in done:
+            task, requeue = outstanding.pop(future)
+            try:
+                outcomes = future.result()
+            except (BrokenExecutor, CancelledError):
+                lost.append((task, requeue))
+                continue
+            except Exception as exc:  # e.g. an unpicklable payload
+                message = f"{type(exc).__name__}: {exc}"
+                outcomes = [_Outcome("exception", message, error=exc)] * len(task)
+            self._settle(sweep, task, outcomes, requeue)
+        return lost
 
-    def _run_quarantined(
-        self, quarantine, backoffs, relay, packer, records, stats, wall_before
+    def _settle(
+        self,
+        sweep: _Sweep,
+        task: list,
+        outcomes: Sequence[_Outcome],
+        requeue: deque,
     ) -> None:
-        """Re-run one quarantined spec in a single-worker pool of its own,
-        so a repeat crash is attributable to this spec alone."""
-        item = quarantine.popleft()
-        solo = self._spawn_pool(1)
-        try:
-            # Nothing else is in flight, so nothing waits for this spec.
-            future = self._submit(solo, [item], relay)
-            if self._consume(
-                future, [item], quarantine, backoffs, relay, packer,
-                records, stats, wall_before,
-            ):
-                stats.worker_crashes += 1
-                self.metrics.inc("sweep_worker_crashes")
-                self._emit(WorkerCrashed(lost=1, requeued=0))
-                message = "worker process died while executing this spec"
-                self._dispose(item, "crash", message, stats, backoffs, quarantine)
-        except BaseException:
-            _stop_pool(solo)
-            raise
-        solo.shutdown(wait=False, cancel_futures=True)
+        """Land one batch of outcomes, one per item of *task*.
+
+        The completed runs' records are stored in one transaction, then
+        each run is accounted.  Storing first means a
+        ``KeyboardInterrupt`` raised from a progress callback never
+        leaves a counted run unstored.  The specs the relay held for an
+        error-free output in the batch go back to the main queue, and
+        each failed attempt goes to :meth:`_dispose`, which returns a
+        retry to *requeue*.
+        """
+        stats = sweep.stats
+        completed, failed = [], []
+        for item, outcome in zip(task, outcomes):
+            stats.cpu_seconds += outcome.cpu
+            sweep.queue.extend(sweep.relay.settle(item, outcome.output))
+            if outcome.status == "ok":
+                sweep.packer.observe(item[1], outcome.wall)
+                completed.append((item, outcome.payload, outcome.wall))
+            else:
+                failed.append((item, outcome))
+        if self.store is not None and completed:
+            self.store.store_many(
+                (key, spec, self.scale, record, {"wall_seconds": round(wall, 3)})
+                for (_, spec, key, _), record, wall in completed
+            )
+        for (index, spec, _, _), record, wall in completed:
+            sweep.records[index] = record
+            stats.executed += 1
+            self.metrics.inc("sweep_runs_executed", app=spec.app)
+            self.metrics.observe("sweep_run_wall_seconds", wall, app=spec.app)
+            if self.profiler is not None:
+                self.profiler.record(
+                    "run", wall, app=spec.app, seed=spec.seed, index=index
+                )
+            self._tick(sweep)
+        for item, outcome in failed:
+            self._dispose(sweep, item, outcome, requeue)
 
     def _dispose(
-        self, item, failure: str, message: str, stats, backoffs, requeue,
-        exc=None,
+        self, sweep: _Sweep, item, outcome: _Outcome, requeue: deque
     ) -> None:
         """Account one failed attempt.  Within the budget, the spec returns
-        to *requeue* with ``attempt + 1`` once its backoff has passed;
-        otherwise a :class:`FailureRecord` is filed (strict mode raises
-        :class:`SweepRunError` instead of returning)."""
+        to *requeue* at once with ``attempt + 1``; otherwise a
+        :class:`FailureRecord` is filed (strict mode raises
+        :class:`SweepRunError` instead of returning, chained to the
+        attempt's exception when it ran in this process)."""
         index, spec, key, attempt = item
+        failure, message = outcome.status, outcome.payload
         if attempt < self.retries:
-            stats.retried += 1
+            sweep.stats.retried += 1
             self.metrics.inc("sweep_run_retries", app=spec.app, failure=failure)
-            backoff = self.retry_backoff * (2**attempt)
             self._emit(
                 RunRetried(
                     app=spec.app,
                     seed=spec.seed,
                     failure=failure,
                     attempt=attempt + 1,
-                    backoff_seconds=backoff,
                 )
             )
-            backoffs.add((index, spec, key, attempt + 1), backoff, requeue)
+            requeue.append((index, spec, key, attempt + 1))
             return
         record = FailureRecord(
             index=index,
@@ -1017,8 +987,8 @@ class ParallelRunner:
             message=message,
             attempts=attempt + 1,
         )
-        stats.failed += 1
-        stats.failures.append(record)
+        sweep.stats.failed += 1
+        sweep.stats.failures.append(record)
         if self.store is not None:
             self.store.record_failure(
                 record, campaign=self.campaign, scale=self.scale, key=key
@@ -1034,30 +1004,7 @@ class ParallelRunner:
             )
         )
         if self.strict:
-            raise SweepRunError(record) from exc
-
-    def _finish(self, records, stats, wall_before, completed) -> None:
-        """Land ``(item, record, run_wall)`` completions: store their
-        records in one transaction, then account each run.  Storing first
-        means a ``KeyboardInterrupt`` raised from a progress callback
-        never leaves a counted run unstored.  ``run_wall`` is the run's
-        own elapsed time in whichever process executed it (queue wait
-        excluded) — not the sweep's cumulative wall clock."""
-        if self.store is not None and completed:
-            self.store.store_many(
-                (key, spec, self.scale, record, {"wall_seconds": round(wall, 3)})
-                for (_, spec, key, _), record, wall in completed
-            )
-        for (index, spec, _, _), record, wall in completed:
-            records[index] = record
-            stats.executed += 1
-            self.metrics.inc("sweep_runs_executed", app=spec.app)
-            self.metrics.observe("sweep_run_wall_seconds", wall, app=spec.app)
-            if self.profiler is not None:
-                self.profiler.record(
-                    "run", wall, app=spec.app, seed=spec.seed, index=index
-                )
-            self._tick(stats, wall_before)
+            raise SweepRunError(record) from outcome.error
 
     def _trace_path(self, key: str | None) -> str | None:
         """Where the run keyed *key* ships its trace (``None``: no
@@ -1070,11 +1017,12 @@ class ParallelRunner:
         if self.tracer is not None:
             self.tracer.emit(event)
 
-    def _tick(self, stats: SweepStats, wall_before: float) -> None:
+    def _tick(self, sweep: _Sweep) -> None:
         # Wall clock is refreshed on every completion — not only when a
         # progress callback is installed — so stats.summary() is never
         # stale for tracer-only or callback-less consumers.
-        stats.wall_seconds = time.perf_counter() - wall_before
+        stats = sweep.stats
+        stats.wall_seconds = time.perf_counter() - sweep.wall_before
         if self.progress is not None:
             self.progress(stats)
         self._emit(

@@ -18,6 +18,7 @@ queue-management-error class).
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -69,8 +70,10 @@ class ErrorModel:
     p_address: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.mtbe is not None and self.mtbe <= 0:
-            raise ValueError("mtbe must be positive (or None for error-free)")
+        if self.mtbe is not None and not 0 < self.mtbe < math.inf:
+            raise ValueError(
+                "mtbe must be positive and finite (or None for error-free)"
+            )
         if not 0.0 <= self.p_masked < 1.0:
             raise ValueError("p_masked must be in [0, 1)")
         total = self.p_data + self.p_control + self.p_address

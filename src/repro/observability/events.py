@@ -159,8 +159,7 @@ class RunRetried(TraceEvent):
 
     ``failure`` is the attempt's failure kind (``"exception"`` /
     ``"timeout"`` / ``"crash"``); ``attempt`` is the 1-based number of the
-    retry being dispatched; ``backoff_seconds`` is the deterministic delay
-    applied before re-dispatch (``retry_backoff * 2**n``, never jittered).
+    retry, which goes back to its queue at once.
     """
 
     kind: ClassVar[str] = "run-retried"
@@ -169,7 +168,6 @@ class RunRetried(TraceEvent):
     seed: int
     failure: str
     attempt: int
-    backoff_seconds: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +194,8 @@ class WorkerCrashed(TraceEvent):
 
     ``lost`` counts the in-flight specs whose results died with the pool;
     ``requeued`` counts how many were quarantined for isolated re-runs
-    (0 when the crash happened in an already-isolated solo pool).
+    (0 when the crash broke the quarantine's one-worker pool, whose lone
+    spec is charged the crash).
     """
 
     kind: ClassVar[str] = "worker-crashed"

@@ -209,6 +209,79 @@ class TestLoads3xData:
             spec_from_dict({**doc, "turbo": True})
 
 
+def age_options_to_4x(path) -> None:
+    """Rewrite every campaign's options document as a 4.x writer left it."""
+    conn = sqlite3.connect(path)
+    with conn:
+        rows = conn.execute("SELECT campaign, options FROM campaigns").fetchall()
+        assert rows
+        for campaign, options in rows:
+            doc = {**json.loads(options), "retry_backoff": 0.0}
+            conn.execute(
+                "UPDATE campaigns SET options=? WHERE campaign=?",
+                (json.dumps(doc, sort_keys=True), campaign),
+            )
+    conn.close()
+
+
+class TestLoads4xData:
+    """Stores, ``sweep --output`` documents and traces written by repro
+    4.x, whose engine options carry ``retry_backoff`` and whose
+    ``run-retried`` events carry ``backoff_seconds``, still load."""
+
+    def test_campaign_resumes_with_zero_executions(self, tmp_path, capsys):
+        path = tmp_path / "store.sqlite"
+        options = EngineOptions(scale=SCALE, jobs=1, store=path)
+        api.sweep("fft", mtbes="100k", seeds=3, options=options)
+        (campaign,) = RunStore(path).campaign_ids()
+        reference = SweepReport.from_store(path, campaign)
+        age_options_to_4x(path)
+        assert RunStore(path).campaign(campaign).options["retry_backoff"] == 0.0
+
+        output = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["sweep", "--store", str(path), "--resume", campaign,
+                     "--jobs", "1", "--output", str(output)]) == 0
+        assert "[sweep] 3/3 runs (3 cached)" in capsys.readouterr().out
+        assert output.read_text() == reference.to_json() + "\n"
+        assert SweepReport.from_store(path, campaign).to_json() == (
+            reference.to_json()
+        )
+
+    def test_report_renders_a_4x_sweep_document(self, tmp_path, capsys):
+        report = api.sweep(
+            "fft", ["error-free", "commguard"], mtbes="100k", seeds=2,
+            options=EngineOptions(scale=SCALE, jobs=1, cache=False),
+        )
+        current, aged = tmp_path / "current.json", tmp_path / "aged.json"
+        current.write_text(report.to_json())
+        doc = report.to_dict()
+        doc["options"]["retry_backoff"] = 0.0
+        aged.write_text(json.dumps(doc))
+        assert main(["report", str(current)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["report", str(aged)]) == 0
+        assert capsys.readouterr().out == expected
+        assert SweepReport.from_json(aged.read_text()).to_json() == (
+            report.to_json()
+        )
+
+    def test_a_run_retried_line_parses(self, tmp_path):
+        from repro.observability import RunRetried
+        from repro.observability.tracer import read_trace
+
+        line = {
+            "kind": "run-retried", "seq": 0, "app": "fft", "seed": 1,
+            "failure": "exception", "attempt": 1, "backoff_seconds": 0.0,
+        }
+        trace = tmp_path / "sweep.jsonl"
+        trace.write_text(json.dumps(line) + "\n")
+        ((_, event),) = read_trace(trace)
+        assert event == RunRetried(
+            app="fft", seed=1, failure="exception", attempt=1
+        )
+
+
 @pytest.mark.slow
 class TestSigkillResume:
     """A SIGKILLed ``repro sweep --store`` subprocess resumes cleanly."""

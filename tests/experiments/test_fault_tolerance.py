@@ -79,21 +79,6 @@ class TestRetryOnException:
             keys.append(store.keys())
         assert keys[0] == keys[1]
 
-    def test_backoff_is_deterministic_and_bounded(self):
-        runner = ParallelRunner(
-            scale=SCALE,
-            jobs=1,
-            retries=2,
-            retry_backoff=0.01,
-            fault_hook=hooks.fail_once,
-        )
-        tracer = InMemoryTracer()
-        runner.tracer = tracer
-        runner.run_specs(specs_grid(n_seeds=2))
-        (retry,) = tracer.of_kind("run-retried")
-        assert retry.backoff_seconds == 0.01  # 0.01 * 2**0, no jitter
-        assert retry.attempt == 1
-
 
 class TestRunTimeouts:
     def test_serial_timeout_preempts_and_retries(self, clean_records):
@@ -266,6 +251,59 @@ class TestFailureSemantics:
         )
         records = runner.run_specs(specs_grid(n_seeds=2))
         assert records[hooks.VICTIM_SEED] is None
+
+
+class TestOneDispatchPath:
+    """Every attempt runs through one attempt body and every outcome
+    through one settle path, in-process and in pool workers alike."""
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    @pytest.mark.parametrize(
+        "hook, run_timeout",
+        [(hooks.fail_once, None), (hooks.hang_once, 0.5)],
+        ids=["fail_once", "hang_once"],
+    )
+    def test_serial_and_pool_account_alike(self, hook, run_timeout, retries):
+        accounts = []
+        for jobs in (1, 2):
+            runner = ParallelRunner(
+                scale=SCALE, jobs=jobs, retries=retries,
+                run_timeout=run_timeout, strict=False, fault_hook=hook,
+            )
+            records = runner.run_specs(specs_grid())
+            stats = runner.last_stats
+            metrics = runner.metrics.as_dict()
+            accounts.append((
+                records,
+                stats.failures,
+                (stats.total, stats.executed, stats.cache_hits, stats.failed,
+                 stats.retried, stats.worker_crashes),
+                metrics["counters"],
+                {
+                    labels: summary["count"]
+                    for labels, summary in
+                    metrics["histograms"]["sweep_run_wall_seconds"].items()
+                },
+            ))
+        assert accounts[0] == accounts[1]
+        assert len(accounts[0][1]) == 1 - retries
+
+    def test_a_retry_goes_back_to_its_queue_at_once(self):
+        attempts = []
+
+        def hook(spec, attempt):
+            attempts.append((spec.seed, attempt))
+            hooks.fail_once(spec, attempt)
+
+        runner = ParallelRunner(scale=SCALE, jobs=1, retries=2, fault_hook=hook)
+        tracer = InMemoryTracer()
+        runner.tracer = tracer
+        runner.run_specs(specs_grid())
+        victim = hooks.VICTIM_SEED
+        assert attempts == [(0, 0), (victim, 0), (2, 0), (victim, 1)]
+        (retry,) = tracer.of_kind("run-retried")
+        assert retry.attempt == 1
+        assert "backoff_seconds" not in retry.to_dict()
 
 
 class TestInterruption:

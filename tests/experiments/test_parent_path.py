@@ -10,7 +10,6 @@ transaction — while every fault still hits only its own spec.
 
 import json
 import sqlite3
-import time
 from collections import Counter
 
 import pytest
@@ -213,35 +212,52 @@ class TestFaultsInsideATask:
         assert runner.last_stats.failed == 0
 
 
-class TestBackoffDoesNotStall:
-    def test_other_runs_land_while_the_victim_waits(self, tmp_path):
-        backoff = 0.5
-        specs = fft_grid(20, victim_at=1)
-        store = RunStore(tmp_path / "s.sqlite")
-        ticks, retried = [], []
+class TestQuarantine:
+    """Specs a crash loses together are quarantined.  Once the main grid
+    drains they re-run one at a time on a one-worker pool, respawned only
+    when a crash breaks it; the spec charged there retries there."""
 
-        class Clock:
-            def emit(self, event):
-                if event.kind == "run-retried":
-                    retried.append(time.monotonic())
+    def test_one_worker_pool_is_reused_until_a_crash(
+        self, tasks, clean_records, monkeypatch
+    ):
+        crashes, spawned, completed = [], [], [0]
+        spawn = ParallelRunner._spawn_pool
+
+        def spied_spawn(self, workers):
+            spawned.append((workers, len(crashes), completed[0]))
+            return spawn(self, workers)
 
         def progress(stats):
-            ticks.append((time.monotonic(), stats.completed, len(store)))
+            completed[0] = stats.completed
 
+        class Crashes:
+            def emit(self, event):
+                if event.kind == "worker-crashed":
+                    crashes.append(event.lost)
+
+        monkeypatch.setattr(ParallelRunner, "_spawn_pool", spied_spawn)
         runner = ParallelRunner(
-            scale=SCALE, jobs=JOBS, store=store, retries=1,
-            retry_backoff=backoff, fault_hook=hooks.fail_once,
+            scale=SCALE, jobs=JOBS, retries=1, fault_hook=hooks.crash_once,
             progress=progress,
         )
-        runner.tracer = Clock()
-        runner.run_specs(specs)
-        (retry_at,) = retried
-        # Other runs completed, and were stored, while the victim waited
-        # out its backoff; the victim landed after it.
-        assert any(retry_at < tick[0] < retry_at + backoff for tick in ticks)
-        assert all(stored >= completed for _, completed, stored in ticks)
-        assert ticks[-1][0] >= retry_at + backoff
-        assert ticks[-1][1:] == (len(specs), len(specs))
+        runner.tracer = Crashes()
+        assert runner.run_specs(GRID) == clean_records
+        # The victim's task lost several specs; re-run alone, the victim
+        # crashed again and was charged.
+        assert len(crashes) == 2 and crashes[0] > 1 and crashes[1] == 1
+        assert runner.last_stats.retried == 1
+        drained = len(GRID) - crashes[0]
+        assert spawned[0][0] == JOBS
+        quarantine = [
+            (workers, crashed) for workers, crashed, done in spawned
+            if done >= drained
+        ]
+        assert quarantine and all(workers == 1 for workers, _ in quarantine)
+        respawned_after = [crashed for _, crashed in quarantine]
+        assert respawned_after == sorted(set(respawned_after))
+        assert respawned_after[-1] == 2
+        # The victim's retry ran last, alone, on the respawned pool.
+        assert tasks["tasks"][-1] == [VICTIM]
 
 
 def per_key_status(path, campaign):

@@ -19,7 +19,9 @@ class TestErrorModel:
         assert model.p_masked == 0.80
         assert model.p_data + model.p_control + model.p_address == 1.0
 
-    @pytest.mark.parametrize("mtbe", [0, -1, -512_000])
+    @pytest.mark.parametrize(
+        "mtbe", [0, -1, -512_000, float("nan"), float("inf")]
+    )
     def test_rejects_nonpositive_mtbe(self, mtbe):
         with pytest.raises(ValueError, match="mtbe must be positive"):
             ErrorModel(mtbe=mtbe)

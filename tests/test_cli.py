@@ -23,8 +23,18 @@ class TestMtbeParsing:
     def test_rejects_nonpositive(self):
         import argparse
 
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_mtbe("0")
+        for text in ("0", "nan", "inf", "1e400"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _parse_mtbe(text)
+
+    @pytest.mark.parametrize("mtbe", ["nan", "inf", "1e400"])
+    def test_run_rejects_a_non_finite_mtbe(self, mtbe, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fft", "--protection", "ppu-only", "--mtbe", mtbe,
+                  "--scale", "0.05"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
 
 
 class TestFaultModelOption:
@@ -422,7 +432,10 @@ class TestSweepGridArguments:
     one line, nothing run and no store written."""
 
     @pytest.mark.parametrize(
-        "bad", [["--mtbe", "abc"], ["--seeds", "0"]], ids=["mtbe", "seeds"]
+        "bad",
+        [["--mtbe", "abc"], ["--seeds", "0"], ["--mtbe", "nan"],
+         ["--mtbe", "inf"], ["--mtbe", "1e400"]],
+        ids=["mtbe", "seeds", "mtbe-nan", "mtbe-inf", "mtbe-1e400"],
     )
     def test_rejected_at_parse_time(self, bad, capsys, tmp_path):
         db = tmp_path / "db.sqlite"

@@ -73,6 +73,24 @@ class TestPrebuiltApps:
             self.CUSTOM_FFT
         ]
 
+    @pytest.mark.parametrize("custom_first", [True, False])
+    def test_run_bypasses_the_store(self, tmp_path, custom_first):
+        from repro.api import EngineOptions, run
+        from repro.apps.fft_app import build_fft_app
+        from repro.experiments.store import RunStore
+
+        store = RunStore(tmp_path / "s.sqlite")
+        options = EngineOptions(scale=0.05, store=store)
+        apps = [("registry", self.REGISTRY_FFT), ("custom", self.CUSTOM_FFT)]
+        if custom_first:
+            apps.reverse()
+        for name, committed in apps:
+            app = build_fft_app(n_frames=64) if name == "custom" else "fft"
+            report = run(app, "error-free", options=options)
+            assert report.record.committed_instructions == committed
+            assert report.result is not None
+        assert len(store) == 1
+
 
 class TestRemovedIn2:
     """The spellings deprecated in 1.x are gone, not silently accepted."""
@@ -217,6 +235,33 @@ class TestRemovedIn4:
             "workset_units", "pad_word", "p_masked", "p_data", "p_control",
             "p_address", "fault_model",
         }
+
+
+class TestRemovedIn5:
+    """Retry backoff is gone: every run is seeded by its spec alone, so a
+    retry is re-dispatched at once."""
+
+    def test_retry_backoff(self):
+        import dataclasses
+
+        from repro.experiments.options import EngineOptions
+        from repro.experiments.parallel import ParallelRunner
+        from repro.observability.events import RunRetried
+
+        with pytest.raises(TypeError):
+            EngineOptions(retry_backoff=0.5)
+        with pytest.raises(TypeError):
+            ParallelRunner(retry_backoff=0.5)
+        fields = {f.name for f in dataclasses.fields(RunRetried)}
+        assert "backoff_seconds" not in fields
+
+    def test_engine_metrics_parameter(self):
+        from repro.experiments.parallel import ParallelRunner
+        from repro.observability.metrics import MetricsRegistry
+
+        with pytest.raises(TypeError):
+            ParallelRunner(metrics=MetricsRegistry())
+        assert isinstance(ParallelRunner().metrics, MetricsRegistry)
 
 
 class TestExampleScripts:

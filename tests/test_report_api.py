@@ -263,11 +263,12 @@ class TestErrorMessageGolden:
         assert "512k" in message and "1M" in message
 
     def test_mtbe_nonpositive_names_value(self):
-        with pytest.raises(ValueError) as excinfo:
-            api.parse_mtbe("-5k")
-        message = str(excinfo.value)
-        assert "'-5k'" in message
-        assert "positive" in message
+        for text in ("-5k", "nan", "inf", "1e400", float("nan"), float("inf")):
+            with pytest.raises(ValueError) as excinfo:
+                api.parse_mtbe(text)
+            message = str(excinfo.value)
+            assert repr(text) in message
+            assert "positive" in message
 
     def test_protection_names_value_and_choices(self):
         with pytest.raises(ValueError) as excinfo:
