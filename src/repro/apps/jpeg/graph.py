@@ -26,8 +26,12 @@ high (Fig. 7).
 
 The node classes are sized by the MCU's pixel region (``side`` x ``side``
 pixels), so the 4:2:0 graph of :mod:`repro.apps.jpeg.graph420` reuses them
-at 16x16.  F1, F2, F3 and F5 convert each port once per firing and run the
-codec's block kernels over all of its blocks; F6 and F7 are index gathers.
+at 16x16.  F1 to F6 override :meth:`~repro.streamit.filters.Filter.work_many`
+with span kernels.  F1, F2, F3 and F5 convert each port once per span and
+run the codec's block kernels over all of its blocks; those kernels are
+elementwise or, in F2's IDCT, one :func:`~repro.apps.jpeg.dct.inverse_dct`
+per block, so each firing's words come out bit for bit as its ``work``
+gives them.  F4 slices and F6 gathers per firing; F7 is an index gather.
 """
 
 from __future__ import annotations
@@ -115,6 +119,11 @@ class JpegDequantizer(Filter):
         coeffs = words_to_ints(inputs[0]).reshape(-1, 64)
         return [ints_to_words(dequantize_blocks(coeffs, self._tables).ravel())]
 
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        coeffs = words_to_ints(inputs[0]).reshape(-1, 64)
+        tables = np.tile(self._tables, (firings, 1))
+        return [ints_to_words(dequantize_blocks(coeffs, tables).ravel())]
+
 
 class JpegIdct(Filter):
     """F2: inverse DCT + level shift of every block, pushed to ``copies``
@@ -135,6 +144,11 @@ class JpegIdct(Filter):
         out = ints_to_words(idct_blocks(levels).ravel())
         return [out] + [out.copy() for _ in self.output_rates[1:]]
 
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        # A span's blocks are its firings' blocks back to back, and every
+        # port carries them all: ``work`` is the kernel.
+        return self.work(inputs)
+
 
 class JpegColorChannel(Filter):
     """F3R/F3G/F3B: one RGB channel of a ``side`` x ``side`` region from
@@ -153,6 +167,12 @@ class JpegColorChannel(Filter):
         ycc = words_to_ints(inputs[0]).reshape(3, -1)
         return [ints_to_words(color_channel(ycc, self.channel))]
 
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        # Each firing's Y, Cb and Cr planes, as (firings, 3, pixels).
+        ycc = words_to_ints(inputs[0]).reshape(firings, 3, -1)
+        rgb = color_channel(ycc.transpose(1, 0, 2), self.channel)
+        return [ints_to_words(rgb.ravel())]
+
 
 class JpegChannelJoiner(Filter):
     """F4: merge the R, G and B planes (64,64,64 -> 192 at 8x8)."""
@@ -169,6 +189,17 @@ class JpegChannelJoiner(Filter):
     def work(self, inputs: Batch) -> Batch:
         return [inputs[0] + inputs[1] + inputs[2]]
 
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        red, green, blue = inputs
+        pixels = self.input_rates[0]
+        joined: list[int] = []
+        for start in range(0, firings * pixels, pixels):
+            end = start + pixels
+            joined += red[start:end]
+            joined += green[start:end]
+            joined += blue[start:end]
+        return [joined]
+
 
 class JpegClamper(Filter):
     """F5: saturate every sample to the 8-bit pixel range."""
@@ -182,6 +213,10 @@ class JpegClamper(Filter):
 
     def work(self, inputs: Batch) -> Batch:
         return [ints_to_words(clamp_pixels(words_to_ints(inputs[0])))]
+
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        # Elementwise: ``work`` is the kernel.
+        return self.work(inputs)
 
 
 class JpegPixelFormatter(Filter):
@@ -199,6 +234,18 @@ class JpegPixelFormatter(Filter):
 
     def work(self, inputs: Batch) -> Batch:
         return [list(self._gather(inputs[0]))]
+
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        return [gather_each(self._gather, inputs[0], self.input_rates[0])]
+
+
+def gather_each(gather: itemgetter, words: list[int], rate: int) -> list[int]:
+    """*gather* applied to each *rate*-word firing of *words*, the results
+    back to back: the span of a filter whose firing is one gather."""
+    out: list[int] = []
+    for start in range(0, len(words), rate):
+        out += gather(words[start : start + rate])
+    return out
 
 
 class JpegRowAssembler(IntSink):

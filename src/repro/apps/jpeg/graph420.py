@@ -32,6 +32,7 @@ from repro.apps.jpeg.graph import (
     JpegParser,
     JpegPixelFormatter,
     JpegRowAssembler,
+    gather_each,
 )
 from repro.streamit.filters import Batch, Filter
 from repro.streamit.graph import StreamGraph
@@ -58,6 +59,10 @@ class Jpeg420Upsampler(Filter):
     def work(self, inputs: Batch) -> Batch:
         plane = self._gather(inputs[0])
         return [list(plane), list(plane), list(plane)]
+
+    def work_many(self, inputs: Batch, firings: int) -> Batch:
+        planes = gather_each(self._gather, inputs[0], MCU_WORDS)
+        return [planes, planes.copy(), planes.copy()]
 
 
 def build_jpeg420_graph(encoded: bytes) -> StreamGraph:

@@ -30,7 +30,7 @@ from itertools import islice
 from repro.core.header import DataUnit, header_unit, is_header_unit
 from repro.core.stats import CommGuardStats
 from repro.observability.events import QueueHighWater
-from repro.words import WORD_MASK
+from repro.words import truncate_words
 
 #: ECC set/check operations charged per full working-set handoff (Table 3).
 ECC_OPS_PER_WORKSET_HANDOFF = 10
@@ -168,12 +168,11 @@ class GuardedQueue:
         if take <= 0:
             return 0
         workset = self.geometry.workset_units
-        wm = WORD_MASK
         i = start
         end = start + take
         while i < end:
             chunk = min(workset - len(local), end - i)
-            local += [word & wm for word in words[i : i + chunk]]
+            local += truncate_words(words[i : i + chunk])
             i += chunk
             if len(local) >= workset:
                 self._publish(stats, full_handoff=True)
@@ -214,8 +213,7 @@ class GuardedQueue:
         local = self._producer_local
         workset = self.geometry.workset_units
         stride = plain + 1
-        wm = WORD_MASK
-        masked = [word & wm for word in words]
+        masked = truncate_words(words)
         span: list[DataUnit] = []
         end = 0
         for frame_id in range(first, first + frames):

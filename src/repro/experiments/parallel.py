@@ -692,8 +692,11 @@ class ParallelRunner:
         """Run every spec, in order, returning one record per spec.
 
         Completed points found in the store are not re-run.  The remainder
-        execute in-process (``jobs == 1``) or on a process pool whose
-        workers build apps once via the pool initializer.  Results are
+        execute in-process when ``jobs == 1``, and otherwise on a process
+        pool of at most one worker per pending spec, whose workers build
+        apps once via the pool initializer, so at ``jobs >= 2`` even a
+        single pending run that kills its process is a ``"crash"``
+        failure, not the end of the sweep.  Results are
         bit-identical across worker counts because every run is seeded by
         its spec alone.  *keys* are the specs' content keys at this
         engine's scale when the caller holds them (registering a campaign
@@ -756,7 +759,7 @@ class ParallelRunner:
                 with _sigterm_exits(), engine_span(
                     self.profiler, "execute", pending=len(pending), jobs=jobs
                 ):
-                    if jobs == 1 or len(pending) == 1:
+                    if jobs == 1:
                         self._run_serial(sweep)
                     else:
                         self._run_pool(sweep, jobs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from repro.observability.events import QueueHighWater
-from repro.words import WORD_MASK
+from repro.words import WORD_MASK, truncate_words
 
 #: Period of the free-running ring pointers: slot indices jump at this wrap
 #: unless the capacity divides it, so a contiguous run of slots ends there
@@ -155,7 +155,7 @@ class ReliableQueue(RawQueue):
         take = min(room, len(words) - start)
         if take <= 0:
             return 0
-        self._items += [word & WORD_MASK for word in words[start : start + take]]
+        self._items += truncate_words(words[start : start + take])
         if (occupancy := self.occupancy()) > getattr(self, "_peak", 0):
             self._peak = occupancy
         if self.wake_hub is not None:
@@ -251,9 +251,7 @@ class SoftwareQueue(RawQueue):
         while start < end:
             slot = tail % capacity
             run = min(end - start, capacity - slot, _WRAP - tail)
-            buffer[slot : slot + run] = [
-                word & WORD_MASK for word in words[start : start + run]
-            ]
+            buffer[slot : slot + run] = truncate_words(words[start : start + run])
             start += run
             tail = (tail + run) & WORD_MASK
         self.tail = tail

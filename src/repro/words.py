@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 
 import numpy as np
 
@@ -76,6 +77,28 @@ def float_array_to_words(values: np.ndarray) -> list[int]:
 def int_to_word(value: int) -> int:
     """Encode a Python int as a two's-complement 32-bit word (truncating)."""
     return value & WORD_MASK
+
+
+#: An ``array`` typecode of 4-byte unsigned items: building such an array
+#: from a list range-checks every item against ``[0, 2**32)`` in C.
+_UINT32_CODE = next(code for code in "IL" if array(code).itemsize == 4)
+
+
+def truncate_words(words: list[int]) -> list[int]:
+    """The batched :func:`int_to_word` for a list of Python ints: every
+    word truncated to 32 bits, exactly as ``word & WORD_MASK``.
+
+    Returns *words* itself when every word already lies in
+    ``[0, 2**32)``, as the words a filter returns do: one C-speed range
+    check, building an ``array`` of 4-byte unsigned items (which raises
+    :class:`OverflowError` on any other int), establishes that.  Otherwise
+    returns a new list, masked word by word.
+    """
+    try:
+        array(_UINT32_CODE, words)
+    except OverflowError:
+        return [word & WORD_MASK for word in words]
+    return words
 
 
 def word_to_int(word: int) -> int:

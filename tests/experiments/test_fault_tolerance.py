@@ -165,6 +165,32 @@ class TestWorkerCrashIsolation:
             runner.run_specs(specs_grid())
         assert runner.last_stats.failed == 1
 
+    def test_a_lone_pending_spec_crashes_its_worker_not_the_sweep(self):
+        # At jobs=2 a one-spec sweep still runs its spec in a worker.  Run
+        # in the sweeping process, the crash would end that process, so
+        # the sweep runs in a subprocess of its own.
+        sweep = textwrap.dedent(
+            f"""
+            from repro.experiments.parallel import ParallelRunner, RunSpec
+            runner = ParallelRunner(
+                scale={SCALE}, jobs=2, strict=False,
+                fault_hook="tests.experiments._fault_hooks:always_crash",
+            )
+            spec = RunSpec(app="fft", mtbe=64_000, seed={hooks.VICTIM_SEED})
+            records = runner.run_specs([spec])
+            failures = [(f.failure, f.attempts) for f in runner.last_stats.failures]
+            print(records, failures)
+            """
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+        done = subprocess.run(
+            [sys.executable, "-c", sweep],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[None] [('crash', 1)]"
+
 
 class TestFailureSemantics:
     def test_strict_raise_carries_failure_record(self):

@@ -203,6 +203,108 @@ class TestGuardedQueueBulk:
         assert queue.plain_units_behind_front_header() == 1  # up to the end
 
 
+class TestBulkPushesTruncateLikePush:
+    """Every bulk push stores the units its per-word twin stores, for any
+    int: a word outside ``[0, 2**32)`` is truncated to 32 bits on both
+    paths.  Unmasked, a word with bit 40 set would read as a frame header
+    (``HEADER_FLAG``), so no item unit may carry that bit."""
+
+    @staticmethod
+    def words(rng, mix, n):
+        """*n* words: 32-bit ones only ("in-range", what filters push), or
+        mixed with negatives, 34-bit words and words with bit 40 set."""
+        if mix == "in-range":
+            return [rng.getrandbits(32) for _ in range(n)]
+        kinds = (
+            lambda: rng.getrandbits(32),
+            lambda: -rng.randint(1, 1 << 40),
+            lambda: rng.getrandbits(34),
+            lambda: HEADER_FLAG | rng.getrandbits(32),
+        )
+        return [rng.choice(kinds)() for _ in range(n)]
+
+    @staticmethod
+    def assert_words(units):
+        assert all(type(unit) is int and 0 <= unit <= 0xFFFFFFFF for unit in units)
+
+    @pytest.mark.parametrize("mix", ["in-range", "wide"])
+    def test_reliable_push_many_equals_push(self, mix):
+        rng = random.Random(f"reliable-{mix}")
+        for _ in range(40):
+            capacity = rng.randint(1, 300)
+            reference, bulk = ReliableQueue(capacity), ReliableQueue(capacity)
+            for _ in range(6):
+                words = self.words(rng, mix, rng.randint(0, 2 * capacity))
+                start = rng.randint(0, len(words))
+                pushed = 0
+                while start + pushed < len(words) and reference.push(words[start + pushed]):
+                    pushed += 1
+                assert bulk.push_many(words, start) == pushed
+                assert bulk._items[bulk._read :] == reference._items[reference._read :]
+                self.assert_words(bulk._items)
+                limit = rng.randint(1, capacity)
+                assert bulk.pop_many(limit) == reference.pop_many(limit)
+
+    @pytest.mark.parametrize("mix", ["in-range", "wide"])
+    def test_guarded_push_items_equals_push_unit(self, mix):
+        rng = random.Random(f"push-items-{mix}")
+        for _ in range(40):
+            workset, capacity = rng.randint(1, 16), rng.randint(1, 300)
+            reference, bulk = make_guarded(workset, capacity), make_guarded(workset, capacity)
+            ref_stats, bulk_stats = CommGuardStats(), CommGuardStats()
+            for _ in range(6):
+                words = self.words(rng, mix, rng.randint(0, 2 * capacity))
+                start = rng.randint(0, len(words))
+                pushed = 0
+                while start + pushed < len(words) and reference.push_unit(
+                    item_unit(words[start + pushed]), ref_stats
+                ):
+                    pushed += 1
+                assert bulk.push_items(words, start, bulk_stats) == pushed
+                assert bulk._published[bulk._read :] == reference._published[reference._read :]
+                assert bulk._producer_local == reference._producer_local
+                self.assert_words(bulk._published + bulk._producer_local)
+                assert bulk_stats == ref_stats
+                limit = rng.randint(1, capacity)
+                assert bulk.pop_plain_items(limit, bulk_stats) == reference.pop_plain_items(
+                    limit, ref_stats
+                )
+
+    @pytest.mark.parametrize("mix", ["in-range", "wide"])
+    def test_guarded_push_frames_equals_push_unit(self, mix):
+        """``push_frames`` against its per-unit twin: per frame, the
+        header's ``push_unit``, ``flush`` and the words' ``push_unit``
+        calls (whose per-unit charges are the caller's, so only the
+        publish charges are compared)."""
+        rng = random.Random(f"push-frames-{mix}")
+        for _ in range(60):
+            workset = rng.randint(1, 12)
+            reference, bulk = make_guarded(workset, 10_000), make_guarded(workset, 10_000)
+            ref_stats, bulk_stats = CommGuardStats(), CommGuardStats()
+            for word in self.words(rng, "in-range", rng.randint(0, workset - 1)):
+                reference.push_unit(item_unit(word), ref_stats)
+                bulk.push_unit(item_unit(word), bulk_stats)
+            first, frames, plain = rng.randint(0, 99), rng.randint(1, 6), rng.randint(1, 20)
+            words = self.words(rng, mix, frames * plain)
+            for frame in range(frames):
+                reference.push_unit(header_unit(first + frame), ref_stats)
+                reference.flush(ref_stats)
+                for word in words[frame * plain : (frame + 1) * plain]:
+                    reference.push_unit(item_unit(word), ref_stats)
+            bulk.push_frames(first, frames, words, plain, bulk_stats)
+            assert bulk._published == reference._published
+            assert bulk._producer_local == reference._producer_local
+            assert list(bulk._header_offsets) == list(reference._header_offsets)
+            assert bulk.peak_units == reference.peak_units
+            assert (bulk_stats.qm_get_new_workset, bulk_stats.ecc_ops) == (
+                ref_stats.qm_get_new_workset, ref_stats.ecc_ops
+            )
+            units = bulk._published + bulk._producer_local
+            headers = [header_unit(first + frame) for frame in range(frames)]
+            assert [unit for unit in units if unit & HEADER_FLAG] == headers
+            self.assert_words([unit for unit in units if not unit & HEADER_FLAG])
+
+
 def guarded_am(units):
     """An AM over a queue holding *units* (all published)."""
     queue = make_guarded(workset=4, capacity=256)
