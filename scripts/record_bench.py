@@ -128,8 +128,8 @@ def replay_rows() -> list[dict]:
     """Per protection level of the sweep-jpeg grid, run in order through
     one runner: runs, runs replayed, and the mean host ms of a replayed
     and of a simulated ``run_spec`` call (machine build, run or replay,
-    and scoring).  Replays are counted by wrapping
-    ``MulticoreSystem._replay``, which reports whether a run replayed."""
+    and the record).  Replays are counted by wrapping
+    ``MulticoreSystem._certify``, which reports whether a run replays."""
     runner = SimulationRunner(scale=REPLAY_SCALE)
     runner.app("jpeg")  # build once, outside the timed region
     specs = [RunSpec("jpeg", ProtectionLevel.ERROR_FREE)]
@@ -144,15 +144,15 @@ def replay_rows() -> list[dict]:
         for seed in range(REPLAY_SEEDS)
     ]
     replayed = False
-    original = MulticoreSystem._replay
+    original = MulticoreSystem._certify
 
-    def counted(system, quiet, result):
+    def counted(system, quiet):
         nonlocal replayed
-        replayed = original(system, quiet, result)
+        replayed = original(system, quiet)
         return replayed
 
     times: dict[ProtectionLevel, dict[bool, list[float]]] = {}
-    MulticoreSystem._replay = counted
+    MulticoreSystem._certify = counted
     try:
         for spec in specs:
             replayed = False
@@ -162,7 +162,7 @@ def replay_rows() -> list[dict]:
             level = times.setdefault(spec.protection, {True: [], False: []})
             level[replayed].append(elapsed_ms)
     finally:
-        MulticoreSystem._replay = original
+        MulticoreSystem._certify = original
 
     rows = []
     for protection, by_replay in times.items():

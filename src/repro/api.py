@@ -369,9 +369,12 @@ def run(
     deserialized one — and an executed run is persisted to the store
     with provenance.  Only a named store is used: ``options.cache``
     does not select the default one here, so a plain ``run()`` always
-    simulates and returns its raw result.  A prebuilt *app* bypasses
-    the store, as :func:`sweep` does: the store keys a point by the
-    registry app of its name, which is not the app handed.
+    simulates and returns its raw result.  A store opened from a path is
+    closed before this returns; a
+    :class:`~repro.experiments.store.RunStore` handed in stays open.  A
+    prebuilt *app* bypasses the store, as :func:`sweep` does: the store
+    keys a point by the registry app of its name, which is not the app
+    handed.
 
     ``profile`` takes a :class:`~repro.observability.ProfileSession`: the
     run records its simulated-time timeline into ``profile.sim`` and its
@@ -426,33 +429,37 @@ def run(
         fault_model=fault.canonical(),
     )
     store = None if isinstance(app, BenchmarkApp) else RunStore.coerce(opts.store)
-    key = spec.content_key(scale) if store is not None else None
-    # A store hit has no trace and no timeline: traced and profiled runs
-    # always execute.
-    if store is not None and trace is None and profile is None:
-        cached = store.load(key)
-        if cached is not None:
-            return RunReport(
-                spec=spec,
-                record=cached,
-                result=None,
-                app=bench,
-            )
-    engine = profile.engine if profile is not None else None
     try:
-        with engine_span(
-            engine, "run", app=bench.name, protection=level.value, seed=seed
-        ):
-            record, result = runner.run_spec(
-                spec,
-                tracer=tracer,
-                profiler=profile.sim if profile is not None else None,
-            )
+        key = spec.content_key(scale) if store is not None else None
+        # A store hit has no trace and no timeline: traced and profiled runs
+        # always execute.
+        if store is not None and trace is None and profile is None:
+            cached = store.load(key)
+            if cached is not None:
+                return RunReport(
+                    spec=spec,
+                    record=cached,
+                    result=None,
+                    app=bench,
+                )
+        engine = profile.engine if profile is not None else None
+        try:
+            with engine_span(
+                engine, "run", app=bench.name, protection=level.value, seed=seed
+            ):
+                record, result = runner.run_spec(
+                    spec,
+                    tracer=tracer,
+                    profiler=profile.sim if profile is not None else None,
+                )
+        finally:
+            if owned is not None:
+                owned.close()
+        if store is not None:
+            store.store(key, spec, scale, record, provenance={"entry": "api.run"})
     finally:
-        if owned is not None:
-            owned.close()
-    if store is not None:
-        store.store(key, spec, scale, record, provenance={"entry": "api.run"})
+        if store is not None and store is not opts.store:
+            store.close()
     return RunReport(
         spec=spec,
         record=record,
@@ -725,14 +732,19 @@ class SweepReport:
         the campaign *began* with and ``stats`` is ``None`` (execution
         timing is not part of what was computed), so the document is
         deterministic: a store-resumed campaign and an uninterrupted one
-        serialize byte-identically.
+        serialize byte-identically.  A *store* given as a path is closed
+        before this returns; a :class:`RunStore` handed in stays open.
         """
-        store = RunStore.coerce(store)
-        status = store.campaign(campaign)
-        records = store.load_many(status.keys)
-        failures = store.failures_for(
-            key for key in status.keys if key not in records
-        )
+        opened = RunStore.coerce(store)
+        try:
+            status = opened.campaign(campaign)
+            records = opened.load_many(status.keys)
+            failures = opened.failures_for(
+                key for key in status.keys if key not in records
+            )
+        finally:
+            if opened is not store:
+                opened.close()
         points = []
         for position, (spec, key) in enumerate(zip(status.specs, status.keys)):
             record = records.get(key)
@@ -889,8 +901,10 @@ def sweep(
     a deterministic id derived from the specs when ``campaign=None``),
     completed points become store hits on a rerun, and
     :meth:`SweepReport.from_store` rebuilds the byte-exact report later.
-    The in-process path (``collect_results=True`` or a prebuilt app)
-    ignores the store — raw results are not persistable.
+    A store this call opens (from a path or the default) is closed before
+    it returns; a :class:`~repro.experiments.store.RunStore` handed in
+    stays open.  The in-process path (``collect_results=True`` or a
+    prebuilt app) ignores the store — raw results are not persistable.
     """
     options = options or EngineOptions()
     scale = options.scale if options.scale is not None else 1.0
@@ -931,10 +945,14 @@ def sweep(
         metric=bench.metric,
         profiler=engine,
     )
-    with engine_span(
-        engine, "sweep", app=bench.name, points=len(specs), jobs=options.jobs
-    ):
-        records = runner.run_specs(specs, keys)
+    try:
+        with engine_span(
+            engine, "sweep", app=bench.name, points=len(specs), jobs=options.jobs
+        ):
+            records = runner.run_specs(specs, keys)
+    finally:
+        if runner.store is not None and runner.store is not options.store:
+            runner.store.close()
     return SweepReport.from_records(
         bench, specs, records, runner.last_stats, options
     )

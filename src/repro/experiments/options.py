@@ -125,16 +125,25 @@ def build_engine(
     registration and *campaign* stamps the rows as given.  The engine's
     ``campaign`` attribute is the id in use (``None`` without a named
     store).  *progress* and *profiler* pass through to the engine.
+
+    A store opened here (from a path or the default) belongs to the
+    caller, which closes ``engine.store`` when done with it; one that
+    fails to register the grid is closed before the error propagates.
     """
     store = options.batch_store()
     if store is None or options.store is None:
         campaign = None
     elif specs is not None:
         campaign = campaign or derive_campaign_id(specs, scale, keys)
-        store.begin_campaign(
-            campaign, specs, scale, app=app, metric=metric,
-            options=options.to_dict(), keys=keys,
-        )
+        try:
+            store.begin_campaign(
+                campaign, specs, scale, app=app, metric=metric,
+                options=options.to_dict(), keys=keys,
+            )
+        except BaseException:
+            if store is not options.store:
+                store.close()
+            raise
     return ParallelRunner(
         scale=scale,
         jobs=options.jobs,

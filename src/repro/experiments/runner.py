@@ -2,9 +2,9 @@
 
 Caches built apps (codec encoding and graph construction are the expensive
 parts) and each protection level's quiet run (a run no unmasked error
-reached, which a masked run replays instead of simulating), and packages
-each run's measurements into a flat :class:`RunRecord` the paper targets
-and sweeps aggregate.
+reached, which a masked run replays instead of simulating) with its record,
+and packages each run's measurements into a flat :class:`RunRecord` the
+paper targets and sweeps aggregate.
 
 The runner executes frozen :class:`~repro.experiments.parallel.RunSpec`
 descriptions (:meth:`run_spec` / :meth:`execute_spec`), the unit of work
@@ -23,9 +23,10 @@ import numpy as np
 
 from repro.apps.base import BenchmarkApp
 from repro.apps.registry import build_app
+from repro.machine.faults import default_error_model
 from repro.machine.protection import ProtectionLevel
 from repro.machine.runstats import RunResult
-from repro.machine.system import run_program
+from repro.machine.system import MulticoreSystem
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +58,7 @@ class SimulationRunner:
     """Runs benchmark apps under experiment configurations, caching apps.
 
     The one executor: :meth:`run_spec` is where every entry point's run
-    reaches :func:`~repro.machine.system.run_program` and becomes a
+    reaches :class:`~repro.machine.system.MulticoreSystem` and becomes a
     :class:`RunRecord`.
     """
 
@@ -66,8 +67,10 @@ class SimulationRunner:
         self._apps: dict[str, BenchmarkApp] = {}
         #: Error-free outputs adopted before their app was built here.
         self._references: dict[str, np.ndarray] = {}
-        #: (app, protection, CommGuard config) -> that level's quiet run.
+        #: (app, protection, CommGuard config) -> that level's quiet run,
+        #: and the record it produced.
         self._quiet_runs: dict[tuple, RunResult] = {}
+        self._quiet_records: dict[tuple, RunRecord] = {}
 
     def app(self, name: str) -> BenchmarkApp:
         if name not in self._apps:
@@ -110,10 +113,14 @@ class SimulationRunner:
         CommGuard config) level that no unmasked error reached becomes
         the level's quiet run.  A later run of the level replays it
         without simulating when its injectors certify that every arrival
-        it would see is masked (:meth:`MulticoreSystem.run
-        <repro.machine.system.MulticoreSystem.run>`), with the same
-        record and result.  The fault model and the mix overrides are not
-        in the level: they change nothing a masked arrival reaches.
+        it would see is masked (:meth:`MulticoreSystem.build
+        <repro.machine.system.MulticoreSystem.build>`), with the same
+        record and result.  Its record is the quiet run's record with
+        this run's ``mtbe``, ``seed`` and ``errors_injected``: every other
+        field is a function of the outputs, thread counters and ``hung``
+        the two runs share, so a replay decodes and scores nothing.  The
+        fault model and the mix overrides are not in the level: they
+        change nothing a masked arrival reaches.
         """
         from repro.observability.tracer import coerce_tracer
 
@@ -121,40 +128,38 @@ class SimulationRunner:
         config = spec.commguard_config()
         level = (spec.app, spec.protection, config)
         quiet = self._quiet_runs.get(level)
+        error_model = spec.error_model()
+        if error_model is None and spec.protection.injects_errors:
+            error_model = default_error_model(spec.fault_model, spec.mtbe)
         tracer, owned = coerce_tracer(tracer)
         try:
-            result = run_program(
+            system = MulticoreSystem.build(
                 app.program,
                 spec.protection,
-                mtbe=spec.mtbe,
+                error_model=error_model,
                 seed=spec.seed,
                 commguard_config=config,
-                error_model=spec.error_model(),
                 tracer=tracer,
                 fault_model=spec.fault_model,
                 profiler=profiler,
                 quiet=quiet,
             )
+            result = system.run()
         finally:
             if owned is not None:
                 owned.close()
-        if (
-            quiet is None
-            and tracer is None
-            and profiler is None
-            and not result.errors_by_kind
-        ):
-            # The caller owns *result*; the memo keeps its own copy of
-            # what a replay reads.
-            self._quiet_runs[level] = replace(
+        mtbe = None if spec.protection is ProtectionLevel.ERROR_FREE else spec.mtbe
+        if system.replays:
+            record = self._quiet_records[level]
+            return (
+                replace(
+                    record,
+                    mtbe=mtbe,
+                    seed=spec.seed,
+                    errors_injected=result.errors_injected,
+                    subop_ratios=dict(record.subop_ratios),
+                ),
                 result,
-                errors_by_kind={},
-                outputs={name: list(words) for name, words in result.outputs.items()},
-                thread_counters={
-                    name: counters.copy()
-                    for name, counters in result.thread_counters.items()
-                },
-                queue_peaks=dict(result.queue_peaks),
             )
         if spec.protection is ProtectionLevel.ERROR_FREE:
             app.adopt_error_free_output(app.output_signal(result))
@@ -164,7 +169,7 @@ class SimulationRunner:
         record = RunRecord(
             app=spec.app,
             protection=spec.protection,
-            mtbe=None if spec.protection is ProtectionLevel.ERROR_FREE else spec.mtbe,
+            mtbe=mtbe,
             seed=spec.seed,
             frame_scale=spec.frame_scale,
             quality_db=app.quality(result),
@@ -182,6 +187,27 @@ class SimulationRunner:
             subop_ratios=result.subop_ratios(total),
             hung=result.hung,
         )
+        if (
+            quiet is None
+            and tracer is None
+            and profiler is None
+            and not result.errors_by_kind
+        ):
+            # The caller owns *result* and *record*; the memo keeps its own
+            # copies of what a replay reads.
+            self._quiet_runs[level] = replace(
+                result,
+                errors_by_kind={},
+                outputs={name: list(words) for name, words in result.outputs.items()},
+                thread_counters={
+                    name: counters.copy()
+                    for name, counters in result.thread_counters.items()
+                },
+                queue_peaks=dict(result.queue_peaks),
+            )
+            self._quiet_records[level] = replace(
+                record, subop_ratios=dict(record.subop_ratios)
+            )
         return record, result
 
     def execute_spec(self, spec, tracer=None) -> RunRecord:

@@ -7,6 +7,10 @@ partitions nodes onto cores, instantiates the per-edge queue backends
 queues), wires the CommGuard modules when enabled, and creates one
 :class:`~repro.machine.thread.NodeThread` per node.
 
+A build handed its level's quiet run certifies first: when no unmasked
+error can reach the run, the machine gets its cores and injectors only,
+and :meth:`MulticoreSystem.run` replays the quiet run.
+
 The run loop (see :mod:`repro.machine.scheduler`) lets each thread run
 until it blocks, in virtual round-robin sweeps that step only the threads
 a queue operation could have unblocked.  A sweep in which nothing
@@ -80,7 +84,12 @@ class SystemConfig:
 
 
 class MulticoreSystem:
-    """A built, runnable machine instance (single use: build, run, inspect)."""
+    """A built, runnable machine instance (single use: build, run, inspect).
+
+    A machine that replays its level's quiet run (:attr:`replays`) holds
+    only its cores, their injectors and the partition's node-to-core
+    assignment: no queue, thread or CommGuard.
+    """
 
     def __init__(
         self,
@@ -104,8 +113,18 @@ class MulticoreSystem:
         self.profiler = profiler
         #: qid -> queue backend, for occupancy collection (set by build()).
         self._queues: dict[int, object] = {}
-        #: The level's quiet run this run may replay (set by build()).
+        #: node -> core id (set by build()).
+        self._assignment: dict = {}
+        #: The quiet run this machine replays and each core's masked
+        #: arrivals before its final clock in it (set by _certify()).
         self._quiet: RunResult | None = None
+        self._masked: list[int] = []
+
+    @property
+    def replays(self) -> bool:
+        """Whether :meth:`run` replays the level's quiet run instead of
+        simulating: :meth:`build` certified every core."""
+        return self._quiet is not None
 
     # -- construction -------------------------------------------------------------
 
@@ -144,9 +163,10 @@ class MulticoreSystem:
         ``quiet`` is optionally the level's *quiet run*: a fast, untraced
         run of the same program, protection, CommGuard config and machine
         config that no unmasked error reached (its ``errors_by_kind`` is
-        empty).  :meth:`run` replays it when every core's injector
-        certifies that all of this run's arrivals are masked (see
-        :meth:`run`); it is read, never mutated.
+        empty).  The injectors are built first, and when every one
+        certifies that all of this run's arrivals are masked
+        (:meth:`_certify`), the machine is left unwired and :meth:`run`
+        replays *quiet*; it is read, never mutated.
         """
         config = system_config or SystemConfig()
         if quiet is not None and (
@@ -166,13 +186,17 @@ class MulticoreSystem:
             raise ValueError(f"protection {protection} requires an error model")
 
         graph = program.graph
-        graph.reset()
         assignment = partition_graph(graph, config.n_cores, program.frames)
-        injectors = {
-            core_id: build_injector(fault, error_model, seed, core_id, tracer)
+        cores = [
+            SimCore(core_id, build_injector(fault, error_model, seed, core_id, tracer))
             for core_id in range(config.n_cores)
-        }
+        ]
+        system = cls(program, protection, cores, config, tracer=tracer, profiler=profiler)
+        system._assignment = assignment
+        if quiet is not None and system._certify(quiet):
+            return system
 
+        graph.reset()
         guarded = protection.uses_commguard
         raw_queues: dict[int, RawQueue] = {}
         guarded_queues: dict[int, GuardedQueue] = {}
@@ -203,7 +227,6 @@ class MulticoreSystem:
                 raw.qid = edge.qid
                 raw.profiler = profiler
 
-        cores = [SimCore(core_id, injectors[core_id]) for core_id in range(config.n_cores)]
         all_queues: dict[int, object] = dict(guarded_queues or raw_queues)
         for node in graph.nodes:
             in_edges = graph.in_edges(node)
@@ -251,52 +274,22 @@ class MulticoreSystem:
                 # Track order = build order, deterministic per program.
                 profiler.register_thread(node.name, thread.plan.describe())
             core.threads.append(thread)
-        system = cls(program, protection, cores, config, tracer=tracer, profiler=profiler)
         system._queues = all_queues
-        system._quiet = quiet
         return system
 
-    # -- execution ------------------------------------------------------------------
-
-    def run(self) -> RunResult:
-        """Execute to completion; always terminates (timeouts guarantee it).
-
-        The loop itself lives in :mod:`repro.machine.scheduler`.  A run
-        built with a quiet run replays it instead when no unmasked error
-        can reach it (:meth:`_replay`); either way the result is collected
-        by :meth:`_collect`.
-        """
-        result = RunResult(
-            frame_stall_cycles=self.config.frame_stall_cycles,
-            header_transfer_cycles=self.config.header_transfer_cycles,
-        )
-        quiet = self._quiet
-        if quiet is not None and self._replay(quiet, result):
-            peaks = quiet.queue_peaks
-        else:
-            threads = [t for core in self.cores for t in core.threads]
-            EventScheduler().run(self, threads, result)
-            peaks = {qid: _peak(queue) for qid, queue in self._queues.items()}
-        self._collect(result, peaks)
-        return result
-
-    def _replay(self, quiet: RunResult, result: RunResult) -> bool:
-        """Put the machine in *quiet*'s end state, if every core's injector
+    def _certify(self, quiet: RunResult) -> bool:
+        """Whether this run replays *quiet*: every core's injector
         certifies that each arrival before the core's final clock in
-        *quiet* is masked (:meth:`ErrorInjector.masked_arrivals`); return
-        whether it did.
+        *quiet* is masked (:meth:`ErrorInjector.masked_arrivals`).
 
         A masked arrival changes only the injector's counters and emits no
         event, so its firing runs its quiet body word for word, and the
         precise firing a window holding an arrival forces equals the quiet
         span it replaces (fast == precise).  Such a run therefore has
         *quiet*'s firings, sweeps, forced unblocks, queue peaks, outputs
-        and core clocks; only its error counters differ.  The end state is
-        this run's error counters, fresh copies of *quiet*'s thread
-        counters and sink outputs, and its scheduler results.  Declined
-        under a tracer, a profiler or ``exec_mode="precise"``, as the fast
-        paths decline, so traces and timelines always come from a
-        simulation.
+        and core clocks; only its error counters differ.  Declined under a
+        tracer, a profiler or ``exec_mode="precise"``, as the fast paths
+        decline, so traces and timelines always come from a simulation.
         """
         if (
             self.tracer is not None
@@ -304,33 +297,84 @@ class MulticoreSystem:
             or self.config.exec_mode != "fast"
         ):
             return False
-        arrivals = []
+        masked = []
         for core, clock in zip(self.cores, quiet.core_clocks):
             count = core.injector.masked_arrivals(clock)
             if count is None:
                 return False
-            arrivals.append(count)
-        for core, clock, count in zip(self.cores, quiet.core_clocks, arrivals):
+            masked.append(count)
+        self._quiet, self._masked = quiet, masked
+        return True
+
+    # -- execution ------------------------------------------------------------------
+
+    def run(self) -> RunResult:
+        """Execute to completion; always terminates (timeouts guarantee it).
+
+        The loop itself lives in :mod:`repro.machine.scheduler`.  A machine
+        that :attr:`replays` takes its quiet run's end state instead
+        (:meth:`_replay`); either way the result is collected by
+        :meth:`_collect`.
+        """
+        result = RunResult(
+            frame_stall_cycles=self.config.frame_stall_cycles,
+            header_transfer_cycles=self.config.header_transfer_cycles,
+        )
+        if self._quiet is not None:
+            threads, outputs, peaks = self._replay(result)
+        else:
+            EventScheduler().run(
+                self, [t for core in self.cores for t in core.threads], result
+            )
+            threads = [
+                [(thread.node.name, thread.counters) for thread in core.threads]
+                for core in self.cores
+            ]
+            outputs = {
+                node.name: node.collected
+                for node in self.program.graph.sinks()
+                if isinstance(node, IntSink)
+            }
+            peaks = {qid: _peak(queue) for qid, queue in self._queues.items()}
+        self._collect(result, threads, outputs, peaks)
+        return result
+
+    def _replay(self, result: RunResult) -> tuple[list, dict, dict]:
+        """Put the injectors in the quiet run's end state plus this run's
+        masked arrivals, give *result* its scheduler results, and return
+        what :meth:`_collect` reads: fresh copies of each core's thread
+        counters (in build order) and of the sink outputs, and the queue
+        peaks."""
+        quiet = self._quiet
+        for core, clock, count in zip(self.cores, quiet.core_clocks, self._masked):
             injector = core.injector
             injector.clock = clock
             injector.errors_injected += count
             injector.errors_masked += count
-            for thread in core.threads:
-                thread.counters = quiet.thread_counters[thread.node.name].copy()
-        for node in self.program.graph.sinks():
-            if isinstance(node, IntSink):
-                node.collected = list(quiet.outputs[node.name])
+        threads: list[list] = [[] for _ in self.cores]
+        for node in self.program.graph.nodes:
+            threads[self._assignment[node]].append(
+                (node.name, quiet.thread_counters[node.name].copy())
+            )
         result.sweeps = quiet.sweeps
         result.hung = quiet.hung
         result.forced_unblocks = quiet.forced_unblocks
-        return True
+        outputs = {name: list(words) for name, words in quiet.outputs.items()}
+        return threads, outputs, quiet.queue_peaks
 
-    def _collect(self, result: RunResult, peaks: dict[int, int]) -> None:
-        """Publish the machine's counters and the per-edge queue *peaks*
-        into the result's metrics registry and derive the legacy scalar
-        aggregates from it."""
+    def _collect(
+        self,
+        result: RunResult,
+        threads: list[list],
+        outputs: dict[str, list[int]],
+        peaks: dict[int, int],
+    ) -> None:
+        """Publish the injectors' counters, each core's *threads* (``(name,
+        counters)`` pairs), the sink *outputs* and the per-edge queue
+        *peaks* into the result and its metrics registry, and derive the
+        legacy scalar aggregates from it."""
         metrics = result.metrics
-        for core in self.cores:
+        for core, core_threads in zip(self.cores, threads):
             injector = core.injector
             # The default bit_flip model keeps the legacy unlabelled
             # encoding (bit-identical RunResults); other models carry
@@ -361,10 +405,9 @@ class MulticoreSystem:
                     kind=kind.value,
                     **model_label,
                 )
-            for thread in core.threads:
-                name = thread.node.name
-                result.thread_counters[name] = thread.counters
-                cg = thread.counters.commguard
+            for name, counters in core_threads:
+                result.thread_counters[name] = counters
+                cg = counters.commguard
                 for series, value in (
                     ("pads", cg.pads),
                     ("discarded_items", cg.discarded_items),
@@ -375,9 +418,7 @@ class MulticoreSystem:
                 ):
                     if value:
                         metrics.inc(series, value, thread=name, core=core.core_id)
-        for node in self.program.graph.sinks():
-            if isinstance(node, IntSink):
-                result.outputs[node.name] = node.collected
+        result.outputs = outputs
         for qid, peak in peaks.items():
             metrics.set_gauge("queue_peak_units", peak, qid=qid)
         # Derived scalar views (kept as plain fields for existing consumers).

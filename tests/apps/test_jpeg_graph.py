@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.apps.base import words_to_ints
 from repro.apps.jpeg import build_jpeg_app, codec
 from repro.apps.jpeg.codec import (
     assemble_y16,
@@ -221,6 +222,26 @@ class TestBatchedKernels:
     full-range words, for 3-block (4:4:4) and 6-block (4:2:0) MCUs."""
 
     FIRINGS = 20
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [],
+            [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0xFFFFFF80],
+            [-1, -(2**31), -(2**31) - 1, -(2**40), 3],
+            [2**32, 2**32 + 1, 2**33 - 1, 0x1_8000_0000, 7],
+            [1 << 40, (1 << 40) | 0x8000_0001, (1 << 40) - 1, 5],
+        ],
+        ids=["empty", "in-range", "negative", "wide", "bit-40"],
+    )
+    def test_words_to_ints(self, words):
+        # The kernels' word decoder: one range-checked pass for 32-bit
+        # words, the masked path for any other int.
+        rng = random.Random(f"words-{len(words)}")
+        for batch in (words, _words(rng, 960) + words):
+            got = words_to_ints(batch)
+            assert got.dtype == np.int64
+            assert got.tolist() == [word_to_int(w) for w in batch]
 
     def test_dequantizer(self, header):
         rng = random.Random(f"f1-{header.subsampling}")

@@ -1,12 +1,12 @@
 """Counts error-free simulations per app, in the parent and every worker.
 
 The underscore prefix keeps pytest from collecting this module.  The spy
-wraps the two callers of ``run_program`` — the executor
+wraps ``MulticoreSystem.build``, which both the executor
 (``repro.experiments.runner``) and the lazy reference
-(``repro.apps.base``) — and appends the app's name to the file named by
-``$REPRO_ERROR_FREE_SPY`` for every ``ERROR_FREE`` run, one line each, so
-every process counts into the same file.  It names an app by the program
-the executor built for it.
+(``repro.apps.base``, through ``run_program``) call once per run, and
+appends the app's name to the file named by ``$REPRO_ERROR_FREE_SPY``
+for every ``ERROR_FREE`` run, one line each, so every process counts into
+the same file.  It names an app by the program the executor built for it.
 
 Install it in the test process with :func:`install` (passing
 ``monkeypatch.setattr``) and in pool workers by replacing
@@ -19,10 +19,10 @@ import os
 from collections import Counter
 from pathlib import Path
 
-import repro.apps.base as base
 import repro.experiments.parallel as parallel
 import repro.experiments.runner as runner
 from repro.machine.protection import ProtectionLevel
+from repro.machine.system import MulticoreSystem
 
 ENV = "REPRO_ERROR_FREE_SPY"
 
@@ -40,24 +40,23 @@ def _spied_build(build_app):
     return spied
 
 
-def _spied_run(run_program):
-    def spied(program, protection, *args, **kwargs):
+def _spied_machine_build(build):
+    def spied(cls, program, protection, *args, **kwargs):
         if protection is ProtectionLevel.ERROR_FREE:
             with open(os.environ[ENV], "a") as log:
                 log.write(f"{_names.get(id(program), '?')}\n")
-        return run_program(program, protection, *args, **kwargs)
+        return build(program, protection, *args, **kwargs)
 
     spied.error_free_spy = True
-    return spied
+    return classmethod(spied)
 
 
 def install(setattr=setattr) -> None:
-    """Wrap the callers in this process (once)."""
-    if getattr(runner.run_program, "error_free_spy", False):
+    """Wrap the builds in this process (once)."""
+    if getattr(MulticoreSystem.build, "error_free_spy", False):
         return
     setattr(runner, "build_app", _spied_build(runner.build_app))
-    setattr(runner, "run_program", _spied_run(runner.run_program))
-    setattr(base, "run_program", _spied_run(base.run_program))
+    setattr(MulticoreSystem, "build", _spied_machine_build(MulticoreSystem.build))
 
 
 def init_worker(scale: float) -> None:

@@ -4,16 +4,17 @@ level's quiet run instead of simulating, and must equal the simulation.
 A masked arrival changes only the injector's error counters, so a run no
 unmasked error reaches computes what its (app, protection, CommGuard
 config) level computes with no error process.  ``SimulationRunner``
-keeps each level's first such run (its *quiet run*) and hands it to
-``run_program``; ``MulticoreSystem.run`` replays it when every core's
-injector certifies, with ``ErrorInjector.masked_arrivals``, that each
-arrival before the core's final clock is masked.  These tests hold the
-replay to the simulation it skips: records and ``RunResult`` fields
-(``core_clocks`` and the Prometheus bytes of the metrics included) equal
-``run_program`` with no quiet run, over every app, level and fault model;
-a spy proves the replays happen; the certification primitive is checked
-against a twin injector fed the same windows; and traced, profiled and
-precise runs always simulate.
+keeps each level's first such run (its *quiet run*) and its record, and
+hands the run to ``MulticoreSystem.build``, which certifies, with
+``ErrorInjector.masked_arrivals``, that each arrival before every core's
+final clock is masked; a certified machine gets no queue, thread or
+CommGuard, and ``MulticoreSystem.run`` replays the quiet run.  These
+tests hold the replay to the simulation it skips: records and
+``RunResult`` fields (``core_clocks`` and the Prometheus bytes of the
+metrics included) equal a run with no quiet run, over every app, level
+and fault model; a spy proves the replays happen; the certification
+primitive is checked against a twin injector fed the same windows; and
+traced, profiled and precise runs always simulate.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import multiprocessing
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +30,8 @@ from hypothesis import strategies as st
 
 from repro.api import EngineOptions, sweep
 from repro.apps import APP_BUILDERS
+from repro.core.guard import CommGuard
+from repro.core.queue_manager import GuardedQueue
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import SimulationRunner
 from repro.experiments.sweeps import MTBE_LADDER_QUALITY
@@ -43,8 +47,10 @@ from repro.machine.faults import (
     register_fault_model,
 )
 from repro.machine.protection import ProtectionLevel
+from repro.machine.queues import ReliableQueue, SoftwareQueue
 from repro.machine.runstats import RunResult
 from repro.machine.system import MulticoreSystem, SystemConfig, run_program
+from repro.machine.thread import NodeThread
 from repro.observability import JsonlTracer
 from repro.observability.profile import SimProfiler
 
@@ -85,23 +91,23 @@ def snapshot(result: RunResult) -> dict:
 
 @pytest.fixture
 def replays(monkeypatch):
-    """The outcome of every replay attempt ``MulticoreSystem.run`` makes
-    in this process (True: replayed)."""
+    """The outcome of every certification ``MulticoreSystem.build`` makes
+    in this process (True: the run replays)."""
     outcomes: list[bool] = []
-    original = MulticoreSystem._replay
+    original = MulticoreSystem._certify
 
-    def spy(self, quiet, result):
-        replayed = original(self, quiet, result)
+    def spy(self, quiet):
+        replayed = original(self, quiet)
         outcomes.append(replayed)
         return replayed
 
-    monkeypatch.setattr(MulticoreSystem, "_replay", spy)
+    monkeypatch.setattr(MulticoreSystem, "_certify", spy)
     return outcomes
 
 
 def simulate(runner: SimulationRunner, spec: RunSpec):
     """*spec* run through *runner* with no quiet run: the memo is emptied
-    first, so ``run_program`` gets ``quiet=None``."""
+    first, so ``MulticoreSystem.build`` gets ``quiet=None``."""
     runner._quiet_runs.clear()
     return runner.run_spec(spec)
 
@@ -222,6 +228,21 @@ class TestReplayEqualsSimulation:
         assert replays == [True, True]
         assert snapshot(third) == want
 
+    def test_a_mutated_record_does_not_reach_the_next_replay(self, replays):
+        spec = RunSpec("fft", ProtectionLevel.COMMGUARD, mtbe=8_192_000)
+        runner = SimulationRunner(scale=SCALE)
+        want = simulate(SimulationRunner(scale=SCALE), spec)[0]
+        first = runner.run_spec(spec)[0]  # simulated: the level's quiet run
+        second = runner.run_spec(dataclasses.replace(spec, seed=1))[0]
+        assert replays == [True]
+        for record in (first, second):
+            for name in record.subop_ratios:
+                record.subop_ratios[name] += 1.0
+            record.subop_ratios["extra"] = 0.0
+        third = runner.run_spec(spec)[0]
+        assert replays == [True, True]
+        assert third == want
+
 
 class TestNoReplayWhereNoneIsAllowed:
     SPEC = RunSpec("fft", ProtectionLevel.COMMGUARD, mtbe=8_192_000, seed=1)
@@ -301,8 +322,8 @@ class TestNoReplayWhereNoneIsAllowed:
 
 
 def _record_replay(path, original):
-    def spy(self, quiet, result):
-        replayed = original(self, quiet, result)
+    def spy(self, quiet):
+        replayed = original(self, quiet)
         if replayed:
             with open(path, "a") as handle:
                 handle.write("r\n")
@@ -324,7 +345,7 @@ def test_a_two_worker_jpeg_sweep_replays_most_runs(tmp_path, monkeypatch):
     only masked errors, and each worker simulates one of them per level."""
     log = tmp_path / "replays.log"
     monkeypatch.setattr(
-        MulticoreSystem, "_replay", _record_replay(log, MulticoreSystem._replay)
+        MulticoreSystem, "_certify", _record_replay(log, MulticoreSystem._certify)
     )
     report = sweep(
         "jpeg",
@@ -337,6 +358,59 @@ def test_a_two_worker_jpeg_sweep_replays_most_runs(tmp_path, monkeypatch):
     )
     assert report.stats.executed == 481
     assert len(log.read_text().splitlines()) >= 300
+
+
+#: The classes a simulated build constructs: one thread per node, and per
+#: edge one queue of the protection level's kind (plus one CommGuard per
+#: node under CommGuard).
+WIRING = (NodeThread, SoftwareQueue, ReliableQueue, GuardedQueue, CommGuard)
+
+
+def test_a_certified_build_wires_no_queue_thread_or_guard(monkeypatch):
+    """The perfbench sweep-jpeg grid (seed 0) in one process: every
+    construction of a thread, queue or CommGuard belongs to a simulated
+    run, so a replaying machine has none."""
+    made: Counter = Counter()
+    for cls in WIRING:
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    wired: Counter = Counter()
+    replayed = []
+    run = MulticoreSystem.run
+
+    def counted_run(system):
+        replayed.append(system.replays)
+        if not system.replays:
+            graph = system.program.graph
+            protection = system.protection
+            wired["NodeThread"] += len(graph.nodes)
+            if protection.uses_commguard:
+                wired["CommGuard"] += len(graph.nodes)
+                wired["GuardedQueue"] += len(graph.edges)
+            elif protection.queue_pointers_corruptible:
+                wired["SoftwareQueue"] += len(graph.edges)
+            else:
+                wired["ReliableQueue"] += len(graph.edges)
+        return run(system)
+
+    monkeypatch.setattr(MulticoreSystem, "run", counted_run)
+    report = sweep(
+        "jpeg",
+        ("ppu-only", "ppu-reliable-queue", "commguard", "error-free"),
+        mtbes=MTBE_LADDER_QUALITY,
+        seeds=20,
+        options=EngineOptions(scale=0.25, jobs=1, cache=False),
+    )
+    assert report.stats.executed == 481
+    assert len(replayed) == 481
+    # 327 of the grid's runs are masked-only; one per level simulates.
+    assert sum(replayed) >= 300
+    assert set(wired) == {cls.__name__ for cls in WIRING}
+    assert made == wired
 
 
 class TestMaskedArrivals:

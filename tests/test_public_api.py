@@ -92,6 +92,82 @@ class TestPrebuiltApps:
         assert len(store) == 1
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="lists descriptors through /proc"
+)
+class TestEntryPointsCloseTheirStores:
+    """``sweep``, ``run`` and ``SweepReport.from_store`` close a store they
+    open from a path before returning; a ``RunStore`` handed in stays open.
+
+    The cyclic garbage collector is off throughout: an unclosed
+    connection sits in a reference cycle, so only a collection would
+    close it."""
+
+    @pytest.fixture(autouse=True)
+    def _no_cyclic_gc(self):
+        import gc
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    @staticmethod
+    def open_files(path: Path) -> list[str]:
+        """The store's files among this process's open descriptors."""
+        names = {os.path.realpath(f"{path}{suffix}") for suffix in ("", "-wal", "-shm")}
+        targets = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:
+                continue
+        return [target for target in targets if target in names]
+
+    def assert_closed(self, path: Path, entry: str) -> None:
+        assert self.open_files(path) == [], entry
+        assert not Path(f"{path}-wal").exists(), entry
+
+    def test_a_store_opened_from_a_path_is_closed(self, tmp_path):
+        from repro.api import EngineOptions, SweepReport, run, sweep
+
+        path = tmp_path / "store.sqlite"
+        options = EngineOptions(scale=0.05, jobs=1, store=str(path))
+        sweep("fft", mtbes="1M", seeds=2, options=options, campaign="c")
+        self.assert_closed(path, "sweep")
+        report = SweepReport.from_store(str(path), "c")
+        assert len(report.points) == 2
+        self.assert_closed(path, "from_store")
+        run("fft", mtbe="1M", seed=5, options=options)
+        self.assert_closed(path, "run")
+        with pytest.raises(ValueError, match="different grid"):
+            sweep("fft", mtbes="1M", seeds=3, options=options, campaign="c")
+        self.assert_closed(path, "sweep of another grid")
+
+    def test_the_default_store_is_closed(self, tmp_path):
+        from repro.api import EngineOptions, sweep
+
+        sweep("fft", mtbes="1M", options=EngineOptions(scale=0.05, jobs=1))
+        self.assert_closed(tmp_path / "default-store.sqlite", "sweep")
+
+    def test_a_store_handed_in_stays_open(self, tmp_path):
+        from repro.api import EngineOptions, SweepReport, run, sweep
+        from repro.experiments.store import RunStore
+
+        store = RunStore(tmp_path / "store.sqlite")
+        options = EngineOptions(scale=0.05, jobs=1, store=store)
+        sweep("fft", mtbes="1M", seeds=2, options=options, campaign="c")
+        assert len(store) == 2
+        assert len(SweepReport.from_store(store, "c").points) == 2
+        assert len(store) == 2
+        run("fft", mtbe="1M", seed=5, options=options)
+        assert len(store) == 3
+        store.close()
+
+
 class TestRemovedIn2:
     """The spellings deprecated in 1.x are gone, not silently accepted."""
 
