@@ -54,7 +54,7 @@ from repro.machine import (
 from repro.quality import psnr_db, snr_db
 from repro.streamit import StreamGraph, StreamProgram
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "CellStats",

@@ -979,6 +979,8 @@ def reproduce(
     *store* follows the usual spellings (``True`` = the default store
     path; a path string selects a file) — the pipeline always records a
     resumable campaign, so an interrupted call picks up where it stopped.
+    A store opened from a path is closed before the call returns; a
+    ``RunStore`` passed in stays open.
     *options* carries the remaining engine knobs; its ``store`` field is
     overridden by the *store* argument.
     """

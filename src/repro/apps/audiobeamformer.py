@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import BenchmarkApp, clipped_float_decoder
-from repro.apps.dsp import FirFilter, WeightedCombiner, lowpass_taps
-from repro.streamit.filters import Batch, DuplicateSplitter, Filter
+from repro.apps.dsp import FirFilter, WeightedCombiner
 from repro.quality.audio import multitone_signal
 from repro.streamit.filters import (
     FloatSink,
@@ -56,136 +55,13 @@ def microphone_array_signal(
     return interleaved
 
 
-class Magnitude(Filter):
-    """Rectifier stage of a beam chain (|x| of the matched-filter output)."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name, input_rates=(1,), output_rates=(1,))
-
-    def instruction_cost(self) -> int:
-        return 25
-
-    def work(self, inputs: Batch) -> Batch:
-        from repro.words import float_to_word, word_to_float
-
-        return [[float_to_word(abs(word_to_float(inputs[0][0])))]]
-
-
-class Detector(Filter):
-    """Final detector: running peak over the per-beam magnitudes.
-
-    Persistent (corruptible) state: the detector's smoothed estimate.
-    """
-
-    def __init__(self, name: str, n_beams: int, smoothing: float = 0.02) -> None:
-        super().__init__(name, input_rates=(n_beams,), output_rates=(1,))
-        self.smoothing = smoothing
-        self._estimate = 0.0
-
-    def reset(self) -> None:
-        self._estimate = 0.0
-
-    def instruction_cost(self) -> int:
-        return 30 + 8 * self.input_rates[0]
-
-    def work(self, inputs: Batch) -> Batch:
-        from repro.words import float_to_word, word_to_float
-
-        peak = max(word_to_float(w) for w in inputs[0])
-        self._estimate += self.smoothing * (peak - self._estimate)
-        return [[float_to_word(self._estimate)]]
-
-    def state_words(self) -> list[int]:
-        from repro.words import float_to_word
-
-        return [float_to_word(self._estimate)]
-
-    def write_state_word(self, index: int, word: int) -> None:
-        from repro.words import word_to_float
-
-        self._estimate = word_to_float(word)
-
-
-def _beam_weights(beam: int, n_channels: int) -> list[float]:
-    """Steering weights for beam *beam* (cosine taper across the array)."""
-    import math
-
-    return [
-        math.cos(math.pi * (ch - (n_channels - 1) / 2) * (beam + 1) / (2 * n_channels))
-        / n_channels
-        for ch in range(n_channels)
-    ]
-
-
-def build_full_beamformer_graph(
-    data, n_channels: int, n_beams: int
-) -> StreamGraph:
-    """The full GMTI-style beamformer: per-channel coarse+fine delay FIRs,
-    per-beam weighted beamforming + matched filter + magnitude, and a
-    detector — 21 nodes at 4 channels x 2 beams (the shape of StreamIt's
-    BeamFormer benchmark, which runs many more nodes than cores)."""
-    graph = StreamGraph()
-    source = graph.add_node(FloatSource("source", list(data), rate=n_channels))
-    splitter = graph.add_node(RoundRobinSplitter("split", weights=[1] * n_channels))
-    joiner = graph.add_node(RoundRobinJoiner("join", weights=[1] * n_channels))
-    graph.connect(source, splitter)
-    for ch in range(n_channels):
-        coarse = graph.add_node(
-            FirFilter(f"coarse{ch}", _steering_taps(ch, n_taps=32))
-        )
-        fine = graph.add_node(FirFilter(f"fine{ch}", _steering_taps(ch, n_taps=16)))
-        graph.connect(splitter, coarse, src_port=ch)
-        graph.connect(coarse, fine)
-        graph.connect(fine, joiner, dst_port=ch)
-    beam_dup = graph.add_node(
-        DuplicateSplitter("beam_dup", n_branches=n_beams, rate=n_channels)
-    )
-    beam_join = graph.add_node(RoundRobinJoiner("beam_join", weights=[1] * n_beams))
-    graph.connect(joiner, beam_dup)
-    for beam in range(n_beams):
-        former = graph.add_node(
-            WeightedCombiner(f"beamform{beam}", _beam_weights(beam, n_channels))
-        )
-        matched = graph.add_node(
-            FirFilter(f"matched{beam}", lowpass_taps(33, 0.18))
-        )
-        magnitude = graph.add_node(Magnitude(f"magnitude{beam}"))
-        graph.connect(beam_dup, former, src_port=beam)
-        graph.connect(former, matched)
-        graph.connect(matched, magnitude)
-        graph.connect(magnitude, beam_join, dst_port=beam)
-    detector = graph.add_node(Detector("detector", n_beams=n_beams))
-    sink = graph.add_node(FloatSink("sink", rate=1))
-    graph.connect(beam_join, detector)
-    graph.connect(detector, sink)
-    return graph
-
-
 def build_audiobeamformer_app(
     n_frames: int = 2048,
     n_channels: int = 4,
     seed: int = 17,
-    variant: str = "simple",
-    n_beams: int = 2,
 ) -> BenchmarkApp:
-    """Package the audiobeamformer benchmark.
-
-    ``variant="simple"`` is the 9-node delay-and-sum pipeline used by the
-    experiment sweeps; ``variant="full"`` is the GMTI-style 21-node graph
-    (more nodes than cores, exercising thread packing) with per-beam
-    matched filtering and detection.
-    """
-    if variant == "full":
-        data = microphone_array_signal(n_frames, n_channels, seed=seed)
-        graph = build_full_beamformer_graph(data, n_channels, n_beams)
-        program = StreamProgram.compile(graph)
-        return BenchmarkApp(
-            name="audiobeamformer",
-            program=program,
-            sink_name="sink",
-            metric="snr",
-            decode_output=clipped_float_decoder(limit=2.0),
-        )
+    """Package the audiobeamformer benchmark: the delay-and-sum pipeline,
+    9 nodes at 4 channels."""
     data = microphone_array_signal(n_frames, n_channels, seed=seed)
     graph = StreamGraph()
     source = graph.add_node(FloatSource("source", list(data), rate=n_channels))

@@ -15,7 +15,6 @@ import numpy as np
 from repro.apps.base import BenchmarkApp, words_to_ints
 from repro.apps.jpeg.codec import decode_image, encode_image
 from repro.apps.jpeg.graph import build_jpeg_graph
-from repro.apps.jpeg.graph420 import build_jpeg420_graph
 from repro.quality.images import synthetic_image
 from repro.streamit.program import StreamProgram
 
@@ -40,22 +39,13 @@ def build_jpeg_app(
     quality: int = 75,
     seed: int = 7,
     image: np.ndarray | None = None,
-    subsampling: str = "444",
 ) -> BenchmarkApp:
-    """Package the jpeg benchmark for a (synthetic) test image.
-
-    ``subsampling="420"`` uses the chroma-subsampled codec and its 11-node
-    decoder graph (16x16 MCUs with an explicit upsampling stage); the
-    default 4:4:4 mode is the paper's 10-node Fig. 1 topology.
-    """
+    """Package the jpeg benchmark (the paper's 10-node Fig. 1 decoder) for
+    a (synthetic) test image."""
     raw = image if image is not None else synthetic_image(width, height, seed=seed)
     height, width = raw.shape[0], raw.shape[1]
-    encoded = encode_image(raw, quality=quality, subsampling=subsampling)
-    if subsampling == "420":
-        graph = build_jpeg420_graph(encoded)
-    else:
-        graph = build_jpeg_graph(encoded)
-    program = StreamProgram.compile(graph)
+    encoded = encode_image(raw, quality=quality)
+    program = StreamProgram.compile(build_jpeg_graph(encoded))
     return BenchmarkApp(
         name="jpeg",
         program=program,

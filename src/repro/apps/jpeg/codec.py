@@ -5,20 +5,20 @@ JPEG: BT.601 color conversion, 8x8 DCT, quality-scaled quantisation,
 zigzag + run-length + canonical Huffman entropy coding with differential DC
 prediction, using separate luma/chroma quantisation and Huffman tables.
 The container is self-defined (DESIGN.md §3): Huffman tables are computed
-per image (libjpeg "optimized" mode) and serialized in the header.
+per image (libjpeg "optimized" mode) and serialized in the header.  Every
+MCU is one 8x8 block of each of Y, Cb and Cr (4:4:4); the header's mode
+byte is always 0, and a reader rejects any other value.
 
 The block kernels here (:func:`dequantize_blocks`, :func:`idct_blocks`,
 :func:`color_channel`, :func:`clamp_pixels`) and the entropy decoder
 (:func:`decode_mcus`) are shared with the streaming decoder filters in
-:mod:`repro.apps.jpeg.graph` and :mod:`repro.apps.jpeg.graph420`, so the
-reference decoder and an error-free simulated run produce bit-identical
-pixels.
+:mod:`repro.apps.jpeg.graph`, so the reference decoder and an error-free
+simulated run produce bit-identical pixels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.apps.jpeg.tables import (
 )
 
 MAGIC = 0x4A50  # "JP"
+MODE_444 = 0  # the header's mode byte: every MCU is one block per component
 EOB = 0x00  # end-of-block AC symbol
 ZRL = 0xF0  # zero-run-length-16 AC symbol
 
@@ -218,7 +219,6 @@ class JpegHeader:
     ac_luma: CanonicalCode
     dc_chroma: CanonicalCode
     ac_chroma: CanonicalCode
-    subsampling: str = "444"  # "444" or "420"
 
     @property
     def blocks_x(self) -> int:
@@ -229,13 +229,8 @@ class JpegHeader:
         return self.height // 8
 
     @property
-    def mcu_side(self) -> int:
-        """Pixels per MCU edge: 8 in 4:4:4, 16 in 4:2:0."""
-        return 8 if self.subsampling == "444" else 16
-
-    @property
     def mcus(self) -> int:
-        return (self.width // self.mcu_side) * (self.height // self.mcu_side)
+        return self.blocks_x * self.blocks_y
 
     def luma_table(self) -> np.ndarray:
         return quality_scaled_table(LUMINANCE_BASE, self.quality)
@@ -247,93 +242,50 @@ class JpegHeader:
         """Natural-order quantisation table of each block of an MCU, (n, 64)."""
         luma = self.luma_table().reshape(64)
         chroma = self.chroma_table().reshape(64)
-        return np.stack(
-            [luma if cls == "Y" else chroma for cls in MCU_COMPONENTS[self.subsampling]]
-        )
+        return np.stack([luma if cls == "Y" else chroma for cls in MCU_COMPONENTS])
 
 
-def subsample_chroma(plane: np.ndarray) -> np.ndarray:
-    """2x2 box average (the 4:2:0 chroma downsample)."""
-    h, w = plane.shape
-    return plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-
-
-def upsample_chroma_block(block8: Sequence[int]) -> list[int]:
-    """Nearest-neighbour 2x upsampling: 8x8 samples -> 16x16 raster list."""
-    out = [0] * 256
-    for y in range(16):
-        for x in range(16):
-            out[y * 16 + x] = block8[(y // 2) * 8 + (x // 2)]
-    return out
-
-
-#: Components per MCU and their table class, by subsampling mode.  In
-#: "420" an MCU covers 16x16 pixels: 4 luma blocks + 1 Cb + 1 Cr.
-MCU_COMPONENTS = {"444": ("Y", "C", "C"), "420": ("Y", "Y", "Y", "Y", "C", "C")}
-#: DC-predictor index per MCU component (JPEG predicts per color component).
-MCU_PREDICTOR = {"444": (0, 1, 2), "420": (0, 0, 0, 0, 1, 2)}
+#: The table class of each block of an MCU: one 8x8 block of Y, Cb and
+#: Cr.  Each component predicts its own DC.
+MCU_COMPONENTS = ("Y", "C", "C")
 
 
 def _collect_mcu_coefficients(
-    image: np.ndarray, quality: int, subsampling: str = "444"
+    image: np.ndarray, quality: int
 ) -> tuple[list[list[list[int]]], int, int]:
     """Quantized zigzag coefficients for every MCU: [mcu][component][64]."""
     height, width, _ = image.shape
-    mcu_px = 8 if subsampling == "444" else 16
-    if width % mcu_px or height % mcu_px:
-        raise ValueError(f"image dimensions must be multiples of {mcu_px}")
+    if width % 8 or height % 8:
+        raise ValueError("image dimensions must be multiples of 8")
     ycbcr = rgb_to_ycbcr(image)
     luma = quality_scaled_table(LUMINANCE_BASE, quality)
     chroma = quality_scaled_table(CHROMINANCE_BASE, quality)
     mcus = []
-    for by in range(height // mcu_px):
-        for bx in range(width // mcu_px):
-            window = ycbcr[
-                by * mcu_px : (by + 1) * mcu_px, bx * mcu_px : (bx + 1) * mcu_px, :
-            ]
-            if subsampling == "444":
-                components = [
+    for by in range(height // 8):
+        for bx in range(width // 8):
+            window = ycbcr[by * 8 : (by + 1) * 8, bx * 8 : (bx + 1) * 8, :]
+            mcus.append(
+                [
                     quantize_block(window[..., comp], luma if comp == 0 else chroma)
                     for comp in range(3)
                 ]
-            else:
-                y_plane = window[..., 0]
-                components = [
-                    quantize_block(y_plane[0:8, 0:8], luma),
-                    quantize_block(y_plane[0:8, 8:16], luma),
-                    quantize_block(y_plane[8:16, 0:8], luma),
-                    quantize_block(y_plane[8:16, 8:16], luma),
-                    quantize_block(subsample_chroma(window[..., 1]), chroma),
-                    quantize_block(subsample_chroma(window[..., 2]), chroma),
-                ]
-            mcus.append(components)
+            )
     return mcus, width, height
 
 
-def encode_image(
-    image: np.ndarray, quality: int = 75, subsampling: str = "444"
-) -> bytes:
-    """Encode an RGB uint8 image into the container byte stream.
-
-    ``subsampling`` selects 4:4:4 (one 8x8 block per component per MCU) or
-    4:2:0 (16x16 MCUs, chroma box-averaged 2x2 — the common JPEG mode).
-    """
-    if subsampling not in MCU_COMPONENTS:
-        raise ValueError(f"unknown subsampling {subsampling!r}")
-    mcus, width, height = _collect_mcu_coefficients(image, quality, subsampling)
-    classes = MCU_COMPONENTS[subsampling]
-    predictor_of = MCU_PREDICTOR[subsampling]
+def encode_image(image: np.ndarray, quality: int = 75) -> bytes:
+    """Encode an RGB uint8 image into the container byte stream."""
+    mcus, width, height = _collect_mcu_coefficients(image, quality)
 
     # Pass 1: symbol statistics for the four Huffman codes.
     freq = {"dc_l": {}, "ac_l": {}, "dc_c": {}, "ac_c": {}}
     predictors = [0, 0, 0]
     for components in mcus:
         for comp, coeffs in enumerate(components):
-            dc_key = "dc_l" if classes[comp] == "Y" else "dc_c"
-            ac_key = "ac_l" if classes[comp] == "Y" else "ac_c"
-            pred = predictor_of[comp]
-            triples = block_symbols(coeffs, predictors[pred])
-            predictors[pred] = coeffs[0]
+            dc_key = "dc_l" if MCU_COMPONENTS[comp] == "Y" else "dc_c"
+            ac_key = "ac_l" if MCU_COMPONENTS[comp] == "Y" else "ac_c"
+            triples = block_symbols(coeffs, predictors[comp])
+            predictors[comp] = coeffs[0]
             freq[dc_key][triples[0][0]] = freq[dc_key].get(triples[0][0], 0) + 1
             for symbol, _, _ in triples[1:]:
                 freq[ac_key][symbol] = freq[ac_key].get(symbol, 0) + 1
@@ -348,17 +300,16 @@ def encode_image(
     writer.write_bits(width, 16)
     writer.write_bits(height, 16)
     writer.write_bits(quality, 8)
-    writer.write_bits(0 if subsampling == "444" else 1, 8)
+    writer.write_bits(MODE_444, 8)
     for key in ("dc_l", "ac_l", "dc_c", "ac_c"):
         codes[key].serialize(writer)
     predictors = [0, 0, 0]
     for components in mcus:
         for comp, coeffs in enumerate(components):
-            dc_code = codes["dc_l"] if classes[comp] == "Y" else codes["dc_c"]
-            ac_code = codes["ac_l"] if classes[comp] == "Y" else codes["ac_c"]
-            pred = predictor_of[comp]
-            triples = block_symbols(coeffs, predictors[pred])
-            predictors[pred] = coeffs[0]
+            dc_code = codes["dc_l"] if MCU_COMPONENTS[comp] == "Y" else codes["dc_c"]
+            ac_code = codes["ac_l"] if MCU_COMPONENTS[comp] == "Y" else codes["ac_c"]
+            triples = block_symbols(coeffs, predictors[comp])
+            predictors[comp] = coeffs[0]
             symbol, amplitude, size = triples[0]
             dc_code.encode_symbol(writer, symbol)
             encode_amplitude(writer, amplitude, size)
@@ -376,10 +327,10 @@ def parse_header(data: bytes) -> tuple[JpegHeader, BitReader]:
     width = reader.read_bits(16)
     height = reader.read_bits(16)
     quality = reader.read_bits(8)
-    subsampling = "444" if reader.read_bits(8) == 0 else "420"
+    if reader.read_bits(8) != MODE_444:
+        raise ValueError("not a 4:4:4 repro-jpeg stream")
     codes = [CanonicalCode.deserialize(reader) for _ in range(4)]
-    header = JpegHeader(width, height, quality, *codes, subsampling=subsampling)
-    return header, reader
+    return JpegHeader(width, height, quality, *codes), reader
 
 
 def decode_mcus(data: bytes) -> tuple[JpegHeader, list[list[int]]]:
@@ -392,62 +343,34 @@ def decode_mcus(data: bytes) -> tuple[JpegHeader, list[list[int]]]:
     header, reader = parse_header(data)
     dc = {"Y": header.dc_luma.decoder(), "C": header.dc_chroma.decoder()}
     ac = {"Y": header.ac_luma.decoder(), "C": header.ac_chroma.decoder()}
-    components = tuple(
-        zip(MCU_COMPONENTS[header.subsampling], MCU_PREDICTOR[header.subsampling])
-    )
     predictors = [0, 0, 0]
     mcus = []
     for _ in range(header.mcus):
         coeffs: list[int] = []
-        for cls, pred in components:
-            block, predictors[pred] = decode_block(
-                reader, dc[cls], ac[cls], predictors[pred]
+        for comp, cls in enumerate(MCU_COMPONENTS):
+            block, predictors[comp] = decode_block(
+                reader, dc[cls], ac[cls], predictors[comp]
             )
             coeffs += block
         mcus.append(coeffs)
     return header, mcus
 
 
-def assemble_y16(y_blocks: Sequence[Sequence[int]]) -> list[int]:
-    """Four 8x8 luma blocks (TL, TR, BL, BR) -> one 16x16 raster list."""
-    out = [0] * 256
-    offsets = ((0, 0), (0, 8), (8, 0), (8, 8))
-    for block, (oy, ox) in zip(y_blocks, offsets):
-        for y in range(8):
-            for x in range(8):
-                out[(oy + y) * 16 + (ox + x)] = block[y * 8 + x]
-    return out
-
-
-#: The 4:2:0 upsampling stage (node F2U) as a gather: entry *i* of the
-#: ``[Y16, Cb16, Cr16]`` output is sample ``UPSAMPLE_420[i]`` of the
-#: ``[Y0, Y1, Y2, Y3, Cb, Cr]`` input (6 x 64 -> 3 x 256).
-UPSAMPLE_420 = (
-    assemble_y16([range(b * 64, b * 64 + 64) for b in range(4)])
-    + upsample_chroma_block(range(256, 320))
-    + upsample_chroma_block(range(320, 384))
-)
-
-
 def decode_image(data: bytes) -> np.ndarray:
     """Reference (error-free) decoder: container bytes -> RGB uint8 image.
 
     Runs the streaming pipeline's block kernels over every block at once,
-    so its integer arithmetic is exactly the graphs' (both subsampling
-    modes).
+    so its integer arithmetic is exactly the graph's.
     """
     header, mcus = decode_mcus(data)
-    n, side = len(mcus), header.mcu_side
+    n = len(mcus)
     coeffs = np.array(mcus, dtype=np.int64).reshape(-1, 64)
     tables = np.tile(header.block_tables(), (n, 1))
-    samples = idct_blocks(dequantize_blocks(coeffs, tables)).reshape(n, -1)
-    if header.subsampling == "420":
-        samples = samples[:, UPSAMPLE_420]
-    ycc = samples.reshape(n, 3, side * side).transpose(1, 0, 2).reshape(3, -1)
+    samples = idct_blocks(dequantize_blocks(coeffs, tables))
+    ycc = samples.reshape(n, 3, 64).transpose(1, 0, 2).reshape(3, -1)
     rgb = np.stack([clamp_pixels(color_channel(ycc, ch)) for ch in range(3)], axis=-1)
-    rows, cols = header.height // side, header.width // side
     return (
-        rgb.reshape(rows, cols, side, side, 3)
+        rgb.reshape(header.blocks_y, header.blocks_x, 8, 8, 3)
         .transpose(0, 2, 1, 3, 4)
         .reshape(header.height, header.width, 3)
         .astype(np.uint8)

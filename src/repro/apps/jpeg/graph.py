@@ -24,9 +24,7 @@ A frame computation is one steady-state iteration = one row of 8x8 blocks,
 matching the paper's observation that jpeg output frames are rows 8 pixels
 high (Fig. 7).
 
-The node classes are sized by the MCU's pixel region (``side`` x ``side``
-pixels), so the 4:2:0 graph of :mod:`repro.apps.jpeg.graph420` reuses them
-at 16x16.  F1 to F6 override :meth:`~repro.streamit.filters.Filter.work_many`
+F1 to F6 override :meth:`~repro.streamit.filters.Filter.work_many`
 with span kernels.  F1, F2, F3 and F5 convert each port once per span and
 run the codec's block kernels over all of its blocks; those kernels are
 elementwise or, in F2's IDCT, one :func:`~repro.apps.jpeg.dct.inverse_dct`
@@ -54,6 +52,9 @@ from repro.apps.jpeg.codec import (
 from repro.streamit.filters import Batch, Filter, IntSink
 from repro.streamit.graph import StreamGraph
 
+PIXELS = 64  # pixels per 8x8 region, and samples per block
+MCU_WORDS = PIXELS * len(MCU_COMPONENTS)  # one block each of Y, Cb and Cr
+
 
 class JpegParser(Filter):
     """F0: entropy decoder (Huffman + RLE + DC prediction), one MCU/firing.
@@ -69,8 +70,7 @@ class JpegParser(Filter):
 
     def __init__(self, name: str, data: bytes) -> None:
         header, _ = parse_header(data)
-        rate = 64 * len(MCU_COMPONENTS[header.subsampling])
-        super().__init__(name, input_rates=(), output_rates=(rate,))
+        super().__init__(name, input_rates=(), output_rates=(MCU_WORDS,))
         self._data = data
         self.header = header
         self._mcus: list[list[int]] | None = None
@@ -126,13 +126,11 @@ class JpegDequantizer(Filter):
 
 
 class JpegIdct(Filter):
-    """F2: inverse DCT + level shift of every block, pushed to ``copies``
-    output ports (the 4:4:4 graph duplicates the planes to its color nodes).
-    """
+    """F2: inverse DCT + level shift of every block, the planes duplicated
+    to the three color nodes."""
 
-    def __init__(self, name: str, blocks: int = 3, copies: int = 3) -> None:
-        rate = 64 * blocks
-        super().__init__(name, input_rates=(rate,), output_rates=(rate,) * copies)
+    def __init__(self, name: str) -> None:
+        super().__init__(name, input_rates=(MCU_WORDS,), output_rates=(MCU_WORDS,) * 3)
 
     def instruction_cost(self) -> int:
         # Separable 8x8 IDCT per plane: 2x8x64 MACs at ~4 instructions
@@ -151,12 +149,11 @@ class JpegIdct(Filter):
 
 
 class JpegColorChannel(Filter):
-    """F3R/F3G/F3B: one RGB channel of a ``side`` x ``side`` region from
-    its Y, Cb and Cr planes (192 -> 64 at 8x8)."""
+    """F3R/F3G/F3B: one RGB channel of an 8x8 region from its Y, Cb and Cr
+    planes (192 -> 64)."""
 
-    def __init__(self, name: str, channel: int, side: int = 8) -> None:
-        pixels = side * side
-        super().__init__(name, input_rates=(3 * pixels,), output_rates=(pixels,))
+    def __init__(self, name: str, channel: int) -> None:
+        super().__init__(name, input_rates=(3 * PIXELS,), output_rates=(PIXELS,))
         self.channel = channel
 
     def instruction_cost(self) -> int:
@@ -175,13 +172,10 @@ class JpegColorChannel(Filter):
 
 
 class JpegChannelJoiner(Filter):
-    """F4: merge the R, G and B planes (64,64,64 -> 192 at 8x8)."""
+    """F4: merge the R, G and B planes (64,64,64 -> 192)."""
 
-    def __init__(self, name: str, side: int = 8) -> None:
-        pixels = side * side
-        super().__init__(
-            name, input_rates=(pixels,) * 3, output_rates=(3 * pixels,)
-        )
+    def __init__(self, name: str) -> None:
+        super().__init__(name, input_rates=(PIXELS,) * 3, output_rates=(3 * PIXELS,))
 
     def instruction_cost(self) -> int:
         return 50 + 6 * self.output_rates[0]
@@ -191,10 +185,9 @@ class JpegChannelJoiner(Filter):
 
     def work_many(self, inputs: Batch, firings: int) -> Batch:
         red, green, blue = inputs
-        pixels = self.input_rates[0]
         joined: list[int] = []
-        for start in range(0, firings * pixels, pixels):
-            end = start + pixels
+        for start in range(0, firings * PIXELS, PIXELS):
+            end = start + PIXELS
             joined += red[start:end]
             joined += green[start:end]
             joined += blue[start:end]
@@ -204,9 +197,8 @@ class JpegChannelJoiner(Filter):
 class JpegClamper(Filter):
     """F5: saturate every sample to the 8-bit pixel range."""
 
-    def __init__(self, name: str, side: int = 8) -> None:
-        rate = 3 * side * side
-        super().__init__(name, input_rates=(rate,), output_rates=(rate,))
+    def __init__(self, name: str) -> None:
+        super().__init__(name, input_rates=(3 * PIXELS,), output_rates=(3 * PIXELS,))
 
     def instruction_cost(self) -> int:
         return 50 + 8 * self.input_rates[0]
@@ -220,14 +212,14 @@ class JpegClamper(Filter):
 
 
 class JpegPixelFormatter(Filter):
-    """F6: plane order -> per-pixel interleaved RGB (192 -> 192 at 8x8)."""
+    """F6: plane order -> per-pixel interleaved RGB (192 -> 192)."""
 
-    def __init__(self, name: str, side: int = 8) -> None:
-        pixels = side * side
-        super().__init__(name, input_rates=(3 * pixels,), output_rates=(3 * pixels,))
-        self._gather = itemgetter(
-            *[plane * pixels + pixel for pixel in range(pixels) for plane in range(3)]
-        )
+    _gather = itemgetter(
+        *[plane * PIXELS + pixel for pixel in range(PIXELS) for plane in range(3)]
+    )
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name, input_rates=(3 * PIXELS,), output_rates=(3 * PIXELS,))
 
     def instruction_cost(self) -> int:
         return 50 + 8 * self.input_rates[0]
@@ -249,18 +241,18 @@ def gather_each(gather: itemgetter, words: list[int], rate: int) -> list[int]:
 
 
 class JpegRowAssembler(IntSink):
-    """F7: assemble one row of ``side`` x ``side`` regions per firing into
-    raster scan order."""
+    """F7: assemble one row of 8x8 regions per firing into raster scan
+    order."""
 
-    def __init__(self, name: str, blocks_x: int, side: int = 8) -> None:
-        region = 3 * side * side
+    def __init__(self, name: str, blocks_x: int) -> None:
+        region = 3 * PIXELS
         super().__init__(name, rate=blocks_x * region)
         self._gather = itemgetter(
             *[
-                block * region + 3 * (y * side + x) + rgb
-                for y in range(side)
+                block * region + 3 * (y * 8 + x) + rgb
+                for y in range(8)
                 for block in range(blocks_x)
-                for x in range(side)
+                for x in range(8)
                 for rgb in range(3)
             ]
         )
@@ -278,8 +270,6 @@ def build_jpeg_graph(encoded: bytes) -> StreamGraph:
     graph = StreamGraph()
     parser = graph.add_node(JpegParser("F0_parser", encoded))
     header = parser.header
-    if header.subsampling != "444":
-        raise ValueError("stream is 4:2:0 subsampled; use build_jpeg420_graph")
     dequant = graph.add_node(JpegDequantizer("F1_dequant", header))
     idct = graph.add_node(JpegIdct("F2_idct"))
     color_r = graph.add_node(JpegColorChannel("F3R_color", channel=0))

@@ -15,7 +15,7 @@ import numpy as np
 from repro.apps.base import BenchmarkApp, words_to_floats
 from repro.apps.mp3.codec import decode_audio, encode_audio
 from repro.apps.mp3.filterbank import SYSTEM_DELAY
-from repro.apps.mp3.graph import build_mp3_graph, build_mp3_stereo_graph
+from repro.apps.mp3.graph import build_mp3_graph
 from repro.quality.audio import multitone_signal
 from repro.streamit.program import StreamProgram
 
@@ -34,68 +34,22 @@ def mp3_output_decoder(length: int):
     return decode
 
 
-def mp3_stereo_output_decoder(length: int):
-    """Decode the stereo sink stream (granule-interleaved L/R blocks)."""
-
-    def decode(words: Sequence[int]) -> np.ndarray:
-        pcm = words_to_floats(words)
-        usable = (pcm.shape[0] // 64) * 64
-        blocks = pcm[:usable].reshape(-1, 64)
-        channels = []
-        for half in (blocks[:, :32], blocks[:, 32:]):
-            signal = half.reshape(-1)[SYSTEM_DELAY : SYSTEM_DELAY + length]
-            if signal.shape[0] < length:
-                signal = np.concatenate(
-                    [signal, np.zeros(length - signal.shape[0])]
-                )
-            channels.append(signal)
-        stereo = np.stack(channels, axis=-1).reshape(-1)
-        return np.clip(np.nan_to_num(stereo, nan=0.0), -2.0, 2.0)
-
-    return decode
-
-
 def build_mp3_app(
-    n_samples: int = 18_000, seed: int = 11,
-    samples: np.ndarray | None = None,
-    stereo: bool = False,
+    n_samples: int = 18_000, seed: int = 11, samples: np.ndarray | None = None
 ) -> BenchmarkApp:
-    """Package the mp3 benchmark for a (synthetic) audio clip.
-
-    ``stereo=True`` codes two independent channels and decodes them through
-    a split-join of two synthesis chains (10 nodes).
-    """
+    """Package the mp3 benchmark for a (synthetic) mono audio clip."""
     if samples is not None:
         raw = np.asarray(samples, dtype=np.float64)
-    elif stereo:
-        from repro.quality.audio import speech_like_signal
-
-        raw = np.stack(
-            [
-                multitone_signal(n_samples, seed=seed),
-                speech_like_signal(n_samples, seed=seed + 1),
-            ],
-            axis=-1,
-        )
     else:
         raw = np.asarray(multitone_signal(n_samples, seed=seed), dtype=np.float64)
-    encoded = encode_audio(raw)
-    if raw.ndim == 2:
-        graph = build_mp3_stereo_graph(encoded)
-        decode_output = mp3_stereo_output_decoder(raw.shape[0])
-        reference = raw.reshape(-1)
-    else:
-        graph = build_mp3_graph(encoded)
-        decode_output = mp3_output_decoder(len(raw))
-        reference = raw
-    program = StreamProgram.compile(graph)
+    program = StreamProgram.compile(build_mp3_graph(encode_audio(raw)))
     return BenchmarkApp(
         name="mp3",
         program=program,
         sink_name="sink",
         metric="snr",
-        decode_output=decode_output,
-        reference=reference,
+        decode_output=mp3_output_decoder(len(raw)),
+        reference=raw,
     )
 
 

@@ -3,9 +3,9 @@
 Layout (MSB-first bits):
 
 * magic (16) = 0x4D41 ("MA"), frame count (16), channel count (8),
-  bit-allocation table (32 x 4 bits),
-* per frame and channel (channels interleaved frame-major: L frame, R
-  frame, ...): 32 scalefactor indices (6 bits each), then for each of the
+  bit-allocation table (32 x 4 bits).  The stream is mono: the channel
+  count is always 1, and a reader rejects any other value.
+* per frame: 32 scalefactor indices (6 bits each), then for each of the
   12 sample instants, each transmitted band's code (band's allocated
   bits).
 """
@@ -19,24 +19,19 @@ from repro.apps.mp3.filterbank import N_BANDS
 from repro.apps.mp3.quantize import SAMPLES_PER_BAND
 
 MAGIC = 0x4D41
+CHANNELS = 1
 
 
 @dataclass(frozen=True)
 class Mp3Header:
     n_frames: int
     bit_allocation: tuple[int, ...]
-    n_channels: int = 1
 
 
-def write_header(
-    writer: BitWriter,
-    n_frames: int,
-    bit_allocation: list[int],
-    n_channels: int = 1,
-) -> None:
+def write_header(writer: BitWriter, n_frames: int, bit_allocation: list[int]) -> None:
     writer.write_bits(MAGIC, 16)
     writer.write_bits(n_frames, 16)
-    writer.write_bits(n_channels, 8)
+    writer.write_bits(CHANNELS, 8)
     for bits in bit_allocation:
         writer.write_bits(bits, 4)
 
@@ -45,11 +40,10 @@ def read_header(reader: BitReader) -> Mp3Header:
     if reader.read_bits(16) != MAGIC:
         raise ValueError("not a repro-mp3 stream")
     n_frames = reader.read_bits(16)
-    n_channels = reader.read_bits(8)
+    if reader.read_bits(8) != CHANNELS:
+        raise ValueError("not a mono repro-mp3 stream")
     allocation = tuple(reader.read_bits(4) for _ in range(N_BANDS))
-    return Mp3Header(
-        n_frames=n_frames, bit_allocation=allocation, n_channels=n_channels
-    )
+    return Mp3Header(n_frames=n_frames, bit_allocation=allocation)
 
 
 def write_frame(

@@ -40,52 +40,37 @@ def _round_f32(value: float) -> float:
 def encode_audio(
     samples: np.ndarray, bit_allocation: list[int] | None = None
 ) -> bytes:
-    """Encode PCM (float, ~[-1, 1]) into the container byte stream.
+    """Encode mono PCM (float, ~[-1, 1], shape ``(n,)``) into the
+    container byte stream.
 
-    ``samples`` is mono ``(n,)`` or stereo ``(n, 2)``.  The input is padded
-    to a whole number of frames plus the filterbank's system delay, so the
-    decoder can deliver the full original extent.  Stereo channels are
-    coded independently, frames interleaved L, R per frame period.
+    The input is padded to a whole number of frames plus the filterbank's
+    system delay, so the decoder can deliver the full original extent.
     """
     allocation = list(bit_allocation or DEFAULT_BIT_ALLOCATION)
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        channels = [samples]
-    elif samples.ndim == 2 and samples.shape[1] in (1, 2):
-        channels = [samples[:, ch] for ch in range(samples.shape[1])]
-    else:
-        raise ValueError("samples must be (n,) mono or (n, 2) stereo")
-    padded_length = channels[0].shape[0] + SYSTEM_DELAY
-    n_frames = -(-padded_length // FRAME_SAMPLES)
-    padded_channels = []
-    for channel in channels:
-        padded = np.zeros(n_frames * FRAME_SAMPLES, dtype=np.float64)
-        padded[: len(channel)] = channel
-        padded_channels.append(padded)
+    if samples.ndim != 1:
+        raise ValueError("samples must be mono, shape (n,)")
+    n_frames = -(-(samples.shape[0] + SYSTEM_DELAY) // FRAME_SAMPLES)
+    padded = np.zeros(n_frames * FRAME_SAMPLES, dtype=np.float64)
+    padded[: len(samples)] = samples
 
-    analyses = [AnalysisFilterbank() for _ in padded_channels]
+    analysis = AnalysisFilterbank()
     writer = BitWriter()
-    bs.write_header(writer, n_frames, allocation, n_channels=len(channels))
+    bs.write_header(writer, n_frames, allocation)
     for frame in range(n_frames):
-        for padded, analysis in zip(padded_channels, analyses):
-            chunk = padded[frame * FRAME_SAMPLES : (frame + 1) * FRAME_SAMPLES]
-            # 12 granules of 32 subband samples: subbands[band][s].
-            subbands = np.empty((N_BANDS, SAMPLES_PER_BAND))
-            for s in range(SAMPLES_PER_BAND):
-                subbands[:, s] = analysis.process(
-                    chunk[s * N_BANDS : (s + 1) * N_BANDS]
-                )
-            scalefactors = []
-            codes: list[list[int]] = []
-            for band in range(N_BANDS):
-                index = scalefactor_index(float(np.max(np.abs(subbands[band]))))
-                scalefactors.append(index)
-                codes.append(
-                    quantize_band(
-                        subbands[band], scalefactor_value(index), allocation[band]
-                    )
-                )
-            bs.write_frame(writer, scalefactors, codes, allocation)
+        chunk = padded[frame * FRAME_SAMPLES : (frame + 1) * FRAME_SAMPLES]
+        # 12 granules of 32 subband samples: subbands[band][s].
+        subbands = np.empty((N_BANDS, SAMPLES_PER_BAND))
+        for s in range(SAMPLES_PER_BAND):
+            subbands[:, s] = analysis.process(chunk[s * N_BANDS : (s + 1) * N_BANDS])
+        scalefactors = []
+        codes: list[list[int]] = []
+        for band in range(N_BANDS):
+            index = scalefactor_index(float(np.max(np.abs(subbands[band]))))
+            scalefactors.append(index)
+            scale = scalefactor_value(index)
+            codes.append(quantize_band(subbands[band], scale, allocation[band]))
+        bs.write_frame(writer, scalefactors, codes, allocation)
     return writer.getvalue()
 
 
@@ -144,26 +129,19 @@ class FrameDecoder:
 
 
 def decode_audio(data: bytes, length: int | None = None) -> np.ndarray:
-    """Reference (error-free) decoder: container bytes -> PCM.
+    """Reference (error-free) decoder: container bytes -> mono PCM ``(n,)``.
 
-    Returns ``(n,)`` for mono streams and ``(n, channels)`` for stereo.
     Compensates the filterbank's system delay; ``length`` trims to the
     original signal extent.  Mirrors the streaming graph's arithmetic.
     """
     decoder = FrameDecoder(data)
-    n_channels = decoder.header.n_channels
-    windows = [SynthesisWindow() for _ in range(n_channels)]
-    out: list[list[np.ndarray]] = [[] for _ in range(n_channels)]
+    window = SynthesisWindow()
+    out: list[np.ndarray] = []
     for _frame in range(decoder.header.n_frames):
-        for ch in range(n_channels):
-            for granule in decoder.next_frame():
-                v64 = synthesis_matrix(np.asarray(granule, dtype=np.float64))
-                v64 = np.array([_round_f32(v) for v in v64])
-                pcm = windows[ch].process(v64)
-                out[ch].append(np.array([_round_f32(v) for v in pcm]))
-    signals = [np.concatenate(chunks)[SYSTEM_DELAY:] for chunks in out]
-    if length is not None:
-        signals = [s[:length] for s in signals]
-    if n_channels == 1:
-        return signals[0]
-    return np.stack(signals, axis=-1)
+        for granule in decoder.next_frame():
+            v64 = synthesis_matrix(np.asarray(granule, dtype=np.float64))
+            v64 = np.array([_round_f32(v) for v in v64])
+            pcm = window.process(v64)
+            out.append(np.array([_round_f32(v) for v in pcm]))
+    signal = np.concatenate(out)[SYSTEM_DELAY:]
+    return signal if length is None else signal[:length]

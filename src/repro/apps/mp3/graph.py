@@ -41,41 +41,32 @@ FRAME_WORDS = N_BANDS + N_BANDS * SAMPLES_PER_BAND  # 32 scalefactors + 384 code
 
 
 class Mp3Parser(Filter):
-    """G0: frame unpacker (source node), one frame period per firing.
+    """G0: frame unpacker (source node), one codec frame per firing.
 
     The container is read reliably and the injector never reaches the
     parser's state (it has no :meth:`state_words`), so firing *i* hands
     out the same words in every run: the parser decodes the whole
     container once, on its first :meth:`reset` (never at construction, so
     building an app decodes nothing), and each firing hands out a copy of
-    the next period's words.
+    the next frame's words.
     """
-
-    #: Codec frames per frame period (one per channel).
-    channels = 1
 
     def __init__(self, name: str, data: bytes) -> None:
         self.header = bs.read_header(BitReader(data))
-        super().__init__(
-            name, input_rates=(), output_rates=(self.channels * FRAME_WORDS,)
-        )
+        super().__init__(name, input_rates=(), output_rates=(FRAME_WORDS,))
         self._data = data
-        self._periods: list[list[int]] | None = None
-        self._periods_decoded = 0
+        self._frames: list[list[int]] | None = None
+        self._frames_decoded = 0
 
     def reset(self) -> None:
-        if self._periods is None:
+        if self._frames is None:
             decoder = FrameDecoder(self._data)
-            periods = []
+            frames = []
             for _ in range(self.header.n_frames):
-                period: list[int] = []
-                for _channel in range(self.channels):
-                    scalefactors, codes = decoder.next_frame_raw()
-                    period += scalefactors
-                    period += codes
-                periods.append(period)
-            self._periods = ints_to_words(np.array(periods, dtype=np.int64))
-        self._periods_decoded = 0
+                scalefactors, codes = decoder.next_frame_raw()
+                frames.append(scalefactors + codes)
+            self._frames = ints_to_words(np.array(frames, dtype=np.int64))
+        self._frames_decoded = 0
 
     @property
     def total_firings(self) -> int:
@@ -86,13 +77,13 @@ class Mp3Parser(Filter):
         return 200 + 12 * self.output_rates[0]
 
     def work(self, inputs: Batch) -> Batch:
-        if self._periods is None:
+        if self._frames is None:
             self.reset()
-        assert self._periods is not None
-        if self._periods_decoded >= len(self._periods):
+        assert self._frames is not None
+        if self._frames_decoded >= len(self._frames):
             return [[0] * self.output_rates[0]]
-        words = self._periods[self._periods_decoded]
-        self._periods_decoded += 1
+        words = self._frames[self._frames_decoded]
+        self._frames_decoded += 1
         return [words.copy()]
 
 
@@ -188,53 +179,6 @@ class Mp3Window(Filter):
 
     def write_state_word(self, index: int, word: int) -> None:
         self._window.v_buffer[index] = word_to_float(word)
-
-
-class Mp3StereoParser(Mp3Parser):
-    """G0 for stereo streams: unpacks one frame period (L + R) per firing."""
-
-    channels = 2
-
-    def __init__(self, name: str, data: bytes) -> None:
-        super().__init__(name, data)
-        if self.header.n_channels != 2:
-            raise ValueError("stream is not stereo")
-
-
-def build_mp3_stereo_graph(encoded: bytes) -> StreamGraph:
-    """The stereo decoder: a split-join of two synthesis chains (10 nodes).
-
-    ::
-
-        G0 -> split ==> (G1 -> G2 -> G3) L \
-                    ==> (G1 -> G2 -> G3) R  --> join -> sink
-
-    The joiner interleaves granule-wise: 32 left PCM samples, then 32
-    right.  Channels realign independently under errors (each chain has
-    its own frame headers).
-    """
-    from repro.streamit.filters import RoundRobinJoiner, RoundRobinSplitter
-
-    graph = StreamGraph()
-    parser = graph.add_node(Mp3StereoParser("G0_parser", encoded))
-    splitter = graph.add_node(
-        RoundRobinSplitter("split", weights=[FRAME_WORDS, FRAME_WORDS])
-    )
-    joiner = graph.add_node(RoundRobinJoiner("join", weights=[N_BANDS, N_BANDS]))
-    sink = graph.add_node(FloatSink("sink", rate=2 * N_BANDS))
-    graph.connect(parser, splitter)
-    for port, channel in enumerate("LR"):
-        dequant = graph.add_node(
-            Mp3Dequantizer(f"G1_dequant_{channel}", parser.header.bit_allocation)
-        )
-        matrix = graph.add_node(Mp3Matrix(f"G2_matrix_{channel}"))
-        window = graph.add_node(Mp3Window(f"G3_window_{channel}"))
-        graph.connect(splitter, dequant, src_port=port)
-        graph.connect(dequant, matrix)
-        graph.connect(matrix, window)
-        graph.connect(window, joiner, dst_port=port)
-    graph.connect(joiner, sink)
-    return graph
 
 
 def build_mp3_graph(encoded: bytes) -> StreamGraph:

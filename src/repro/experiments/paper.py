@@ -282,13 +282,14 @@ def run_paper(
     ``options.cache`` says — the pipeline always records a campaign, that
     is what makes it resumable.  ``options.scale`` is ignored: the tier
     owns the scale.  The grid runs keep-going (a failed spec SKIPs its
-    targets instead of aborting the reproduction).
+    targets instead of aborting the reproduction).  A store opened here
+    is closed before returning (``PaperRun.store`` reconnects on its next
+    use); a ``RunStore`` passed in stays open.
     """
     import time
 
     tier = resolve_tier(tier)
     opts = options or EngineOptions()
-    store = RunStore.coerce(opts.store if opts.store is not None else True)
     targets = collect_targets()
     if figure is not None:
         name = resolve_figure(figure).name
@@ -296,46 +297,51 @@ def run_paper(
     specs, needs = _dedup_specs(targets, tier)
     keys = [spec.content_key(tier.app_scale) for spec in specs]
     campaign = derive_campaign_id(specs, tier.app_scale, keys)
-    store.begin_campaign(
-        campaign,
-        specs,
-        tier.app_scale,
-        app="paper",
-        metric="fidelity",
-        options={"tier": tier.name, "seeds": tier.seeds},
-        keys=keys,
-    )
-    runner = build_engine(
-        replace(opts, store=store, keep_going=True),
-        tier.app_scale,
-        campaign=campaign,
-        progress=progress,
-    )
-    start = time.time()
-    records = runner.run_specs(specs, keys)
-    wall = time.time() - start
-
-    results = [
-        evaluate_target(
-            target, tier, [records[i] for i in needs[target.name]],
-            runner.executor,
+    store = RunStore.coerce(opts.store if opts.store is not None else True)
+    try:
+        store.begin_campaign(
+            campaign,
+            specs,
+            tier.app_scale,
+            app="paper",
+            metric="fidelity",
+            options={"tier": tier.name, "seeds": tier.seeds},
+            keys=keys,
         )
-        for target in targets
-    ]
-    stats = runner.last_stats
-    report = ReproductionReport(
-        tier=tier,
-        results=results,
-        provenance=Provenance.capture(),
-        campaign=campaign,
-        total_specs=len(specs),
-        execution=Execution(
-            wall_seconds=wall,
-            executed=stats.executed if stats else 0,
-            store_hits=stats.cache_hits if stats else 0,
-            jobs=stats.jobs if stats else 1,
-        ),
-    )
+        runner = build_engine(
+            replace(opts, store=store, keep_going=True),
+            tier.app_scale,
+            campaign=campaign,
+            progress=progress,
+        )
+        start = time.time()
+        records = runner.run_specs(specs, keys)
+        wall = time.time() - start
+
+        results = [
+            evaluate_target(
+                target, tier, [records[i] for i in needs[target.name]],
+                runner.executor,
+            )
+            for target in targets
+        ]
+        stats = runner.last_stats
+        report = ReproductionReport(
+            tier=tier,
+            results=results,
+            provenance=Provenance.capture(),
+            campaign=campaign,
+            total_specs=len(specs),
+            execution=Execution(
+                wall_seconds=wall,
+                executed=stats.executed if stats else 0,
+                store_hits=stats.cache_hits if stats else 0,
+                jobs=stats.jobs if stats else 1,
+            ),
+        )
+    finally:
+        if store is not opts.store:
+            store.close()
     return PaperRun(report=report, stats=stats, store=store)
 
 

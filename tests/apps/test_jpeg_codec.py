@@ -243,6 +243,12 @@ class TestFullCodec:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             parse_header(b"\x00\x00\x00\x00")
+        # A stream whose mode byte is not 4:4:4's 0.
+        data = bytearray(encode_image(synthetic_image(16, 16)))
+        assert data[7] == 0
+        data[7] = 1
+        with pytest.raises(ValueError):
+            parse_header(bytes(data))
 
     def test_non_multiple_of_8_rejected(self):
         with pytest.raises(ValueError):

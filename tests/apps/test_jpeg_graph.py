@@ -7,13 +7,7 @@ import pytest
 
 from repro.apps.base import words_to_ints
 from repro.apps.jpeg import build_jpeg_app, codec
-from repro.apps.jpeg.codec import (
-    assemble_y16,
-    decode_image,
-    encode_image,
-    parse_header,
-    upsample_chroma_block,
-)
+from repro.apps.jpeg.codec import decode_image, encode_image, parse_header
 from repro.apps.jpeg.dct import inverse_dct
 from repro.apps.jpeg.graph import (
     JpegClamper,
@@ -24,7 +18,6 @@ from repro.apps.jpeg.graph import (
     JpegRowAssembler,
     build_jpeg_graph,
 )
-from repro.apps.jpeg.graph420 import Jpeg420Upsampler
 from repro.apps.jpeg.tables import ZIGZAG
 from repro.apps.registry import build_app
 from repro.machine.errors import ErrorModel
@@ -210,16 +203,16 @@ def _assert_words(batch):
         assert all(type(w) is int and 0 <= w < 1 << 32 for w in port)
 
 
-@pytest.fixture(scope="module", params=["444", "420"])
-def header(request):
+@pytest.fixture(scope="module")
+def header():
     # Quality 10 saturates the chroma table at 255, the largest multiplier.
     image = synthetic_image(32, 32)
-    return parse_header(encode_image(image, quality=10, subsampling=request.param))[0]
+    return parse_header(encode_image(image, quality=10))[0]
 
 
 class TestBatchedKernels:
     """Every batched node equals the scalar per-word formulas on
-    full-range words, for 3-block (4:4:4) and 6-block (4:2:0) MCUs."""
+    full-range words."""
 
     FIRINGS = 20
 
@@ -244,7 +237,7 @@ class TestBatchedKernels:
             assert got.tolist() == [word_to_int(w) for w in batch]
 
     def test_dequantizer(self, header):
-        rng = random.Random(f"f1-{header.subsampling}")
+        rng = random.Random("f1-444")
         node = JpegDequantizer("F1", header)
         tables = [[int(v) for v in row] for row in header.block_tables()]
         assert node.input_rates[0] == 64 * len(tables)
@@ -259,37 +252,35 @@ class TestBatchedKernels:
             _assert_words(got)
             assert got == [expected]
 
-    def test_idct(self, header):
-        rng = random.Random(f"f2-{header.subsampling}")
-        blocks, copies = (3, 3) if header.subsampling == "444" else (6, 1)
-        node = JpegIdct("F2", blocks=blocks, copies=copies)
+    def test_idct(self):
+        rng = random.Random("f2-444")
+        node = JpegIdct("F2")
         for _ in range(self.FIRINGS):
-            words = _words(rng, 64 * blocks)
+            words = _words(rng, 3 * 64)
             expected = [
                 int_to_word(v) for block in _planes(words, 64) for v in _idct_block(block)
             ]
             got = node.work([words])
             _assert_words(got)
-            assert got == [expected] * copies
+            assert got == [expected] * 3
             # Each port gets its own list: a bit flip on one must not leak.
-            assert len({id(port) for port in got}) == copies
+            assert len({id(port) for port in got}) == 3
 
     @pytest.mark.parametrize("channel", [0, 1, 2])
-    def test_color_channel(self, header, channel):
-        rng = random.Random(f"f3-{header.subsampling}-{channel}")
-        side = header.mcu_side
-        node = JpegColorChannel("F3", channel=channel, side=side)
+    def test_color_channel(self, channel):
+        rng = random.Random(f"f3-444-{channel}")
+        node = JpegColorChannel("F3", channel=channel)
         for _ in range(self.FIRINGS):
-            words = _words(rng, 3 * side * side)
-            y, cb, cr = _planes(words, side * side)
+            words = _words(rng, 3 * 64)
+            y, cb, cr = _planes(words, 64)
             expected = [int_to_word(v) for v in _color_channel_values(y, cb, cr, channel)]
             got = node.work([words])
             _assert_words(got)
             assert got == [expected]
 
-    def test_clamper(self, header):
-        rng = random.Random(f"f5-{header.subsampling}")
-        node = JpegClamper("F5", side=header.mcu_side)
+    def test_clamper(self):
+        rng = random.Random("f5-444")
+        node = JpegClamper("F5")
         for _ in range(self.FIRINGS):
             words = _words(rng, node.input_rates[0])
             expected = [int_to_word(_clamp_pixel(word_to_int(w))) for w in words]
@@ -297,10 +288,10 @@ class TestBatchedKernels:
             _assert_words(got)
             assert got == [expected]
 
-    def test_pixel_formatter_gather(self, header):
-        rng = random.Random(f"f6-{header.subsampling}")
-        pixels = header.mcu_side**2
-        node = JpegPixelFormatter("F6", side=header.mcu_side)
+    def test_pixel_formatter_gather(self):
+        rng = random.Random("f6-444")
+        pixels = 64
+        node = JpegPixelFormatter("F6")
         words = _words(rng, 3 * pixels)
         expected = [0] * (3 * pixels)
         for pixel in range(pixels):
@@ -312,11 +303,11 @@ class TestBatchedKernels:
         assert got == [expected]
 
     @pytest.mark.parametrize("regions_x", [1, 3])
-    def test_row_assembler_gather(self, header, regions_x):
-        rng = random.Random(f"f7-{header.subsampling}-{regions_x}")
-        side = header.mcu_side
+    def test_row_assembler_gather(self, regions_x):
+        rng = random.Random(f"f7-444-{regions_x}")
+        side = 8
         region = 3 * side * side
-        node = JpegRowAssembler("F7", regions_x, side=side)
+        node = JpegRowAssembler("F7", regions_x)
         words = _words(rng, regions_x * region)
         expected = [0] * len(words)
         row_width = regions_x * side * 3
@@ -329,22 +320,3 @@ class TestBatchedKernels:
         node.reset()
         assert node.work([words]) == []
         assert node.collected == expected
-
-    def test_upsampler_gather(self):
-        rng = random.Random("f2u")
-        node = Jpeg420Upsampler("F2U")
-        for _ in range(self.FIRINGS):
-            words = _words(rng, 384)
-            blocks = _planes(words, 64)
-            plane = [
-                int_to_word(v)
-                for v in (
-                    *assemble_y16(blocks[0:4]),
-                    *upsample_chroma_block(blocks[4]),
-                    *upsample_chroma_block(blocks[5]),
-                )
-            ]
-            got = node.work([words])
-            _assert_words(got)
-            assert got == [plane] * 3
-            assert len({id(port) for port in got}) == 3

@@ -139,6 +139,12 @@ class TestBitstream:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             bs.read_header(BitReader(b"\x00\x00"))
+        # A stream whose channel count is not mono's 1.
+        data = bytearray(encode_audio(multitone_signal(1000)))
+        assert data[4] == 1
+        data[4] = 2
+        with pytest.raises(ValueError):
+            bs.read_header(BitReader(bytes(data)))
 
     def test_frame_roundtrip(self):
         allocation = tuple(DEFAULT_BIT_ALLOCATION)
@@ -168,6 +174,9 @@ class TestFullCodec:
         assert decoded.shape == (1000,)
         # The tail is real signal, not padding silence.
         assert np.max(np.abs(decoded[-100:])) > 0.01
+        # The codec is mono: two-channel input is refused.
+        with pytest.raises(ValueError):
+            encode_audio(np.stack([raw, raw], axis=-1))
 
     def test_frame_count_in_header(self):
         from repro.apps.mp3.codec import FrameDecoder
@@ -207,13 +216,12 @@ class TestDecodeOnce:
         monkeypatch.setattr(FrameDecoder, "next_frame_raw", counting_next_frame_raw)
         return counts
 
-    @pytest.mark.parametrize("stereo", [False, True], ids=["mono", "stereo"])
-    def test_runs_of_one_app_decode_the_container_once(self, decoded, stereo):
-        app = build_mp3_app(n_samples=2_000, stereo=stereo)
+    def test_runs_of_one_app_decode_the_container_once(self, decoded):
+        app = build_mp3_app(n_samples=2_000)
         assert decoded == {"decoders": 0, "frames": 0}
         (parser,) = (n for n in app.program.graph.nodes if n.name == "G0_parser")
         first = run_program(app.program, ProtectionLevel.ERROR_FREE)
-        frames = parser.header.n_frames * (2 if stereo else 1)
+        frames = parser.header.n_frames
         assert decoded == {"decoders": 1, "frames": frames}
         # Data errors flip bits of the words G0 hands out, never of its cache.
         flips = ErrorModel(

@@ -52,7 +52,6 @@ from repro.apps.jpeg.graph import (
     JpegIdct,
     JpegPixelFormatter,
 )
-from repro.apps.jpeg.graph420 import Jpeg420Upsampler
 from repro.apps.mp3.codec import dequantize_sample
 from repro.apps.mp3.filterbank import N_BANDS
 from repro.apps.mp3.graph import Mp3Dequantizer, Mp3Matrix, Mp3Window
@@ -105,10 +104,10 @@ def _chirp(n_taps: int) -> list[complex]:
 
 
 @functools.cache
-def _jpeg_header(subsampling: str) -> JpegHeader:
+def _jpeg_header() -> JpegHeader:
     # Quality 10 saturates the chroma table at 255, the largest multiplier.
     image = synthetic_image(32, 32)
-    return parse_header(encode_image(image, quality=10, subsampling=subsampling))[0]
+    return parse_header(encode_image(image, quality=10))[0]
 
 
 #: One factory per kernel configuration worth telling apart.  The word
@@ -130,20 +129,13 @@ KERNELS = {
     "butterfly-6": lambda: ButterflyStage("bf", 64, 6),
     "mp3-matrix": lambda: Mp3Matrix("G2"),
     "mp3-window": lambda: Mp3Window("G3"),
-    "jpeg-dequant": lambda: JpegDequantizer("F1", _jpeg_header("444")),
+    "jpeg-dequant": lambda: JpegDequantizer("F1", _jpeg_header()),
     "jpeg-idct": lambda: JpegIdct("F2"),
     "jpeg-color-r": lambda: JpegColorChannel("F3R", channel=0),
     "jpeg-color-b": lambda: JpegColorChannel("F3B", channel=2),
     "jpeg-join": lambda: JpegChannelJoiner("F4"),
     "jpeg-clamp": lambda: JpegClamper("F5"),
     "jpeg-format": lambda: JpegPixelFormatter("F6"),
-    "jpeg420-dequant": lambda: JpegDequantizer("F1", _jpeg_header("420")),
-    "jpeg420-idct": lambda: JpegIdct("F2", blocks=6, copies=1),
-    "jpeg420-upsample": lambda: Jpeg420Upsampler("F2U"),
-    "jpeg420-color-g": lambda: JpegColorChannel("F3G", channel=1, side=16),
-    "jpeg420-join": lambda: JpegChannelJoiner("F4", side=16),
-    "jpeg420-clamp": lambda: JpegClamper("F5", side=16),
-    "jpeg420-format": lambda: JpegPixelFormatter("F6", side=16),
     "int-source": lambda: IntSource("src", list(range(7, 7 + 3 * 150)), rate=3),
     "int-sink": lambda: IntSink("sink", rate=2),
     "duplicate": lambda: DuplicateSplitter("dup", n_branches=3, rate=2),

@@ -102,11 +102,20 @@ class TestProgressGuarantee:
         assert not result.hung
         assert len(result.outputs["snk"]) == 256
 
-    def test_splitjoin_under_heavy_errors_terminates(self):
-        program = make_splitjoin_program(128)
-        result = run_program(
-            program, ProtectionLevel.COMMGUARD, mtbe=500, seed=2
+    @pytest.mark.parametrize("n_cores", [10, 2])
+    def test_splitjoin_under_heavy_errors_terminates(self, n_cores):
+        """On 2 cores each core time-slices three of the six threads."""
+        system = MulticoreSystem.build(
+            make_splitjoin_program(128),
+            ProtectionLevel.COMMGUARD,
+            error_model=ErrorModel(mtbe=500),
+            seed=2,
+            system_config=SystemConfig(n_cores=n_cores),
         )
+        per_core = [len(core.threads) for core in system.cores]
+        assert sum(per_core) == 6
+        assert min(per_core) >= 6 // n_cores
+        result = system.run()
         assert not result.hung
         assert len(result.outputs["snk"]) == 256
 

@@ -96,8 +96,9 @@ class TestPrebuiltApps:
     not os.path.isdir("/proc/self/fd"), reason="lists descriptors through /proc"
 )
 class TestEntryPointsCloseTheirStores:
-    """``sweep``, ``run`` and ``SweepReport.from_store`` close a store they
-    open from a path before returning; a ``RunStore`` handed in stays open.
+    """``sweep``, ``run``, ``SweepReport.from_store`` and the paper
+    pipeline (``run_paper``, so ``reproduce``) close a store they open
+    from a path before returning; a ``RunStore`` handed in stays open.
 
     The cyclic garbage collector is off throughout: an unclosed
     connection sits in a reference cycle, so only a collection would
@@ -165,6 +166,27 @@ class TestEntryPointsCloseTheirStores:
         assert len(store) == 2
         run("fft", mtbe="1M", seed=5, options=options)
         assert len(store) == 3
+        store.close()
+
+    def test_the_paper_pipeline_closes_its_store(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.api import EngineOptions
+        from repro.experiments.paper import run_paper
+        from repro.experiments.store import RunStore
+
+        path = tmp_path / "store.sqlite"
+        options = EngineOptions(jobs=1, store=str(path))
+        paper = run_paper("smoke", figure="fig12", options=options)
+        self.assert_closed(path, "run_paper")
+        # The returned store reconnects on its next use.
+        runs = paper.report.total_specs
+        assert len(paper.store) == runs
+        paper.store.close()
+        store = RunStore(path)
+        run_paper("smoke", figure="fig12", options=replace(options, store=store))
+        assert self.open_files(path), "a store handed in stays open"
+        assert len(store) == runs
         store.close()
 
 
@@ -340,12 +362,39 @@ class TestRemovedIn5:
         assert isinstance(ParallelRunner().metrics, MetricsRegistry)
 
 
+class TestRemovedIn6:
+    """The enrichments no graded target reads are gone: the tagged-step
+    bridge, 4:2:0 jpeg, stereo mp3 and the 21-node beamformer."""
+
+    def test_tagged_extensions(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.extensions") is None
+
+    def test_app_variants(self):
+        import numpy as np
+
+        from repro.apps import (
+            build_audiobeamformer_app,
+            build_jpeg_app,
+            build_mp3_app,
+        )
+        from repro.apps.jpeg import encode_image
+
+        with pytest.raises(TypeError):
+            build_jpeg_app(subsampling="420")
+        with pytest.raises(TypeError):
+            encode_image(np.zeros((16, 16, 3), dtype=np.uint8), subsampling="420")
+        with pytest.raises(TypeError):
+            build_mp3_app(stereo=True)
+        with pytest.raises(TypeError):
+            build_audiobeamformer_app(variant="full")
+
+
 class TestExampleScripts:
     """The fastest example scripts must run end to end."""
 
-    @pytest.mark.parametrize(
-        "script", ["custom_app_guarded.py", "tagged_mapreduce.py"]
-    )
+    @pytest.mark.parametrize("script", ["custom_app_guarded.py"])
     def test_example_runs(self, script, tmp_path):
         pythonpath = os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
@@ -369,6 +418,5 @@ class TestExampleScripts:
             "mp3_frame_sizes.py",
             "protection_comparison.py",
             "custom_app_guarded.py",
-            "tagged_mapreduce.py",
             "alignment_trace.py",
         } <= names
